@@ -58,6 +58,10 @@ def _print_table(headers: list[str], rows: list[list[str]]) -> None:
         print("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
 
 
+def _cell(value) -> str:
+    return f"{value:.4f}" if isinstance(value, float) else str(value)
+
+
 def cmd_run(args: argparse.Namespace) -> int:
     if args.from_manifest:
         result = run_from_manifest(args.from_manifest, out_dir=args.out)
@@ -68,36 +72,14 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _apply_overrides(_load_config(args.config), args)
 
     if args.experiment:
-        if args.experiment == "exp1":
-            tables = run_experiment1(cfg, out_dir=args.out)["tables"]
-            rows = [
-                [str(r["n_clients"]), str(r["images_per_client"]),
-                 f"{r['fls_avg_dice']:.4f}", f"{r['braintorrent_avg_dice']:.4f}",
-                 f"{r['fls_aggregated_dice']:.4f}", f"{r['braintorrent_aggregated_dice']:.4f}"]
-                for r in tables["summary"]
-            ]
-            _print_table(
-                ["clients", "imgs/client", "fls avg", "bt avg", "fls agg", "bt agg"], rows
-            )
-            print(f"pooled model dice: {tables['pooled_dice']:.4f}")
-            rows = [
-                [r["method"]] + [f"{d:.3f}" for d in r["dice"]] + [f"{r['mean']:.4f}"]
-                for r in tables["per_client_10"]
-            ]
-            n = len(tables["per_client_10"][0]["dice"])
-            _print_table(["method"] + [f"C{i + 1}" for i in range(n)] + ["mean"], rows)
-        else:
-            tables = run_experiment2(cfg, out_dir=args.out)["tables"]
-            rows = [
-                [r["method"]] + [f"{d:.3f}" for d in r["dice"]]
-                + [f"{r['avg']:.4f}", f"{r['aggregated']:.4f}"]
-                for r in tables["per_client"]
-            ]
-            n = len(tables["per_client"][0]["dice"])
-            _print_table(["method"] + [f"C{i + 1}" for i in range(n)] + ["avg", "agg"], rows)
-            print(f"pooled model dice: {tables['pooled_dice']:.4f}")
-            print(f"shard sizes: {tables['shard_sizes']}")
-            print(f"bt avg - fls avg: {tables['bt_minus_fls_avg']:+.4f}")
+        run = run_experiment1 if args.experiment == "exp1" else run_experiment2
+        for name, table in run(cfg, out_dir=args.out)["tables"].items():
+            if isinstance(table, tuple):  # (headers, rows), as in <name>.csv
+                headers, rows = table
+                print(f"{name}:")
+                _print_table(headers, [[_cell(v) for v in row] for row in rows])
+            else:
+                print(f"{name}: {_cell(table)}")
         return 0
 
     if cfg.transport == "tcp":

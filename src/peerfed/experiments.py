@@ -3,13 +3,16 @@
 A run is fully described by an ExperimentConfig; with the simulated
 transport the resulting metrics are a pure function of the config, and a
 run's manifest is sufficient to reproduce its metrics files byte for
-byte. Four modes share one entry point:
+byte. ``schedule(cfg)`` lists a run's update steps, and both the
+simulated runner and each TCP peer walk that one list. The four modes
+differ only in the steps it holds:
 
-* ``fls``          server rounds (tune all, average all, broadcast)
-* ``braintorrent`` peer rounds; a config asking for R server rounds gets
-                   an R x n_clients update budget, warm-up included
-* ``pooled``       one model on all training data, R rounds
-* ``only_client``  n_clients isolated models, R rounds each
+* ``fls``          R server rounds (tune all, average all, broadcast)
+* ``braintorrent`` peer rounds, one seeded initiator each; a config asking
+                   for R server rounds gets an R x n_clients update budget,
+                   the optional warm-up local pass included
+* ``pooled``       R local passes of one client holding all training data
+* ``only_client``  R local passes of n_clients isolated clients
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -38,7 +41,6 @@ from .data import (
 from .federation import (
     ClientNode,
     ClientState,
-    MergeReport,
     RoundParams,
     VersionVector,
     aggregate_all_clients,
@@ -56,6 +58,7 @@ from .transport import (
     SimTransport,
     TcpPeerServer,
     TcpTransport,
+    TransportError,
     weights_frame_bytes,
 )
 
@@ -71,6 +74,29 @@ def _require_keys(section: str, given: dict, allowed: set[str]) -> None:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
 
 
+_JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
+
+
+def _typed(cls, d: dict) -> dict:
+    """d, once every value for a bool, int or float field of cls (or a tuple
+    of them) has that type: JSON's "false" is not a bool, and true, 2.5
+    and "10" are not integers.
+    """
+    kinds = {f.name: f.type for f in fields(cls)}
+    for key, value in d.items():
+        kind = kinds.get(key, "")
+        if kind.startswith("tuple[") and value is not None:
+            item = _JSON_TYPES[kind[len("tuple["):kind.index(",")]]
+            ok = isinstance(value, (list, tuple)) and all(type(v) in item for v in value)
+        elif kind in _JSON_TYPES:
+            ok = type(value) in _JSON_TYPES[kind]
+        else:
+            continue
+        if not ok:
+            raise ValueError(f"{key} must be {kind}, got {value!r}")
+    return d
+
+
 @dataclass(frozen=True)
 class Seeds:
     data: int = 0
@@ -81,7 +107,7 @@ class Seeds:
     @staticmethod
     def from_dict(d: dict) -> "Seeds":
         _require_keys("seeds", d, {"data", "init", "shuffle", "initiator"})
-        return Seeds(**{k: int(v) for k, v in d.items()})
+        return Seeds(**_typed(Seeds, d))
 
     def to_dict(self) -> dict:
         return {"data": self.data, "init": self.init,
@@ -111,10 +137,11 @@ class SplitSpec:
     @staticmethod
     def from_dict(d: dict) -> "SplitSpec":
         _require_keys("split", d, {"kind", "boundaries", "counts"})
+        _typed(SplitSpec, d)
         return SplitSpec(
             kind=d.get("kind", "uniform"),
             boundaries=tuple(float(b) for b in d["boundaries"]) if d.get("boundaries") else None,
-            counts=tuple(int(c) for c in d["counts"]) if d.get("counts") else None,
+            counts=tuple(d["counts"]) if d.get("counts") else None,
         )
 
     def to_dict(self) -> dict:
@@ -128,10 +155,11 @@ class SplitSpec:
 
 def _model_from_dict(d: dict) -> ModelSpec:
     _require_keys("model", d, {"input_dim", "hidden_dims", "num_classes", "activation"})
+    _typed(ModelSpec, d)
     return ModelSpec(
-        input_dim=int(d.get("input_dim", FEATURE_CHANNELS)),
-        hidden_dims=tuple(int(h) for h in d.get("hidden_dims", (512,))),
-        num_classes=int(d.get("num_classes", 4)),
+        input_dim=d.get("input_dim", FEATURE_CHANNELS),
+        hidden_dims=tuple(d.get("hidden_dims", (512,))),
+        num_classes=d.get("num_classes", 4),
         activation=d.get("activation", "relu"),
     )
 
@@ -155,7 +183,7 @@ def _data_from_dict(d: dict) -> GenConfig:
     if "seed" in d:
         raise ValueError("data.seed is not a config key; generation uses seeds.data")
     _require_keys("data", d, _DATA_KEYS)
-    return GenConfig(**{k: v for k, v in d.items()})
+    return GenConfig(**_typed(GenConfig, d))
 
 
 def _data_to_dict(cfg: GenConfig) -> dict:
@@ -253,7 +281,7 @@ class ExperimentConfig:
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
         _require_keys("config", d, ExperimentConfig._TOP_KEYS)
-        kwargs: dict = {k: v for k, v in d.items()
+        kwargs: dict = {k: v for k, v in _typed(ExperimentConfig, d).items()
                         if k not in ("split", "model", "data", "seeds")}
         if "split" in d:
             kwargs["split"] = SplitSpec.from_dict(d["split"])
@@ -305,7 +333,6 @@ class RunResult:
     aggregated: ModelWeights
     total_updates: int
     failed_rounds: int
-    reports: list[MergeReport]
     trajectory: list[list[np.ndarray]] | None = None
     manifest: dict | None = None
 
@@ -385,43 +412,29 @@ def bt_total_rounds(cfg: ExperimentConfig) -> int:
     return budget - (cfg.n_clients if cfg.bt_warmup else 0)
 
 
-class _Recorder:
-    """Collects evaluation records at a fixed client-update cadence."""
+SERVER_ROUND = "server_round"  # one fls_round over every client
+LOCAL_PASS = "local_pass"  # one local_update per client, no communication
+Step = str | int  # SERVER_ROUND, LOCAL_PASS, or the initiator of one peer round
 
-    def __init__(self, cfg: ExperimentConfig, test: list[SegImage], started: float,
-                 capture: bool):
-        self.cfg = cfg
-        self.test = test
-        self.started = started
-        self.records: list[MetricsRecord] = []
-        self.trajectory: list[list[np.ndarray]] | None = [] if capture else None
-        self._last_key = None
 
-    def eval_now(self, clients: list[ClientState], aggregated: ModelWeights,
-                 round_index: int, key: int, bytes_transferred: int) -> None:
-        if key == self._last_key:
-            return
-        self._last_key = key
-        per_client = [
-            evaluate_model(self.cfg.model, c.weights, self.test, self.cfg.data.num_classes)
-            for c in clients
-        ]
-        agg = evaluate_model(self.cfg.model, aggregated, self.test, self.cfg.data.num_classes)
-        self.records.append(
-            MetricsRecord(
-                round_index=round_index,
-                per_client_dice=per_client,
-                avg_client_dice=float(np.mean(per_client)),
-                aggregated_model_dice=agg,
-                bytes_transferred=bytes_transferred,
-                wall_time_ms=int((time.perf_counter() - self.started) * 1000),
-            )
-        )
-        if self.trajectory is not None:
-            self.trajectory.append([c.weights.params.copy() for c in clients])
+def schedule(cfg: ExperimentConfig) -> list[Step]:
+    """The run's update steps in order, for the simulated run and every TCP peer."""
+    if cfg.mode == "fls":
+        return [SERVER_ROUND] * cfg.rounds_fls
+    if cfg.mode != "braintorrent":
+        return [LOCAL_PASS] * cfg.rounds_fls
+    warmup = [LOCAL_PASS] if cfg.bt_warmup else []
+    return warmup + [pick_initiator(r, cfg.n_clients, cfg.seeds.initiator)
+                     for r in range(bt_total_rounds(cfg))]
 
-    def due(self, updates_done: int) -> bool:
-        return updates_done % (self.cfg.eval_every * self.cfg.n_clients) == 0
+
+def expected_versions(steps: list[Step], n_clients: int) -> list[int]:
+    """Own-version each client has reached once all the given steps are done."""
+    counts = [0] * n_clients
+    for step in steps:
+        for i in range(n_clients) if isinstance(step, str) else [step]:
+            counts[i] += 1
+    return counts
 
 
 def run_training(
@@ -429,7 +442,13 @@ def run_training(
     out_dir: str | Path | None = None,
     capture_trajectory: bool = False,
 ) -> RunResult:
-    """Execute one run under the simulated transport and optionally persist it."""
+    """Execute one run under the simulated transport and optionally persist it.
+
+    Walks schedule(cfg), evaluating after every eval_every x len(nodes)
+    client updates and once more at the end if the last update was not
+    evaluated. A peer round that cannot reach a peer changes nothing and
+    counts as failed.
+    """
     if cfg.transport != "sim":
         raise ValueError("run_training drives the simulated transport; "
                          "use run_tcp_peer for one TCP peer process")
@@ -438,84 +457,79 @@ def run_training(
 
     train, test = build_dataset(cfg)
     shards = build_shards(cfg, train)
-    clients = _initial_clients(cfg, shards)
+    nodes = [ClientNode(c) for c in _initial_clients(cfg, shards)]
+    transport = SimTransport(
+        len(nodes),
+        seed=derive_seed(cfg.seeds.initiator, "faults"),
+        drop_prob=cfg.sim_drop_prob,
+    )
+    for i, node in enumerate(nodes):
+        transport.register(i, node)
     params = _round_params(cfg, total_samples=sum(s.sample_count for s in shards))
-    recorder = _Recorder(cfg, test, started, capture_trajectory)
-    weighted = cfg.aggregate == "weighted"
+    frame_bytes = weights_frame_bytes(cfg.model.param_count())
 
-    total_updates = 0
-    failed_rounds = 0
-    reports: list[MergeReport] = []
+    server: ModelWeights | None = None  # the last server round's aggregate
+    server_bytes = updates = failed_rounds = 0
+    evaluated_at = None
+    records: list[MetricsRecord] = []
+    trajectory: list[list[np.ndarray]] | None = [] if capture_trajectory else None
 
-    if cfg.mode in ("pooled", "only_client", "fls"):
-        server = clients[0].weights.copy()
-        bytes_cum = 0
-        for r in range(cfg.rounds_fls):
-            if cfg.mode == "fls":
-                clients, server = fls_round(clients, server, params)
-                # Notional traffic: every client uploads its model and
-                # downloads the aggregate once per round.
-                bytes_cum += 2 * len(clients) * weights_frame_bytes(cfg.model.param_count())
-            else:
-                # pooled is a 1-client list; only_client updates each
-                # isolated model once per round.
-                clients = [local_update(c, params) for c in clients]
-            total_updates += len(clients)
-            if (r + 1) % cfg.eval_every == 0 or r + 1 == cfg.rounds_fls:
-                aggregated = (
-                    server if cfg.mode == "fls"
-                    else aggregate_all_clients(clients, weighted=weighted)
-                )
-                recorder.eval_now(clients, aggregated, r + 1, r + 1, bytes_cum)
-        aggregated = server if cfg.mode == "fls" else aggregate_all_clients(clients, weighted)
-        final_clients = clients
-    elif cfg.mode == "braintorrent":
-        nodes = [ClientNode(c) for c in clients]
-        transport = SimTransport(
-            cfg.n_clients,
-            seed=derive_seed(cfg.seeds.initiator, "faults"),
-            drop_prob=cfg.sim_drop_prob,
-        )
-        for i, node in enumerate(nodes):
-            transport.register(i, node)
+    def aggregate(states: list[ClientState]) -> ModelWeights:
+        if server is not None:
+            return server
+        return aggregate_all_clients(states, weighted=cfg.aggregate == "weighted")
 
-        def eval_point() -> None:
-            states = [n.state for n in nodes]
-            recorder.eval_now(states, aggregate_all_clients(states, weighted),
-                              total_updates // cfg.n_clients, total_updates,
-                              transport.delivered_bytes())
+    def evaluate() -> None:
+        states = [n.state for n in nodes]
+        per_client = [evaluate_model(cfg.model, s.weights, test, cfg.data.num_classes)
+                      for s in states]
+        records.append(MetricsRecord(
+            round_index=updates // len(nodes),
+            per_client_dice=per_client,
+            avg_client_dice=float(np.mean(per_client)),
+            aggregated_model_dice=evaluate_model(cfg.model, aggregate(states), test,
+                                                 cfg.data.num_classes),
+            bytes_transferred=server_bytes + transport.delivered_bytes(),
+            wall_time_ms=int((time.perf_counter() - started) * 1000),
+        ))
+        if trajectory is not None:
+            trajectory.append([s.weights.params.copy() for s in states])
 
-        if cfg.bt_warmup:
+    for step in schedule(cfg):
+        if step == SERVER_ROUND:
+            states, server = fls_round([n.state for n in nodes], params)
+            for node, state in zip(nodes, states):
+                node.commit(state)
+            # Notional traffic: every client uploads its model and
+            # downloads the aggregate once per round.
+            server_bytes += 2 * len(nodes) * frame_bytes
+            updates += len(nodes)
+        elif step == LOCAL_PASS:
             for node in nodes:
                 node.commit(local_update(node.state, params))
-                total_updates += 1
-            if recorder.due(total_updates):
-                eval_point()
-        for r in range(bt_total_rounds(cfg)):
-            initiator = pick_initiator(r, cfg.n_clients, cfg.seeds.initiator)
+            updates += len(nodes)
+        else:
             try:
-                reports.append(bt_round(nodes, initiator, params, transport))
-                total_updates += 1
+                bt_round(nodes, step, params, transport)
             except PeerUnreachableError:
                 failed_rounds += 1
                 continue
-            if recorder.due(total_updates):
-                eval_point()
-        eval_point()
-        final_clients = [n.state for n in nodes]
-        aggregated = aggregate_all_clients(final_clients, weighted)
-    else:  # pragma: no cover - modes are validated in the config
-        raise AssertionError(cfg.mode)
+            updates += 1
+        if updates % (cfg.eval_every * len(nodes)) == 0:
+            evaluate()
+            evaluated_at = updates
+    if evaluated_at != updates:
+        evaluate()
 
+    final_clients = [n.state for n in nodes]
     result = RunResult(
         config=cfg,
-        records=recorder.records,
+        records=records,
         final_clients=final_clients,
-        aggregated=aggregated,
-        total_updates=total_updates,
+        aggregated=aggregate(final_clients),
+        total_updates=updates,
         failed_rounds=failed_rounds,
-        reports=reports,
-        trajectory=recorder.trajectory,
+        trajectory=trajectory,
     )
     if out_dir is not None:
         result.manifest = write_run_outputs(result, Path(out_dir), started_at)
@@ -527,13 +541,11 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
-def metrics_to_csv(records: list[MetricsRecord], include_timing: bool = False) -> str:
-    """Render records as CSV with a stable column order."""
+def metrics_to_csv(records: list[MetricsRecord]) -> str:
+    """Render records as CSV with a stable column order and no wall-clock timing."""
     n_clients = len(records[0].per_client_dice) if records else 0
     columns = ["round_index", "avg_client_dice", "aggregated_model_dice", "bytes_transferred"]
     columns += [f"client_{i:02d}_dice" for i in range(n_clients)]
-    if include_timing:
-        columns.append("wall_time_ms")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)
@@ -545,40 +557,31 @@ def metrics_to_csv(records: list[MetricsRecord], include_timing: bool = False) -
             str(rec.bytes_transferred),
         ]
         row += [format_real(d) for d in rec.per_client_dice]
-        if include_timing:
-            row.append(str(rec.wall_time_ms))
         writer.writerow(row)
     return buffer.getvalue()
 
 
-def metrics_to_json(records: list[MetricsRecord], include_timing: bool = False) -> str:
-    out = []
-    for rec in records:
-        entry = {
+def metrics_to_json(records: list[MetricsRecord]) -> str:
+    out = [
+        {
             "round_index": rec.round_index,
             "avg_client_dice": rec.avg_client_dice,
             "aggregated_model_dice": rec.aggregated_model_dice,
             "bytes_transferred": rec.bytes_transferred,
             "per_client_dice": list(rec.per_client_dice),
         }
-        if include_timing:
-            entry["wall_time_ms"] = rec.wall_time_ms
-        out.append(entry)
+        for rec in records
+    ]
     return json.dumps({"records": out}, indent=2) + "\n"
 
 
-def emit_metrics(
-    records: list[MetricsRecord],
-    path: str | Path,
-    fmt: str = "csv",
-    include_timing: bool = False,
-) -> Path:
+def emit_metrics(records: list[MetricsRecord], path: str | Path, fmt: str = "csv") -> Path:
     """Write records to a file; canonical output excludes wall-clock timing."""
     path = Path(path)
     if fmt == "csv":
-        text = metrics_to_csv(records, include_timing)
+        text = metrics_to_csv(records)
     elif fmt == "json":
-        text = metrics_to_json(records, include_timing)
+        text = metrics_to_json(records)
     else:
         raise ValueError(f"unknown metrics format {fmt!r}")
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -642,14 +645,30 @@ def _run_name(mode: str, n_clients: int) -> str:
     return f"{mode}_c{n_clients:02d}"
 
 
+def write_table(path: Path, headers: list[str], rows: list[list]) -> None:
+    """Write one experiment table as CSV, reals at 17 significant digits."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(headers)
+        writer.writerows([format_real(v) if isinstance(v, float) else v for v in row]
+                         for row in rows)
+
+
+def _client_columns(n_clients: int) -> list[str]:
+    return [f"client_{i:02d}" for i in range(n_clients)]
+
+
 def run_experiment1(
     base_cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
 ) -> dict:
     """Client sweep 5/7/10/20 for both protocols plus pooled and only-client.
 
-    Produces a summary table (avg-over-clients and aggregated-model dice
-    per client count) and a per-client table for the 10-client setting.
+    Produces two (headers, rows) tables, each written to ``<name>.csv``:
+    ``summary_clients`` (avg-over-clients and aggregated-model dice per
+    client count, plus a pooled row) and ``per_client_10`` (per-client
+    dice of the 10-client setting).
     """
     if base_cfg.data.num_train != max(EXP1_CLIENT_SWEEP):
         raise ValueError(
@@ -659,137 +678,86 @@ def run_experiment1(
     out = Path(out_dir) if out_dir is not None else None
     runs: dict[str, RunResult] = {}
 
-    def run_point(mode: str, n_clients: int) -> RunResult:
+    def run_point(mode: str, n_clients: int) -> MetricsRecord:
         cfg = replace(base_cfg, mode=mode, n_clients=n_clients,
                       split=SplitSpec(kind="uniform"))
         name = _run_name(mode, n_clients)
-        result = run_training(cfg, out_dir=out / name if out else None)
-        runs[name] = result
-        return result
+        runs[name] = run_training(cfg, out_dir=out / name if out else None)
+        return runs[name].final
 
-    summary_rows = []
+    summary = []
     for n_clients in EXP1_CLIENT_SWEEP:
         fls = run_point("fls", n_clients)
         bt = run_point("braintorrent", n_clients)
-        summary_rows.append(
-            {
-                "n_clients": n_clients,
-                "images_per_client": round(base_cfg.data.num_train / n_clients),
-                "fls_avg_dice": fls.final.avg_client_dice,
-                "braintorrent_avg_dice": bt.final.avg_client_dice,
-                "fls_aggregated_dice": fls.final.aggregated_model_dice,
-                "braintorrent_aggregated_dice": bt.final.aggregated_model_dice,
-            }
-        )
+        summary.append([n_clients, round(base_cfg.data.num_train / n_clients),
+                        fls.avg_client_dice, bt.avg_client_dice,
+                        fls.aggregated_model_dice, bt.aggregated_model_dice])
     pooled = run_point("pooled", base_cfg.n_clients)
-    only = run_point("only_client", 10)
+    summary.append(["pooled", "", "", "", pooled.aggregated_model_dice, ""])
+    run_point("only_client", 10)
 
-    per_client_rows = [
-        {"method": "braintorrent", "dice": runs[_run_name("braintorrent", 10)].final.per_client_dice},
-        {"method": "fls", "dice": runs[_run_name("fls", 10)].final.per_client_dice},
-        {"method": "only_client", "dice": only.final.per_client_dice},
-    ]
-    for row in per_client_rows:
-        row["mean"] = float(np.mean(row["dice"]))
+    per_client = []
+    for mode in ("braintorrent", "fls", "only_client"):
+        dice = runs[_run_name(mode, 10)].final.per_client_dice
+        per_client.append([mode, *dice, float(np.mean(dice))])
 
     tables = {
-        "summary": summary_rows,
-        "pooled_dice": pooled.final.aggregated_model_dice,
-        "per_client_10": per_client_rows,
+        "summary_clients": (
+            ["n_clients", "images_per_client", "fls_avg_dice", "braintorrent_avg_dice",
+             "fls_aggregated_dice", "braintorrent_aggregated_dice"],
+            summary,
+        ),
+        "per_client_10": (["method", *_client_columns(10), "mean"], per_client),
     }
     if out is not None:
-        _write_exp1_tables(tables, out)
+        for name, (headers, rows) in tables.items():
+            write_table(out / f"{name}.csv", headers, rows)
     return {"tables": tables, "runs": runs}
-
-
-def _write_exp1_tables(tables: dict, out: Path) -> None:
-    out.mkdir(parents=True, exist_ok=True)
-    with open(out / "summary_clients.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(
-            ["n_clients", "images_per_client", "fls_avg_dice", "braintorrent_avg_dice",
-             "fls_aggregated_dice", "braintorrent_aggregated_dice"]
-        )
-        for row in tables["summary"]:
-            writer.writerow(
-                [row["n_clients"], row["images_per_client"]]
-                + [format_real(row[k]) for k in
-                   ("fls_avg_dice", "braintorrent_avg_dice",
-                    "fls_aggregated_dice", "braintorrent_aggregated_dice")]
-            )
-        writer.writerow(["pooled", "", "", "", format_real(tables["pooled_dice"]), ""])
-    with open(out / "per_client_10.csv", "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        n = len(tables["per_client_10"][0]["dice"])
-        writer.writerow(["method"] + [f"client_{i:02d}" for i in range(n)] + ["mean"])
-        for row in tables["per_client_10"]:
-            writer.writerow([row["method"]]
-                            + [format_real(d) for d in row["dice"]]
-                            + [format_real(row["mean"])])
 
 
 def run_experiment2(
     base_cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
 ) -> dict:
-    """Non-uniform cohort shards (sizes 5/9/2/1/3) for both protocols plus pooled."""
+    """Non-uniform cohort shards (sizes 5/9/2/1/3) for both protocols plus pooled.
+
+    Produces the ``cohort_table`` (headers, rows) table, written to
+    ``cohort_table.csv``, with the shard sizes and the braintorrent minus
+    fls average dice beside it.
+    """
     if base_cfg.data.num_train != sum(EXP2_COUNTS):
         raise ValueError(
             f"experiment 2 needs num_train={sum(EXP2_COUNTS)}, got {base_cfg.data.num_train}"
         )
     out = Path(out_dir) if out_dir is not None else None
+    n_clients = len(EXP2_COUNTS)
     split = SplitSpec(kind="cohort", boundaries=EXP2_BOUNDARIES, counts=EXP2_COUNTS)
     runs: dict[str, RunResult] = {}
+    for mode in ("braintorrent", "fls", "pooled"):
+        cfg = replace(base_cfg, mode=mode, n_clients=n_clients, split=split)
+        name = "pooled" if mode == "pooled" else _run_name(mode, n_clients)
+        runs[mode] = run_training(cfg, out_dir=out / name if out else None)
+
     rows = []
     for mode in ("braintorrent", "fls"):
-        cfg = replace(base_cfg, mode=mode, n_clients=len(EXP2_COUNTS), split=split)
-        result = run_training(cfg, out_dir=out / _run_name(mode, len(EXP2_COUNTS)) if out else None)
-        runs[mode] = result
-        rows.append(
-            {
-                "method": mode,
-                "dice": result.final.per_client_dice,
-                "avg": result.final.avg_client_dice,
-                "aggregated": result.final.aggregated_model_dice,
-            }
-        )
-    pooled_cfg = replace(base_cfg, mode="pooled", n_clients=len(EXP2_COUNTS), split=split)
-    pooled = run_training(pooled_cfg, out_dir=out / "pooled" if out else None)
-    runs["pooled"] = pooled
-
+        final = runs[mode].final
+        rows.append([mode, *final.per_client_dice, final.avg_client_dice,
+                     final.aggregated_model_dice])
+    rows.append(["pooled", *[""] * n_clients, "", runs["pooled"].final.aggregated_model_dice])
     tables = {
-        "per_client": rows,
-        "pooled_dice": pooled.final.aggregated_model_dice,
+        "cohort_table": (["method", *_client_columns(n_clients), "avg", "aggregated"], rows),
         "shard_sizes": [c.shard.sample_count for c in runs["fls"].final_clients],
-        "bt_minus_fls_avg": rows[0]["avg"] - rows[1]["avg"],
+        "bt_minus_fls_avg": (runs["braintorrent"].final.avg_client_dice
+                             - runs["fls"].final.avg_client_dice),
     }
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        with open(out / "cohort_table.csv", "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            n = len(rows[0]["dice"])
-            writer.writerow(["method"] + [f"client_{i:02d}" for i in range(n)]
-                            + ["avg", "aggregated"])
-            for row in rows:
-                writer.writerow([row["method"]] + [format_real(d) for d in row["dice"]]
-                                + [format_real(row["avg"]), format_real(row["aggregated"])])
-            writer.writerow(["pooled"] + [""] * n + ["", format_real(tables["pooled_dice"])])
+        write_table(out / "cohort_table.csv", *tables["cohort_table"])
     return {"tables": tables, "runs": runs}
 
 
 # ---------------------------------------------------------------------------
 # TCP peer process
 # ---------------------------------------------------------------------------
-
-
-def expected_versions(
-    schedule: list[int], n_clients: int, upto: int, warmup: bool
-) -> list[int]:
-    """Own-version each client must have reached before round `upto` starts."""
-    counts = [1 if warmup else 0] * n_clients
-    for r in range(upto):
-        counts[schedule[r]] += 1
-    return counts
 
 
 def _wait_for_versions(
@@ -810,7 +778,7 @@ def _wait_for_versions(
             try:
                 if transport.ping(self_index, j) >= expected[j]:
                     pending.discard(j)
-            except PeerUnreachableError:
+            except TransportError:
                 if allow_down:
                     pending.discard(j)
         if pending:
@@ -830,11 +798,12 @@ def run_tcp_peer(
     """Run one peer process of a serialized-schedule peer-protocol training.
 
     Every process derives the same data, shards, initial weights, and
-    initiator schedule from the config. The initiator of round r polls
-    peers (plain pings) until all earlier rounds have committed, so rounds
+    schedule(cfg) from the config, applies the warm-up pass, and runs the
+    peer rounds it initiates. Before the round at step r it polls peers
+    (plain pings) until their versions reach those of steps[:r], so rounds
     execute in schedule order and the final weights match a simulated run
-    bit for bit. A failed round retries after a short pause; atomicity
-    makes the retry safe.
+    bit for bit. A round that hits any transport fault retries after a
+    short pause; atomicity makes the retry safe.
     """
     if cfg.mode != "braintorrent":
         raise ValueError("TCP peers run the peer-to-peer protocol only")
@@ -859,31 +828,27 @@ def run_tcp_peer(
     server.start()
     transport = TcpTransport(self_index, peers)
     try:
-        n_rounds = bt_total_rounds(cfg)
-        schedule = [pick_initiator(r, cfg.n_clients, cfg.seeds.initiator)
-                    for r in range(n_rounds)]
-        if cfg.bt_warmup:
-            node.commit(local_update(node.state, params))
+        steps = schedule(cfg)
+        for r, step in enumerate(steps):
+            if step == LOCAL_PASS:
+                node.commit(local_update(node.state, params))
+            elif step == self_index:
+                _wait_for_versions(transport, self_index, node.version_entry(),
+                                   expected_versions(steps[:r], cfg.n_clients),
+                                   round_deadline_s)
+                deadline = time.monotonic() + round_deadline_s
+                while True:
+                    try:
+                        new_state, _ = run_initiator_round(node.state, transport, params)
+                        node.commit(new_state)
+                        break
+                    except TransportError:
+                        if time.monotonic() > deadline:
+                            raise
+                        time.sleep(0.1)
 
-        for r, initiator in enumerate(schedule):
-            if initiator != self_index:
-                continue
-            expected = expected_versions(schedule, cfg.n_clients, r, cfg.bt_warmup)
-            _wait_for_versions(transport, self_index, node.version_entry(),
-                               expected, round_deadline_s)
-            deadline = time.monotonic() + round_deadline_s
-            while True:
-                try:
-                    new_state, _ = run_initiator_round(node.state, transport, params)
-                    node.commit(new_state)
-                    break
-                except PeerUnreachableError:
-                    if time.monotonic() > deadline:
-                        raise
-                    time.sleep(0.1)
-
-        final = expected_versions(schedule, cfg.n_clients, n_rounds, cfg.bt_warmup)
-        _wait_for_versions(transport, self_index, node.version_entry(), final,
+        _wait_for_versions(transport, self_index, node.version_entry(),
+                           expected_versions(steps, cfg.n_clients),
                            round_deadline_s, allow_down=True)
         weights_path = out_dir / f"client_{self_index}_weights.npy"
         np.save(weights_path, node.state.weights.params)

@@ -187,41 +187,15 @@ def _merge(
 
 def fls_round(
     clients: list[ClientState],
-    server_weights: ModelWeights,
     params: RoundParams,
 ) -> tuple[list[ClientState], ModelWeights]:
-    """One server round: tune all, average all, broadcast the average."""
+    """One server round: a local update of every client, then the weighted
+    average of the tuned models replaces every client's weights."""
     if not clients:
         raise ValueError("need at least one client")
-    tuned: list[ModelWeights] = []
-    for client in clients:
-        lr = lr_schedule(client.own_update_count, params.base_lr)
-        weights, _ = fine_tune(
-            params.spec,
-            client.weights,
-            client.shard,
-            params.epochs,
-            lr,
-            _tune_seed(params, client.client_index, client.own_update_count),
-            params.batch_size,
-        )
-        tuned.append(weights)
-    aggregate = weighted_average(
-        [(w, c.shard.sample_count) for w, c in zip(tuned, clients)]
-    )
-    new_clients = []
-    for client in clients:
-        version = client.version.copy()
-        version.entries[client.client_index] += 1
-        new_clients.append(
-            replace(
-                client,
-                weights=aggregate.copy(),
-                version=version,
-                own_update_count=client.own_update_count + 1,
-            )
-        )
-    return new_clients, aggregate
+    tuned = [local_update(client, params) for client in clients]
+    aggregate = weighted_average([(c.weights, c.shard.sample_count) for c in tuned])
+    return [replace(c, weights=aggregate.copy()) for c in tuned], aggregate
 
 
 def ping_request(
@@ -291,27 +265,10 @@ def run_initiator_round(
     )
     merged = _merge([entry for _, entry in entries_by_index], params)
 
-    new_weights, _ = fine_tune(
-        params.spec,
-        merged,
-        state.shard,
-        params.epochs,
-        lr_schedule(state.own_update_count, params.base_lr),
-        _tune_seed(params, state.client_index, state.own_update_count),
-        params.batch_size,
-    )
-
     version = v_old.copy()
     for peer in stale:
         version.entries[peer] = v_new.entries[peer]
-    version.entries[state.client_index] += 1
-
-    new_state = replace(
-        state,
-        weights=new_weights,
-        version=version,
-        own_update_count=state.own_update_count + 1,
-    )
+    new_state = local_update(replace(state, weights=merged, version=version), params)
     report = MergeReport(
         initiator=state.client_index,
         participants=frozenset([state.client_index, *stale]),
@@ -338,10 +295,11 @@ def bt_round(
 
 
 def local_update(state: ClientState, params: RoundParams) -> ClientState:
-    """One isolated local pass: fine-tune own weights, bump own version.
+    """One local pass: fine-tune own weights, bump own version.
 
-    Used for the warm-up pass before the first peer round and for
-    baselines that never communicate.
+    Every update is one: alone in the warm-up pass and the baselines that
+    never communicate, after the merge in a peer round, and before the
+    average in a server round.
     """
     weights, _ = fine_tune(
         params.spec,

@@ -12,10 +12,13 @@ from peerfed.data import FEATURE_CHANNELS, GenConfig
 from peerfed.experiments import (
     EXP2_BOUNDARIES,
     EXP2_COUNTS,
+    LOCAL_PASS,
+    SERVER_ROUND,
     ExperimentConfig,
     MetricsRecord,
     Seeds,
     SplitSpec,
+    _wait_for_versions,
     bt_total_rounds,
     build_dataset,
     build_shards,
@@ -26,8 +29,11 @@ from peerfed.experiments import (
     run_experiment2,
     run_from_manifest,
     run_training,
+    schedule,
 )
+from peerfed.federation import pick_initiator
 from peerfed.model import ModelSpec
+from peerfed.transport import ProtocolError
 
 SMALL_MODEL = ModelSpec(FEATURE_CHANNELS, (8,), 4)
 SMALL_DATA = GenConfig(num_train=8, num_test=3, height=8, width=8, num_classes=4)
@@ -90,6 +96,24 @@ class TestConfig:
     def test_too_many_clients_rejected(self):
         with pytest.raises(ValueError, match="clients"):
             small_cfg(n_clients=9)
+
+    @pytest.mark.parametrize("path, value", [
+        ("bt_warmup", "false"),
+        ("n_clients", 2.5),
+        ("rounds_fls", True),
+        ("eval_every", 1.5),
+        ("n_clients", "10"),
+        ("base_lr", "0.001"),
+        ("seeds.data", 1.0),
+        ("model.hidden_dims", [8, "8"]),
+        ("data.num_train", 20.7),
+    ])
+    def test_wrongly_typed_value_rejected(self, path, value):
+        d = small_cfg().to_dict()
+        *section, key = path.split(".")
+        (d[section[0]] if section else d)[key] = value
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(d)
 
 
 class TestRunTraining:
@@ -215,8 +239,6 @@ class TestMetricsFiles:
     def test_timing_excluded_by_default(self, tmp_path):
         path = emit_metrics(self.records(), tmp_path / "m.csv", "csv")
         assert "wall_time" not in path.read_text()
-        path = emit_metrics(self.records(), tmp_path / "t.csv", "csv", include_timing=True)
-        assert "wall_time_ms" in path.read_text()
 
     def test_unknown_format_rejected(self, tmp_path):
         with pytest.raises(ValueError):
@@ -254,11 +276,12 @@ class TestExperiment1:
             seeds=Seeds(1, 2, 3, 4),
         )
         tables = run_experiment1(base, out_dir=tmp_path)["tables"]
-        assert [row["n_clients"] for row in tables["summary"]] == [5, 7, 10, 20]
-        assert [row["images_per_client"] for row in tables["summary"]] == [4, 3, 2, 1]
-        per_client = tables["per_client_10"]
-        assert [row["method"] for row in per_client] == ["braintorrent", "fls", "only_client"]
-        assert all(len(row["dice"]) == 10 for row in per_client)
+        _, summary = tables["summary_clients"]
+        assert [row[0] for row in summary] == [5, 7, 10, 20, "pooled"]
+        assert [row[1] for row in summary[:-1]] == [4, 3, 2, 1]
+        headers, per_client = tables["per_client_10"]
+        assert [row[0] for row in per_client] == ["braintorrent", "fls", "only_client"]
+        assert len(headers) == 12 and all(len(row) == 12 for row in per_client)
         assert (tmp_path / "summary_clients.csv").exists()
         assert (tmp_path / "per_client_10.csv").exists()
         assert (tmp_path / "braintorrent_c20" / "manifest.json").exists()
@@ -281,7 +304,7 @@ class TestExperiment2:
         out = run_experiment2(base, out_dir=tmp_path)
         tables = out["tables"]
         assert tables["shard_sizes"] == list(EXP2_COUNTS)
-        assert [row["method"] for row in tables["per_client"]] == ["braintorrent", "fls"]
+        assert [row[0] for row in tables["cohort_table"][1]] == ["braintorrent", "fls", "pooled"]
         assert (tmp_path / "cohort_table.csv").exists()
         manifest = json.loads((tmp_path / "fls_c05" / "manifest.json").read_text())
         assert manifest["shard_sizes"] == list(EXP2_COUNTS)
@@ -289,7 +312,35 @@ class TestExperiment2:
 
 class TestScheduleHelpers:
     def test_expected_versions_counts_schedule_prefix(self):
-        schedule = [0, 2, 1, 0]
-        assert expected_versions(schedule, 3, 0, warmup=True) == [1, 1, 1]
-        assert expected_versions(schedule, 3, 2, warmup=True) == [2, 1, 2]
-        assert expected_versions(schedule, 3, 4, warmup=False) == [2, 1, 1]
+        steps = [LOCAL_PASS, 0, 2, 1, 0]
+        assert expected_versions(steps[:1], 3) == [1, 1, 1]
+        assert expected_versions(steps[:3], 3) == [2, 1, 2]
+        assert expected_versions(steps[1:], 3) == [2, 1, 1]
+
+    def test_schedule_shape_per_mode(self):
+        assert schedule(small_cfg(mode="fls")) == [SERVER_ROUND] * 3
+        assert schedule(small_cfg(mode="pooled")) == [LOCAL_PASS] * 3
+        assert schedule(small_cfg(mode="only_client")) == [LOCAL_PASS] * 3
+        initiators = [pick_initiator(r, 4, 8) for r in range(12)]
+        assert schedule(small_cfg(mode="braintorrent")) == [LOCAL_PASS] + initiators[:8]
+        assert schedule(small_cfg(mode="braintorrent", bt_warmup=False)) == initiators
+
+    @pytest.mark.parametrize("warmup", [True, False])
+    def test_expected_versions_match_simulated_run(self, warmup):
+        cfg = small_cfg(mode="braintorrent", bt_warmup=warmup)
+        final = run_training(cfg).final_clients
+        assert expected_versions(schedule(cfg), 4) == [c.own_update_count for c in final]
+
+    def test_wait_for_versions_retries_after_protocol_error(self):
+        class FlakyTransport:
+            pings = 0
+
+            def ping(self, sender, peer):
+                self.pings += 1
+                if self.pings == 1:
+                    raise ProtocolError("corrupt reply")
+                return 1
+
+        transport = FlakyTransport()
+        _wait_for_versions(transport, 0, 1, [1, 1], deadline_s=5.0, poll_interval_s=0.0)
+        assert transport.pings == 2

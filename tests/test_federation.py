@@ -129,7 +129,7 @@ class TestFlsRound:
     def test_single_client_server_equals_fine_tuned_client(self):
         clients = build_clients(1)
         expected = expected_fine_tune(clients[0], PARAMS)
-        new_clients, server = fls_round(clients, clients[0].weights, PARAMS)
+        new_clients, server = fls_round(clients, PARAMS)
         assert server.params.tobytes() == weighted_average(
             [(expected, clients[0].shard.sample_count)]
         ).params.tobytes()
@@ -141,18 +141,18 @@ class TestFlsRound:
         base = build_clients(1)[0]
         clients = [copy.deepcopy(base) for _ in range(3)]
         expected = expected_fine_tune(base, PARAMS)
-        _, server = fls_round(clients, base.weights, PARAMS)
+        _, server = fls_round(clients, PARAMS)
         np.testing.assert_allclose(server.params, expected.params, rtol=1e-15)
 
     def test_consensus_after_round(self):
         clients = build_clients(4)
-        new_clients, server = fls_round(clients, clients[0].weights, PARAMS)
+        new_clients, server = fls_round(clients, PARAMS)
         for c in new_clients:
             assert c.weights.params.tobytes() == server.params.tobytes()
 
     def test_counters_and_versions_increment(self):
         clients = build_clients(3)
-        new_clients, _ = fls_round(clients, clients[0].weights, PARAMS)
+        new_clients, _ = fls_round(clients, PARAMS)
         for i, c in enumerate(new_clients):
             assert c.own_update_count == 1
             assert c.version.entries[i] == 1
@@ -164,7 +164,7 @@ class TestFlsRound:
         expected = weighted_average(
             [(w, c.shard.sample_count) for w, c in zip(tuned, clients)]
         )
-        _, server = fls_round(clients, clients[0].weights, PARAMS)
+        _, server = fls_round(clients, PARAMS)
         assert server.params.tobytes() == expected.params.tobytes()
 
 
