@@ -291,29 +291,47 @@ def save_dataset(images: list[SegImage], num_classes: int, path) -> None:
 
 
 def load_dataset(path) -> tuple[list[SegImage], int]:
-    """Read a BTDS file back into images plus its num_classes."""
+    """Read a BTDS file back into images plus its num_classes.
+
+    Total over arbitrary bytes: anything but a complete BTDS file of
+    non-empty images whose labels lie in [0, num_classes) raises ValueError.
+    """
     with open(path, "rb") as fh:
         data = fh.read()
     if data[:4] != BTDS_MAGIC:
         raise ValueError(f"not a BTDS file: bad magic {data[:4]!r}")
+    if len(data) < 17:
+        raise ValueError(f"truncated BTDS header: {len(data)} of 17 bytes")
     version = data[4]
     if version != BTDS_VERSION:
         raise ValueError(f"unsupported BTDS version {version}")
     n_images, num_classes, channels = struct.unpack_from("<III", data, 5)
     if channels != FEATURE_CHANNELS:
         raise ValueError(f"unsupported channel count {channels}")
+    if num_classes < 2:
+        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
     offset = 17
     images = []
-    for _ in range(n_images):
+    for index in range(n_images):
+        if len(data) - offset < 16:
+            raise ValueError(f"truncated BTDS file: no header for image {index}")
         height, width, cohort = struct.unpack_from("<IId", data, offset)
         offset += 16
         n = height * width
+        if n == 0:
+            raise ValueError(f"image {index} is {height}x{width}: no pixels")
+        size = n * (8 * channels + 2)
+        if len(data) - offset < size:
+            raise ValueError(f"truncated BTDS file: image {index} needs {size} bytes, "
+                             f"{len(data) - offset} left")
         features = np.frombuffer(data, dtype="<f8", count=n * channels, offset=offset).reshape(
             n, channels
         )
         offset += 8 * n * channels
         labels = np.frombuffer(data, dtype="<u2", count=n, offset=offset).astype(np.int64)
         offset += 2 * n
+        if labels.max() >= num_classes:
+            raise ValueError(f"image {index} has label {labels.max()} >= num_classes {num_classes}")
         images.append(
             SegImage(
                 height=height,

@@ -18,6 +18,7 @@ differ only in the steps it holds:
 from __future__ import annotations
 
 import csv
+import hashlib
 import io
 import json
 import time
@@ -446,8 +447,9 @@ def run_training(
 
     Walks schedule(cfg), evaluating after every eval_every x len(nodes)
     client updates and once more at the end if the last update was not
-    evaluated. A peer round that cannot reach a peer changes nothing and
-    counts as failed.
+    evaluated. Each distinct parameter vector is scored on the test set
+    once per run (in fls, every client holds the server average). A peer
+    round that cannot reach a peer changes nothing and counts as failed.
     """
     if cfg.transport != "sim":
         raise ValueError("run_training drives the simulated transport; "
@@ -473,22 +475,29 @@ def run_training(
     evaluated_at = None
     records: list[MetricsRecord] = []
     trajectory: list[list[np.ndarray]] | None = [] if capture_trajectory else None
+    # Test-set Dice by SHA-256 of the parameters. The spec and test set are
+    # fixed within this run, so equal parameter bytes score equal Dice.
+    scores: dict[bytes, float] = {}
 
     def aggregate(states: list[ClientState]) -> ModelWeights:
         if server is not None:
             return server
         return aggregate_all_clients(states, weighted=cfg.aggregate == "weighted")
 
+    def dice(weights: ModelWeights) -> float:
+        key = hashlib.sha256(weights.params.tobytes()).digest()
+        if key not in scores:
+            scores[key] = evaluate_model(cfg.model, weights, test, cfg.data.num_classes)
+        return scores[key]
+
     def evaluate() -> None:
         states = [n.state for n in nodes]
-        per_client = [evaluate_model(cfg.model, s.weights, test, cfg.data.num_classes)
-                      for s in states]
+        per_client = [dice(s.weights) for s in states]
         records.append(MetricsRecord(
             round_index=updates // len(nodes),
             per_client_dice=per_client,
             avg_client_dice=float(np.mean(per_client)),
-            aggregated_model_dice=evaluate_model(cfg.model, aggregate(states), test,
-                                                 cfg.data.num_classes),
+            aggregated_model_dice=dice(aggregate(states)),
             bytes_transferred=server_bytes + transport.delivered_bytes(),
             wall_time_ms=int((time.perf_counter() - started) * 1000),
         ))
@@ -807,8 +816,12 @@ def run_tcp_peer(
     """
     if cfg.mode != "braintorrent":
         raise ValueError("TCP peers run the peer-to-peer protocol only")
-    if len(peers) != cfg.n_clients:
-        raise ValueError(f"peer table has {len(peers)} entries for {cfg.n_clients} clients")
+    indices = sorted(p.client_index for p in peers)
+    if indices != list(range(cfg.n_clients)):
+        raise ValueError(f"peer table client indices {indices} are not "
+                         f"0..{cfg.n_clients - 1}, one entry each")
+    if not 0 <= self_index < cfg.n_clients:
+        raise ValueError(f"self_index {self_index} is not in 0..{cfg.n_clients - 1}")
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,7 +8,7 @@ functions of their arguments: same inputs, bitwise-same outputs.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,9 @@ class ModelSpec:
     hidden_dims: tuple[int, ...] = ()
     num_classes: int = 4
     activation: str = "relu"
+    # Cached at construction: forward, loss_and_grad and fine_tune check it
+    # on every call. Left out of equality and hashing.
+    _fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
@@ -41,6 +44,13 @@ class ModelSpec:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
         if self.activation != "relu":
             raise ValueError(f"unsupported activation {self.activation!r}")
+        text = (
+            f"mlp;in={self.input_dim};hidden={','.join(map(str, self.hidden_dims))};"
+            f"classes={self.num_classes};act={self.activation}"
+        )
+        object.__setattr__(
+            self, "_fingerprint", hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+        )
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = [self.input_dim, *self.hidden_dims, self.num_classes]
@@ -50,11 +60,7 @@ class ModelSpec:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims())
 
     def fingerprint(self) -> str:
-        text = (
-            f"mlp;in={self.input_dim};hidden={','.join(map(str, self.hidden_dims))};"
-            f"classes={self.num_classes};act={self.activation}"
-        )
-        return hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
+        return self._fingerprint
 
 
 @dataclass

@@ -238,6 +238,7 @@ class SimTransport:
         self.n_clients = n_clients
         self.drop_prob = drop_prob
         self.trace: list[TraceEntry] = []
+        self._delivered = 0  # sum of trace nbytes
         self._rng = np.random.default_rng(seed)
         self._nodes: dict[int, object] = {}
         self._down: set[int] = set()
@@ -263,6 +264,7 @@ class SimTransport:
             self.trace.append(TraceEntry("drop", sender, receiver, 0))
             raise PeerUnreachableError(f"message to client {receiver} was dropped")
         self.trace.append(TraceEntry(kind, sender, receiver, len(frame)))
+        self._delivered += len(frame)
 
     def _node(self, peer: int):
         node = self._nodes.get(peer)
@@ -313,7 +315,7 @@ class SimTransport:
         return reply.params, reply.sample_count, len(response)
 
     def delivered_bytes(self) -> int:
-        return sum(entry.nbytes for entry in self.trace)
+        return self._delivered
 
 
 def _recv_exact(sock: socket.socket, n: int) -> bytes:

@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerfed.data import (
     BTDS_MAGIC,
@@ -201,8 +204,57 @@ class TestSerialization:
         save_dataset(train, CFG.num_classes, path)
         clipped = tmp_path / "clipped.btds"
         clipped.write_bytes(path.read_bytes()[:-7])
-        with pytest.raises(Exception):
+        with pytest.raises(ValueError, match="truncated"):
             load_dataset(clipped)
+
+    @pytest.mark.parametrize("data, match", [
+        (BTDS_MAGIC + b"\x01" + b"\x00" * 5, "header"),
+        (BTDS_MAGIC + struct.pack("<BIII", 1, 0, 1, 4), "num_classes"),
+        (BTDS_MAGIC + struct.pack("<BIII", 1, 1, 4, 4) + struct.pack("<IId", 0, 7, 50.0),
+         "no pixels"),
+    ])
+    def test_malformed_file_rejected(self, tmp_path, data, match):
+        path = tmp_path / "bad.btds"
+        path.write_bytes(data)
+        with pytest.raises(ValueError, match=match):
+            load_dataset(path)
+
+    def test_label_beyond_num_classes_rejected(self, tmp_path):
+        train, _ = generate_dataset(replace(CFG, num_train=1, num_test=1))
+        path = tmp_path / "l.btds"
+        save_dataset(train, CFG.num_classes, path)
+        data = bytearray(path.read_bytes())
+        data[-2:] = (65535).to_bytes(2, "little")
+        path.write_bytes(bytes(data))
+        with pytest.raises(ValueError, match="label 65535"):
+            load_dataset(path)
+
+
+@pytest.fixture(scope="module")
+def btds_bytes(tmp_path_factory) -> bytes:
+    train, _ = generate_dataset(replace(CFG, num_train=2, num_test=1, height=4, width=4))
+    path = tmp_path_factory.mktemp("btds") / "valid.btds"
+    save_dataset(train, CFG.num_classes, path)
+    return path.read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(cut=st.integers(0, 10_000), flips=st.lists(st.tuples(st.integers(0, 10_000),
+                                                             st.integers(1, 255)), max_size=4))
+def test_corrupt_btds_rejected_or_in_range(btds_bytes, tmp_path_factory, cut, flips):
+    """A truncated or byte-flipped file raises ValueError or loads with in-range labels."""
+    data = bytearray(btds_bytes[:len(btds_bytes) - cut % (len(btds_bytes) + 1)])
+    for position, mask in flips:
+        if data:
+            data[position % len(data)] ^= mask
+    path = tmp_path_factory.mktemp("fuzz") / "f.btds"
+    path.write_bytes(bytes(data))
+    try:
+        images, num_classes = load_dataset(path)
+    except ValueError:
+        return
+    for image in images:
+        assert 0 <= image.labels.min() <= image.labels.max() < num_classes
 
 
 class TestTypes:

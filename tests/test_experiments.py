@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from peerfed import experiments
 from peerfed.data import FEATURE_CHANNELS, GenConfig
 from peerfed.experiments import (
     EXP2_BOUNDARIES,
@@ -23,17 +25,19 @@ from peerfed.experiments import (
     build_dataset,
     build_shards,
     emit_metrics,
+    evaluate_model,
     expected_versions,
     metrics_to_csv,
     run_experiment1,
     run_experiment2,
     run_from_manifest,
+    run_tcp_peer,
     run_training,
     schedule,
 )
 from peerfed.federation import pick_initiator
-from peerfed.model import ModelSpec
-from peerfed.transport import ProtocolError
+from peerfed.model import ModelSpec, ModelWeights
+from peerfed.transport import PeerAddress, ProtocolError, SimTransport
 
 SMALL_MODEL = ModelSpec(FEATURE_CHANNELS, (8,), 4)
 SMALL_DATA = GenConfig(num_train=8, num_test=3, height=8, width=8, num_classes=4)
@@ -185,6 +189,63 @@ class TestRunTraining:
         b = run_training(small_cfg(mode="braintorrent"))
         assert metrics_to_csv(a.records) == metrics_to_csv(b.records)
 
+    def test_delivered_bytes_is_the_trace_total(self, monkeypatch):
+        made = []
+
+        class RecordingSimTransport(SimTransport):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                made.append(self)
+
+        monkeypatch.setattr(experiments, "SimTransport", RecordingSimTransport)
+        res = run_training(small_cfg(mode="braintorrent", sim_drop_prob=0.3))
+        (transport,) = made
+        assert res.failed_rounds > 0
+        assert transport.delivered_bytes() == sum(e.nbytes for e in transport.trace)
+        assert res.final.bytes_transferred == transport.delivered_bytes()
+
+
+def count_evaluations(monkeypatch) -> list[str]:
+    """Record the parameter digest of every experiments.evaluate_model call."""
+    digests: list[str] = []
+    evaluate = experiments.evaluate_model
+
+    def counting(spec, weights, images, num_classes):
+        digests.append(hashlib.sha256(weights.params.tobytes()).hexdigest())
+        return evaluate(spec, weights, images, num_classes)
+
+    monkeypatch.setattr(experiments, "evaluate_model", counting)
+    return digests
+
+
+class TestEvaluationDedup:
+    def test_fls_scores_the_shared_model_once_per_eval_point(self, monkeypatch):
+        digests = count_evaluations(monkeypatch)
+        res = run_training(small_cfg(mode="fls", rounds_fls=3, eval_every=1))
+        assert len(res.records) == 3
+        assert len(digests) == 3
+        for rec in res.records:
+            assert rec.per_client_dice == [rec.aggregated_model_dice] * 4
+
+    def test_braintorrent_scores_each_distinct_model_once(self, monkeypatch):
+        digests = count_evaluations(monkeypatch)
+        res = run_training(small_cfg(mode="braintorrent"), capture_trajectory=True)
+        assert len(digests) == len(set(digests))
+        scored = {hashlib.sha256(p.tobytes()).hexdigest()
+                  for point in res.trajectory for p in point}
+        assert scored <= set(digests)
+        assert len(digests) < len(res.records) * (4 + 1)
+
+    def test_memoised_scores_equal_fresh_scores(self):
+        cfg = small_cfg(mode="braintorrent")
+        res = run_training(cfg, capture_trajectory=True)
+        _, test = build_dataset(cfg)
+        for rec, point in zip(res.records, res.trajectory):
+            fresh = [evaluate_model(cfg.model, ModelWeights(cfg.model.fingerprint(), p),
+                                    test, cfg.data.num_classes)
+                     for p in point]
+            assert rec.per_client_dice == fresh
+
 
 class TestShards:
     def test_pooled_uses_single_shard(self):
@@ -330,6 +391,19 @@ class TestScheduleHelpers:
         cfg = small_cfg(mode="braintorrent", bt_warmup=warmup)
         final = run_training(cfg).final_clients
         assert expected_versions(schedule(cfg), 4) == [c.own_update_count for c in final]
+
+    @pytest.mark.parametrize("indices, self_index, match", [
+        ((0, 1, 7), 2, "client indices"),
+        ((0, 1, 1), 0, "client indices"),
+        ((0, 1), 0, "client indices"),
+        ((0, 1, 2), 3, "self_index"),
+        ((0, 1, 2), -1, "self_index"),
+    ])
+    def test_tcp_peer_rejects_a_bad_peer_table(self, tmp_path, indices, self_index, match):
+        cfg = small_cfg(mode="braintorrent", n_clients=3)
+        peers = [PeerAddress(i, f"127.0.0.1:{9000 + k}") for k, i in enumerate(indices)]
+        with pytest.raises(ValueError, match=match):
+            run_tcp_peer(cfg, self_index, peers, tmp_path)
 
     def test_wait_for_versions_retries_after_protocol_error(self):
         class FlakyTransport:

@@ -106,6 +106,17 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(SPEC, w, np.zeros((4, 2)))
 
+    def test_default_spec_fingerprint_is_pinned(self):
+        # Fixed strings, the first for the default 4-channel [512] spec:
+        # computing the fingerprint once at construction must not change it.
+        assert ModelSpec(4, (512,), 4).fingerprint() == "a1ff7831733daf7d"
+        assert SPEC.fingerprint() == "d6da020075c61e57"
+
+    def test_fingerprint_stays_out_of_equality_and_hash(self):
+        again = ModelSpec(input_dim=3, hidden_dims=[5], num_classes=4)
+        assert again == SPEC and hash(again) == hash(SPEC)
+        assert "_fingerprint" not in repr(SPEC)
+
     def test_fingerprint_mismatch_rejected(self):
         other = ModelSpec(input_dim=3, hidden_dims=(6,), num_classes=4)
         with pytest.raises(ValueError):
