@@ -868,4 +868,5 @@ def run_tcp_peer(
         time.sleep(grace_s)  # let slower peers finish their final polls
         return weights_path
     finally:
+        transport.close()
         server.stop()

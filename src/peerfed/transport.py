@@ -11,13 +11,17 @@ depend on which transport carried them.
 Two transports share one client-side interface (``ping`` and
 ``fetch_weights``): an in-process simulated transport that is
 deterministic given its seed and supports fault injection, and a TCP
-transport so peers can run as separate processes.
+transport so peers can run as separate processes. Over TCP each client
+keeps one open connection to each peer it talks to and sends every request
+to that peer over it, one at a time; each peer's server answers all of its
+connections from one thread.
 """
 
 from __future__ import annotations
 
+import logging
+import selectors
 import socket
-import socketserver
 import struct
 import threading
 from dataclasses import dataclass
@@ -28,6 +32,9 @@ PROTOCOL_VERSION = 1
 HEADER_BYTES = 12  # version + sender + request_id + tag
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 DEFAULT_TIMEOUT_S = 10.0
+_RECV_BYTES = 64 * 1024
+
+_log = logging.getLogger(__name__)
 
 TAG_PING_REQUEST = 1
 TAG_PING_RESPONSE = 2
@@ -339,16 +346,95 @@ def read_frame(sock: socket.socket, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYT
     return prefix + _recv_exact(sock, length)
 
 
-class _PeerRequestHandler(socketserver.BaseRequestHandler):
-    def handle(self) -> None:
-        server = self.server  # carries client_index and respond, see TcpPeerServer
+class TcpPeerServer:
+    """Serves ping and weight reads for one client over TCP.
+
+    One thread serves every connection through a selector: it buffers what
+    each connection sent and answers each complete frame in order. A
+    connection is dropped on EOF, on a length prefix above
+    DEFAULT_MAX_FRAME_BYTES, after an ErrorMessage reply to an undecodable
+    frame, or when a reply cannot be sent within DEFAULT_TIMEOUT_S. An idle
+    or half-sent connection holds only its buffer, never a thread.
+
+    The node's snapshot lock makes each read coherent while the owner
+    thread trains and commits.
+    """
+
+    def __init__(self, node, client_index: int, host: str, port: int):
+        self.node = node
+        self.client_index = client_index
+        self._listener = socket.create_server((host, port))
+        self._listener.setblocking(False)
+        # stop() writes a byte here to wake the loop out of select().
+        self._wake_r, self._wake_w = socket.socketpair()
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(self._listener, selectors.EVENT_READ)
+        self._selector.register(self._wake_r, selectors.EVENT_READ)
+        self._thread = threading.Thread(
+            target=self._serve, name=f"peer-server-{client_index}", daemon=True
+        )
+
+    @property
+    def port(self) -> int:
+        return self._listener.getsockname()[1]
+
+    def start(self) -> None:
+        self._thread.start()
+
+    def stop(self) -> None:
+        """Wake and join the serving thread, then close every socket it held."""
+        if self._thread.is_alive():
+            self._wake_w.send(b"\0")
+            self._thread.join()
+        for key in list(self._selector.get_map().values()):
+            key.fileobj.close()
+        self._selector.close()
+        self._wake_w.close()
+
+    def _serve(self) -> None:
         while True:
-            try:
-                frame = read_frame(self.request)
-            except (IncompleteFrameError, OSError):
-                return  # connection closed
-            except OversizeFrameError:
-                return
+            for key, _ in self._selector.select():
+                conn = key.fileobj
+                if conn is self._wake_r:
+                    return
+                if conn is self._listener:
+                    self._accept()
+                    continue
+                try:
+                    keep = self._answer(conn, key.data)
+                except OSError:  # reset, or the client stopped reading its replies
+                    keep = False
+                except Exception:  # a fault answering one client must not stop the rest
+                    _log.exception("client %d dropped a connection", self.client_index)
+                    keep = False
+                if not keep:
+                    self._selector.unregister(conn)
+                    conn.close()
+
+    def _accept(self) -> None:
+        try:
+            conn, _ = self._listener.accept()
+        except OSError:  # the client gave up before it was accepted
+            return
+        conn.settimeout(DEFAULT_TIMEOUT_S)  # bounds each sendall of a reply
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self._selector.register(conn, selectors.EVENT_READ, bytearray())
+
+    def _answer(self, conn: socket.socket, buffer: bytearray) -> bool:
+        """Take what conn sent and reply to each complete frame; False drops conn."""
+        chunk = conn.recv(_RECV_BYTES)
+        if not chunk:
+            return False
+        buffer += chunk
+        while len(buffer) >= 4:
+            (length,) = struct.unpack_from("<I", buffer)
+            if length > DEFAULT_MAX_FRAME_BYTES:
+                return False
+            end = 4 + length
+            if len(buffer) < end:
+                break
+            frame = bytes(buffer[:end])
+            del buffer[:end]
             try:
                 message = decode(frame)
             except ProtocolError as exc:
@@ -358,50 +444,12 @@ class _PeerRequestHandler(socketserver.BaseRequestHandler):
                     else ERR_BAD_REQUEST
                 )
                 reply = ErrorMessage(
-                    sender=server.client_index, request_id=0, code=code, text=str(exc)
+                    sender=self.client_index, request_id=0, code=code, text=str(exc)
                 )
-                self._send(encode(reply))
-                return
-            self._send(encode(server.respond(message)))
-
-    def _send(self, frame: bytes) -> None:
-        try:
-            self.request.sendall(frame)
-        except OSError:
-            pass
-
-
-class TcpPeerServer:
-    """Serves ping and weight reads for one client over TCP.
-
-    The node's snapshot lock makes each read coherent while the owner
-    thread trains and commits.
-    """
-
-    def __init__(self, node, client_index: int, host: str, port: int):
-        self.node = node
-        self.client_index = client_index
-
-        class _Server(socketserver.ThreadingTCPServer):
-            allow_reuse_address = True
-            daemon_threads = True
-
-        self._server = _Server((host, port), _PeerRequestHandler)
-        # Hand the handler what it needs through the server object.
-        self._server.client_index = client_index  # type: ignore[attr-defined]
-        self._server.respond = self.respond  # type: ignore[attr-defined]
-        self._thread = threading.Thread(target=self._server.serve_forever, daemon=True)
-
-    @property
-    def port(self) -> int:
-        return self._server.server_address[1]
-
-    def start(self) -> None:
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
+                conn.sendall(encode(reply))
+                return False
+            conn.sendall(encode(self.respond(message)))
+        return True
 
     def respond(self, message: Message) -> Message:
         if isinstance(message, PingRequest):
@@ -427,7 +475,13 @@ class TcpPeerServer:
 
 
 class TcpTransport:
-    """Client side of the TCP protocol: one connection per request."""
+    """Client side of the TCP protocol.
+
+    Keeps one connection per peer, opened on first use, and sends each
+    request only after the previous reply on it was read. Any failure
+    closes and forgets that connection, so a late reply can never answer
+    a later request. Call close() when done.
+    """
 
     def __init__(
         self,
@@ -440,25 +494,63 @@ class TcpTransport:
         self._addresses = {p.client_index: p.host_port() for p in peers}
         self.n_clients = len(self._addresses)
         self._next_request_id = 0
+        self._sockets: dict[int, socket.socket] = {}
         self.bytes_received = 0
 
     def _request(self, peer: int, message: Message) -> Message:
-        address = self._addresses.get(peer)
-        if address is None:
+        if peer not in self._addresses:
             raise PeerUnreachableError(f"no address for client {peer}")
+        frame = encode(message)
+        reused = peer in self._sockets
         try:
-            with socket.create_connection(address, timeout=self.timeout_s) as sock:
-                sock.sendall(encode(message))
-                frame = read_frame(sock)
-        except (OSError, IncompleteFrameError) as exc:
-            raise PeerUnreachableError(f"client {peer} unreachable: {exc}") from exc
-        reply = decode(frame)
-        if isinstance(reply, ErrorMessage):
-            raise ProtocolError(f"client {peer} refused request: [{reply.code}] {reply.text}")
-        if reply.request_id != message.request_id:
-            raise ProtocolError(f"response id {reply.request_id} does not match request")
-        self.bytes_received += len(frame)
+            reply_frame = self._exchange(peer, frame)
+        except PeerUnreachableError as exc:
+            # A kept connection that the peer closed since its last reply (it
+            # stopped or restarted) fails at once. Ping and fetch are
+            # idempotent reads, so ask once more on a fresh connection. A
+            # timeout is not retried: that peer is slow, not gone.
+            if not reused or isinstance(exc.__cause__, TimeoutError):
+                raise
+            reply_frame = self._exchange(peer, frame)
+        try:
+            reply = decode(reply_frame)
+            if isinstance(reply, ErrorMessage):
+                raise ProtocolError(
+                    f"client {peer} refused request: [{reply.code}] {reply.text}"
+                )
+            if reply.request_id != message.request_id:
+                raise ProtocolError(f"response id {reply.request_id} does not match request")
+        except TransportError:
+            self._forget(peer)
+            raise
+        self.bytes_received += len(reply_frame)
         return reply
+
+    def _exchange(self, peer: int, frame: bytes) -> bytes:
+        """Send one request frame to peer and read back one reply frame."""
+        sock = self._sockets.get(peer)
+        try:
+            if sock is None:
+                sock = socket.create_connection(self._addresses[peer], timeout=self.timeout_s)
+                self._sockets[peer] = sock
+            sock.sendall(frame)
+            return read_frame(sock)
+        except (OSError, IncompleteFrameError) as exc:
+            self._forget(peer)
+            raise PeerUnreachableError(f"client {peer} unreachable: {exc}") from exc
+        except BaseException:  # an oversize reply or an interrupt leaves the stream out of step
+            self._forget(peer)
+            raise
+
+    def _forget(self, peer: int) -> None:
+        sock = self._sockets.pop(peer, None)
+        if sock is not None:
+            sock.close()
+
+    def close(self) -> None:
+        """Close every kept connection; a later request opens a new one."""
+        for peer in list(self._sockets):
+            self._forget(peer)
 
     def _request_id(self) -> int:
         self._next_request_id += 1

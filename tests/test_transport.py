@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import socket
 import struct
+import threading
 import time
 
 import numpy as np
@@ -209,9 +210,43 @@ class TestSimTransport:
             transport.ping(0, 1)
 
 
+@pytest.fixture
+def connects(monkeypatch):
+    """Every socket opened through the transport module's socket.create_connection."""
+    opened = []
+    real = socket.create_connection
+
+    def counting(*args, **kwargs):
+        sock = real(*args, **kwargs)
+        opened.append(sock)
+        return sock
+
+    monkeypatch.setattr("peerfed.transport.socket.create_connection", counting)
+    return opened
+
+
+def raw_connection(server) -> socket.socket:
+    """A client socket that bypasses create_connection, so `connects` does not count it."""
+    sock = socket.socket()
+    sock.settimeout(5)
+    sock.connect(("127.0.0.1", server.port))
+    return sock
+
+
 class TestTcpTransport:
-    def start_server(self, node, client_index=1):
-        server = TcpPeerServer(node, client_index, "127.0.0.1", 0)
+    @pytest.fixture(autouse=True)
+    def no_leaked_threads(self):
+        """Fail a test that leaves a server loop or any other thread running."""
+        before = set(threading.enumerate())
+        yield
+        deadline = time.monotonic() + 1.0
+        for thread in set(threading.enumerate()) - before:
+            thread.join(timeout=max(0.0, deadline - time.monotonic()))
+        leaked = [t for t in set(threading.enumerate()) - before if t.is_alive()]
+        assert not leaked, f"threads left running: {leaked}"
+
+    def start_server(self, node, client_index=1, port=0):
+        server = TcpPeerServer(node, client_index, "127.0.0.1", port)
         server.start()
         return server
 
@@ -232,6 +267,7 @@ class TestTcpTransport:
             np.testing.assert_array_equal(params, [1.5, -2.5])
             assert count == 9
             assert nbytes == weights_frame_bytes(2)
+            transport.close()
         finally:
             server.stop()
 
@@ -253,6 +289,7 @@ class TestTcpTransport:
 
             transport = self.transport_for(server)
             assert transport.ping(0, 1) == 0  # server still healthy
+            transport.close()
         finally:
             server.stop()
 
@@ -271,6 +308,130 @@ class TestTcpTransport:
         transport = TcpTransport(0, [PeerAddress(0, "127.0.0.1:1")])
         with pytest.raises(PeerUnreachableError):
             transport.ping(0, 5)
+
+    def test_stalled_peers_do_not_block_a_ping(self):
+        server = self.start_server(StubNode(version=4))
+        idle = half = oversize = None
+        try:
+            idle = raw_connection(server)
+            half = raw_connection(server)
+            half.sendall(encode(PingRequest(sender=0, request_id=1))[:7])
+            oversize = raw_connection(server)
+            oversize.sendall(struct.pack("<I", DEFAULT_MAX_FRAME_BYTES + 1))
+
+            transport = self.transport_for(server)
+            start = time.monotonic()
+            assert transport.ping(0, 1) == 4
+            assert time.monotonic() - start < 1.0
+            transport.close()
+
+            oversize.settimeout(1.0)
+            try:
+                assert oversize.recv(1) == b""  # closed by the server
+            except ConnectionResetError:
+                pass
+        finally:
+            for sock in (idle, half, oversize):
+                if sock is not None:
+                    sock.close()
+            server.stop()
+
+    def test_server_runs_one_thread_for_all_connections(self):
+        before = threading.active_count()
+        server = self.start_server(StubNode())
+        clients = []
+        try:
+            clients = [raw_connection(server) for _ in range(4)]
+            transport = self.transport_for(server)
+            transport.ping(0, 1)
+            transport.fetch_weights(0, 1)
+            assert threading.active_count() == before + 1
+            transport.close()
+        finally:
+            for sock in clients:
+                sock.close()
+            server.stop()
+
+    def test_requests_to_one_peer_share_one_connection(self, connects):
+        server = self.start_server(StubNode(version=2, params=[1.0, 2.0]))
+        try:
+            transport = self.transport_for(server)
+            for _ in range(5):
+                assert transport.ping(0, 1) == 2
+                params, _, _ = transport.fetch_weights(0, 1)
+                np.testing.assert_array_equal(params, [1.0, 2.0])
+            assert len(connects) == 1
+            transport.close()
+            assert connects[0].fileno() == -1
+        finally:
+            server.stop()
+
+    def test_close_closes_every_kept_connection(self, connects):
+        servers = [self.start_server(StubNode(version=i), client_index=i) for i in (1, 2)]
+        try:
+            peers = [PeerAddress(0, "127.0.0.1:1")] + [
+                PeerAddress(i, f"127.0.0.1:{s.port}") for i, s in zip((1, 2), servers)
+            ]
+            transport = TcpTransport(0, peers, timeout_s=5.0)
+            assert [transport.ping(0, 1), transport.ping(0, 2)] == [1, 2]
+            transport.close()
+            assert len(connects) == 2
+            assert all(sock.fileno() == -1 for sock in connects)
+            assert transport.ping(0, 1) == 1  # a request after close reconnects
+            assert len(connects) == 3
+            transport.close()
+        finally:
+            for server in servers:
+                server.stop()
+
+    def test_restarted_peer_answers_on_a_fresh_connection(self, connects):
+        server = self.start_server(StubNode(version=1))
+        port = server.port
+        transport = self.transport_for(server)
+        try:
+            assert transport.ping(0, 1) == 1
+            server.stop()
+            server = self.start_server(StubNode(version=8), port=port)
+            assert transport.ping(0, 1) == 8
+            assert len(connects) == 2
+            transport.close()
+        finally:
+            server.stop()
+
+    @pytest.mark.parametrize("bad_reply", ["error", "wrong_id"])
+    def test_bad_reply_drops_the_connection(self, connects, bad_reply):
+        server = self.start_server(StubNode(version=3))
+        try:
+            transport = self.transport_for(server)
+            assert transport.ping(0, 1) == 3
+            if bad_reply == "error":
+                server.respond = lambda m: ErrorMessage(1, m.request_id, 2, "no")
+            else:
+                server.respond = lambda m: PingResponse(1, m.request_id + 1, 3)
+            with pytest.raises(ProtocolError):
+                transport.ping(0, 1)
+            del server.respond
+            assert transport.ping(0, 1) == 3
+            assert len(connects) == 2
+            assert connects[0].fileno() == -1
+            transport.close()
+        finally:
+            server.stop()
+
+    def test_stop_with_open_connections_is_prompt(self):
+        before = set(threading.enumerate())
+        server = self.start_server(StubNode())
+        transport = self.transport_for(server)
+        idle = raw_connection(server)
+        try:
+            transport.ping(0, 1)
+            start = time.monotonic()
+            server.stop()
+            assert time.monotonic() - start < 1.0
+            assert set(threading.enumerate()) <= before
+        finally:
+            idle.close()
+            transport.close()
 
 
 class TestPeerTable:
