@@ -1,13 +1,21 @@
 """Self-contained per-pixel MLP classifier trained with Adam.
 
 Weights live in a single flat float64 vector so that federation-side
-averaging is a plain convex combination. All operations here are pure
-functions of their arguments: same inputs, bitwise-same outputs.
+averaging is a plain convex combination. Every output here is a pure
+function of the arguments: same inputs, bitwise-same outputs.
+
+Inside, `forward` and `loss_and_grad` run their hidden layers in a
+per-thread scratch kept from call to call: one float64 activation buffer
+per hidden layer, plus one bool ReLU mask per hidden layer for the
+backward pass. Allocating those (rows, width) arrays afresh let the heap
+shrink between steps and fault their pages back in on every step.
+Nothing a function returns aliases the scratch.
 """
 
 from __future__ import annotations
 
 import hashlib
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,7 +43,14 @@ class ModelSpec:
     _fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "hidden_dims", tuple(int(d) for d in self.hidden_dims))
+        object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
+        for name, value in (
+            ("input_dim", self.input_dim),
+            ("num_classes", self.num_classes),
+            *(("hidden_dims item", d) for d in self.hidden_dims),
+        ):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if any(d < 1 for d in self.hidden_dims):
@@ -162,10 +177,40 @@ def forward(spec: ModelSpec, weights: ModelWeights, pixels: np.ndarray) -> np.nd
             f"pixels must have shape (n, {spec.input_dim}), got {x.shape}"
         )
     layers = unflatten(spec, weights.params)
-    for w, b in layers[:-1]:
-        x = np.maximum(x @ w + b, 0.0)
     w, b = layers[-1]
-    return x @ w + b
+    return _activations(layers, x)[-1] @ w + b
+
+
+_scratch = threading.local()
+
+
+def _scratch_rows(name: str, widths: list[int], n: int, dtype: type) -> list[np.ndarray]:
+    """One (n, width) view per width into this thread's scratch buffers `name`.
+
+    The buffers outlive the call: they grow to the most rows seen and are
+    replaced only when the widths change.
+    """
+    buffers = getattr(_scratch, name, [])
+    if [buf.shape[1] for buf in buffers] != widths or (buffers and buffers[0].shape[0] < n):
+        buffers = [np.empty((n, d), dtype=dtype) for d in widths]
+        setattr(_scratch, name, buffers)
+    return [buf[:n] for buf in buffers]
+
+
+def _activations(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> list[np.ndarray]:
+    """The rows of x followed by the ReLU output of every hidden layer.
+
+    Each hidden output is a view into this thread's scratch, valid until
+    the thread's next forward or loss_and_grad call.
+    """
+    widths = [w.shape[1] for w, _ in layers[:-1]]
+    activations = [x]
+    for (w, b), h in zip(layers[:-1], _scratch_rows("hidden", widths, x.shape[0], np.float64)):
+        np.matmul(activations[-1], w, out=h)
+        h += b
+        np.maximum(h, 0.0, out=h)
+        activations.append(h)
+    return activations
 
 
 def predict(spec: ModelSpec, weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
@@ -188,16 +233,9 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
     layers = unflatten(spec, weights.params)
     n = batch.pixels.shape[0]
 
-    activations = [batch.pixels]
-    pre_acts = []
-    x = batch.pixels
-    for w, b in layers[:-1]:
-        z = x @ w + b
-        pre_acts.append(z)
-        x = np.maximum(z, 0.0)
-        activations.append(x)
+    activations = _activations(layers, batch.pixels)
     w, b = layers[-1]
-    logits = x @ w + b
+    logits = activations[-1] @ w + b
 
     shift = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shift).sum(axis=1))
@@ -210,6 +248,11 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
     delta[rows, batch.labels] -= 1.0
     delta /= n
 
+    # Each hidden layer's ReLU passed exactly the units whose output is > 0,
+    # so that output gives the mask; its buffer then takes the new delta.
+    # Multiply by the bool mask, not select with np.where: inf * 0 must stay
+    # nan, so a delta that overflowed at a dead unit is still rejected.
+    masks = _scratch_rows("mask", [h.shape[1] for h in activations[1:]], n, bool)
     grad_chunks: list[np.ndarray] = []
     for i in range(len(layers) - 1, -1, -1):
         w_i, _ = layers[i]
@@ -218,7 +261,9 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
         grad_chunks.append(grad_b)
         grad_chunks.append(grad_w.ravel())
         if i > 0:
-            delta = (delta @ w_i.T) * (pre_acts[i - 1] > 0.0)
+            mask = np.greater(activations[i], 0.0, out=masks[i - 1])
+            delta = np.matmul(delta, w_i.T, out=activations[i])
+            delta *= mask
     grad = np.concatenate(grad_chunks[::-1])
 
     if not np.isfinite(loss) or not np.all(np.isfinite(grad)):

@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import peerfed
 from peerfed.model import (
     Batch,
     ModelSpec,
@@ -23,6 +29,7 @@ from peerfed.model import (
     loss_and_grad,
     lr_schedule,
     predict,
+    unflatten,
 )
 
 SPEC = ModelSpec(input_dim=3, hidden_dims=(5,), num_classes=4)
@@ -39,6 +46,57 @@ def toy_shard(n_images: int, pixels_per_image: int, spec: ModelSpec, seed: int):
         for _ in range(n_images)
     ]
     return SimpleNamespace(images=images)
+
+
+def reference_forward(spec: ModelSpec, weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
+    """The allocating forward pass the scratch-buffer version must match bit for bit."""
+    x = np.asarray(pixels, dtype=np.float64)
+    layers = unflatten(spec, weights.params)
+    for w, b in layers[:-1]:
+        x = np.maximum(x @ w + b, 0.0)
+    w, b = layers[-1]
+    return x @ w + b
+
+
+def reference_loss_and_grad(
+    spec: ModelSpec, weights: ModelWeights, batch: Batch
+) -> tuple[float, np.ndarray]:
+    """The allocating loss_and_grad the scratch-buffer version must match bit for bit."""
+    layers = unflatten(spec, weights.params)
+    n = batch.pixels.shape[0]
+
+    activations = [batch.pixels]
+    pre_acts = []
+    x = batch.pixels
+    for w, b in layers[:-1]:
+        z = x @ w + b
+        pre_acts.append(z)
+        x = np.maximum(z, 0.0)
+        activations.append(x)
+    w, b = layers[-1]
+    logits = x @ w + b
+
+    shift = logits - logits.max(axis=1, keepdims=True)
+    log_norm = np.log(np.exp(shift).sum(axis=1))
+    rows = np.arange(n)
+    loss = float(np.mean(log_norm - shift[rows, batch.labels]))
+
+    probs = np.exp(shift)
+    probs /= probs.sum(axis=1, keepdims=True)
+    delta = probs
+    delta[rows, batch.labels] -= 1.0
+    delta /= n
+
+    grad_chunks: list[np.ndarray] = []
+    for i in range(len(layers) - 1, -1, -1):
+        w_i, _ = layers[i]
+        grad_w = activations[i].T @ delta
+        grad_b = delta.sum(axis=0)
+        grad_chunks.append(grad_b)
+        grad_chunks.append(grad_w.ravel())
+        if i > 0:
+            delta = (delta @ w_i.T) * (pre_acts[i - 1] > 0.0)
+    return loss, np.concatenate(grad_chunks[::-1])
 
 
 class TestInit:
@@ -72,6 +130,23 @@ class TestInit:
             ModelSpec(input_dim=3, hidden_dims=(0,), num_classes=3)
         with pytest.raises(ValueError):
             ModelSpec(input_dim=3, num_classes=4, activation="tanh")
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            (4, (2.7,)),
+            (True, (8,)),
+            (4.5, (8,)),
+            (4, (8, False)),
+            (4, (8,), 4.0),
+            (4, (8,), True),
+            ("4", (8,)),
+            (4, ("8",)),
+        ],
+    )
+    def test_non_int_dims_rejected(self, args):
+        with pytest.raises(ValueError, match="must be an int"):
+            ModelSpec(*args)
 
 
 class TestForward:
@@ -163,6 +238,118 @@ class TestLossAndGrad:
             fd[i] = (loss_up - loss_down) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum.reduce([np.abs(grad), np.abs(fd), np.full_like(fd, 1e-8)])
         assert np.mean(rel < 1e-4) >= 0.99
+
+
+FAULT_COUNT_SCRIPT = """
+import resource
+import numpy as np
+from peerfed.model import Batch, ModelSpec, forward, init_model, loss_and_grad
+spec = ModelSpec(4, (512,), 4)
+rng = np.random.default_rng(0)
+w = init_model(spec, 0)
+batch = Batch(rng.normal(size=(1024, 4)), rng.integers(0, 4, size=1024))
+loss_and_grad(spec, w, batch)
+forward(spec, w, batch.pixels)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    loss_and_grad(spec, w, batch)
+for _ in range(20):
+    forward(spec, w, batch.pixels)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def _weights_and_batch(spec: ModelSpec, n: int, seed: int) -> tuple[ModelWeights, Batch]:
+    rng = np.random.default_rng(seed)
+    params = init_model(spec, seed).params + rng.normal(scale=0.2, size=spec.param_count())
+    batch = Batch(rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, size=n))
+    return ModelWeights(spec.fingerprint(), params), batch
+
+
+class TestScratchBuffers:
+    """forward and loss_and_grad reuse per-thread buffers; results must not show it."""
+
+    @pytest.mark.parametrize("hidden_dims", [(), (512,), (16, 8, 4)])
+    def test_bitwise_equal_to_reference_as_row_counts_change(self, hidden_dims):
+        spec = ModelSpec(4, hidden_dims, 4)
+        earlier = []
+        for step, n in enumerate([1024, 64, 1, 1024, 2048]):
+            w, batch = _weights_and_batch(spec, n, seed=step)
+            loss, grad = loss_and_grad(spec, w, batch)
+            logits = forward(spec, w, batch.pixels)
+            ref_loss, ref_grad = reference_loss_and_grad(spec, w, batch)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert logits.tobytes() == reference_forward(spec, w, batch.pixels).tobytes()
+            earlier.append((grad, grad.tobytes(), logits, logits.tobytes()))
+        # Later calls must leave every array an earlier call returned as it was.
+        for grad, grad_bytes, logits, logits_bytes in earlier:
+            assert grad.tobytes() == grad_bytes and logits.tobytes() == logits_bytes
+
+    def test_overflow_at_a_dead_unit_is_rejected_like_the_reference(self):
+        # Hidden unit 1 never fires (weight 0, bias -1), and delta @ w.T is
+        # -inf there. Multiplying by the mask gives nan, so the gradient is
+        # rejected; selecting 0.0 instead would hand back a finite one.
+        spec = ModelSpec(1, (2,), 2)
+        params = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 5.0, 1.5e308, -1.5e308, 0.0, 0.0])
+        w = ModelWeights(spec.fingerprint(), params)
+        batch = Batch(np.ones((1, 1)), [0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, want = reference_loss_and_grad(spec, w, batch)
+            assert not np.all(np.isfinite(want))
+            with pytest.raises(ValueError, match="non-finite"):
+                loss_and_grad(spec, w, batch)
+
+    def test_fine_tune_with_trailing_partial_batch_matches_reference(self, monkeypatch):
+        spec = ModelSpec(4, (16, 8), 4)
+        shard = toy_shard(5, 7, spec, seed=3)
+        w0 = init_model(spec, 2)
+        got, _ = fine_tune(spec, w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
+        monkeypatch.setattr("peerfed.model.loss_and_grad", reference_loss_and_grad)
+        want, _ = fine_tune(spec, w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
+        assert got.params.tobytes() == want.params.tobytes()
+
+    def test_concurrent_fine_tunes_equal_sequential_ones(self):
+        spec = ModelSpec(4, (64, 32), 4)
+        jobs = [
+            (toy_shard(6, 200, spec, seed=10), init_model(spec, 1), 11),
+            (toy_shard(4, 90, spec, seed=20), init_model(spec, 2), 21),
+        ]
+        sequential = [fine_tune(spec, w, shard, 3, 0.01, seed)[0] for shard, w, seed in jobs]
+        concurrent: list = [None, None]
+
+        def run(k: int) -> None:
+            shard, w, seed = jobs[k]
+            concurrent[k] = fine_tune(spec, w, shard, 3, 0.01, seed)[0]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(k,)) for k in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for got, want in zip(concurrent, sequential):
+            assert got.params.tobytes() == want.params.tobytes()
+
+    def test_repeated_calls_take_few_page_faults(self):
+        pytest.importorskip("resource")
+        if not sys.platform.startswith("linux"):
+            pytest.skip("ru_minflt counts minor page faults on Linux")
+        # A fresh interpreter: what earlier tests left on the heap decides
+        # whether glibc trims it, so in-process counts depend on test order.
+        package_root = Path(peerfed.__file__).resolve().parents[1]
+        env = {**os.environ, "PYTHONPATH": str(package_root), "OPENBLAS_NUM_THREADS": "1"}
+        done = subprocess.run(
+            [sys.executable, "-c", FAULT_COUNT_SCRIPT],
+            env=env, capture_output=True, text=True, timeout=120, check=True,
+        )
+        # The allocating version took about 1,650 faults per loss_and_grad call.
+        assert int(done.stdout) < 2000
 
 
 class TestAdam:
