@@ -21,8 +21,9 @@ import csv
 import hashlib
 import io
 import json
+import sys
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -69,33 +70,72 @@ EXP2_BOUNDARIES = (20.0, 30.0, 40.0, 50.0)
 EXP2_COUNTS = (5, 9, 2, 1, 3)
 
 
-def _require_keys(section: str, given: dict, allowed: set[str]) -> None:
-    unknown = set(given) - allowed
-    if unknown:
-        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
-
-
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
-def _typed(cls, d: dict) -> dict:
-    """d, once every value for a bool, int or float field of cls (or a tuple
-    of them) has that type: JSON's "false" is not a bool, and true, 2.5
-    and "10" are not integers.
+def _config_fields(section) -> list:
+    """A config section's keys, in field order: its init fields, except
+    GenConfig.seed (generation uses seeds.data).
     """
-    kinds = {f.name: f.type for f in fields(cls)}
+    return [f for f in fields(section)
+            if f.init and not (isinstance(section, GenConfig) and f.name == "seed")]
+
+
+def _is(kind: str, value) -> bool:
+    """Whether a JSON value has the annotated type: JSON's "false" is not a
+    bool, true, 2.5 and "10" are not ints, and NaN, Infinity and ints past
+    float range (which json reads as ints) are not floats.
+    """
+    return type(value) in _JSON_TYPES[kind] and (
+        kind != "float" or abs(value) <= sys.float_info.max)
+
+
+def _from_json(default, d, section: str):
+    """default with the values of the JSON object d, each checked against
+    the annotation of its field; nested sections recurse. A list becomes a
+    tuple (of floats for a float tuple), and an empty one is None where the
+    field allows None.
+    """
+    if not isinstance(d, dict):
+        raise ValueError(f"{section} must be a JSON object, got {d!r}")
+    if isinstance(default, GenConfig) and "seed" in d:
+        raise ValueError("data.seed is not a config key; generation uses seeds.data")
+    kinds = {f.name: f.type for f in _config_fields(default)}
+    unknown = set(d) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
+    values = {}
     for key, value in d.items():
-        kind = kinds.get(key, "")
-        if kind.startswith("tuple[") and value is not None:
-            item = _JSON_TYPES[kind[len("tuple["):kind.index(",")]]
-            ok = isinstance(value, (list, tuple)) and all(type(v) in item for v in value)
-        elif kind in _JSON_TYPES:
-            ok = type(value) in _JSON_TYPES[kind]
-        else:
-            continue
-        if not ok:
+        kind = kinds[key]
+        optional = kind.endswith(" | None")
+        if is_dataclass(getattr(default, key)):
+            value = _from_json(getattr(default, key), value, key)
+        elif kind.startswith("tuple[") and not (optional and value is None):
+            item = kind[len("tuple["):kind.index(",")]
+            if not isinstance(value, (list, tuple)) or not all(_is(item, v) for v in value):
+                raise ValueError(f"{key} must be {kind}, got {value!r}")
+            value = tuple(float(v) if item == "float" else v for v in value)
+            value = value or (None if optional else ())
+        elif kind in _JSON_TYPES and not _is(kind, value):
             raise ValueError(f"{key} must be {kind}, got {value!r}")
-    return d
+        values[key] = value
+    return replace(default, **values)
+
+
+def _to_json(section) -> dict:
+    """The JSON object of a config section: keys in field order, tuples as
+    lists, None values left out.
+    """
+    out = {}
+    for f in _config_fields(section):
+        value = getattr(section, f.name)
+        if is_dataclass(value):
+            value = _to_json(value)
+        elif isinstance(value, tuple):
+            value = list(value)
+        if value is not None:
+            out[f.name] = value
+    return out
 
 
 @dataclass(frozen=True)
@@ -104,15 +144,6 @@ class Seeds:
     init: int = 1
     shuffle: int = 2
     initiator: int = 3
-
-    @staticmethod
-    def from_dict(d: dict) -> "Seeds":
-        _require_keys("seeds", d, {"data", "init", "shuffle", "initiator"})
-        return Seeds(**_typed(Seeds, d))
-
-    def to_dict(self) -> dict:
-        return {"data": self.data, "init": self.init,
-                "shuffle": self.shuffle, "initiator": self.initiator}
 
 
 @dataclass(frozen=True)
@@ -134,70 +165,6 @@ class SplitSpec:
                     f"need {len(self.boundaries) + 1} counts for "
                     f"{len(self.boundaries)} boundaries"
                 )
-
-    @staticmethod
-    def from_dict(d: dict) -> "SplitSpec":
-        _require_keys("split", d, {"kind", "boundaries", "counts"})
-        _typed(SplitSpec, d)
-        return SplitSpec(
-            kind=d.get("kind", "uniform"),
-            boundaries=tuple(float(b) for b in d["boundaries"]) if d.get("boundaries") else None,
-            counts=tuple(d["counts"]) if d.get("counts") else None,
-        )
-
-    def to_dict(self) -> dict:
-        out: dict = {"kind": self.kind}
-        if self.boundaries is not None:
-            out["boundaries"] = list(self.boundaries)
-        if self.counts is not None:
-            out["counts"] = list(self.counts)
-        return out
-
-
-def _model_from_dict(d: dict) -> ModelSpec:
-    _require_keys("model", d, {"input_dim", "hidden_dims", "num_classes", "activation"})
-    _typed(ModelSpec, d)
-    return ModelSpec(
-        input_dim=d.get("input_dim", FEATURE_CHANNELS),
-        hidden_dims=tuple(d.get("hidden_dims", (512,))),
-        num_classes=d.get("num_classes", 4),
-        activation=d.get("activation", "relu"),
-    )
-
-
-def _model_to_dict(spec: ModelSpec) -> dict:
-    return {
-        "input_dim": spec.input_dim,
-        "hidden_dims": list(spec.hidden_dims),
-        "num_classes": spec.num_classes,
-        "activation": spec.activation,
-    }
-
-
-_DATA_KEYS = {
-    "num_train", "num_test", "height", "width", "num_classes",
-    "noise_std", "cohort_shift", "feature_scale",
-}
-
-
-def _data_from_dict(d: dict) -> GenConfig:
-    if "seed" in d:
-        raise ValueError("data.seed is not a config key; generation uses seeds.data")
-    _require_keys("data", d, _DATA_KEYS)
-    return GenConfig(**_typed(GenConfig, d))
-
-
-def _data_to_dict(cfg: GenConfig) -> dict:
-    return {
-        "num_train": cfg.num_train,
-        "num_test": cfg.num_test,
-        "height": cfg.height,
-        "width": cfg.width,
-        "num_classes": cfg.num_classes,
-        "noise_std": cfg.noise_std,
-        "cohort_shift": cfg.cohort_shift,
-        "feature_scale": cfg.feature_scale,
-    }
 
 
 @dataclass(frozen=True)
@@ -273,47 +240,12 @@ class ExperimentConfig:
                 f"{self.n_clients} clients cannot share {self.data.num_train} images"
             )
 
-    _TOP_KEYS = {
-        "mode", "n_clients", "split", "rounds_fls", "model", "data", "base_lr",
-        "epochs_per_round", "batch_size", "merge_norm", "aggregate", "bt_warmup",
-        "on_unreachable", "eval_every", "seeds", "transport", "sim_drop_prob",
-    }
-
     @staticmethod
     def from_dict(d: dict) -> "ExperimentConfig":
-        _require_keys("config", d, ExperimentConfig._TOP_KEYS)
-        kwargs: dict = {k: v for k, v in _typed(ExperimentConfig, d).items()
-                        if k not in ("split", "model", "data", "seeds")}
-        if "split" in d:
-            kwargs["split"] = SplitSpec.from_dict(d["split"])
-        if "model" in d:
-            kwargs["model"] = _model_from_dict(d["model"])
-        if "data" in d:
-            kwargs["data"] = _data_from_dict(d["data"])
-        if "seeds" in d:
-            kwargs["seeds"] = Seeds.from_dict(d["seeds"])
-        return ExperimentConfig(**kwargs)
+        return _from_json(ExperimentConfig(), d, "config")
 
     def to_dict(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_clients": self.n_clients,
-            "split": self.split.to_dict(),
-            "rounds_fls": self.rounds_fls,
-            "model": _model_to_dict(self.model),
-            "data": _data_to_dict(self.data),
-            "base_lr": self.base_lr,
-            "epochs_per_round": self.epochs_per_round,
-            "batch_size": self.batch_size,
-            "merge_norm": self.merge_norm,
-            "aggregate": self.aggregate,
-            "bt_warmup": self.bt_warmup,
-            "on_unreachable": self.on_unreachable,
-            "eval_every": self.eval_every,
-            "seeds": self.seeds.to_dict(),
-            "transport": self.transport,
-            "sim_drop_prob": self.sim_drop_prob,
-        }
+        return _to_json(self)
 
 
 @dataclass

@@ -77,8 +77,8 @@ class PeerAddress:
 
     def host_port(self) -> tuple[str, int]:
         host, _, port = self.endpoint.rpartition(":")
-        if not host or not port.isdigit():
-            raise ValueError(f"endpoint must be host:port, got {self.endpoint!r}")
+        if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
+            raise ValueError(f"endpoint must be host:port, port 1-65535, got {self.endpoint!r}")
         return host, int(port)
 
 
@@ -495,7 +495,6 @@ class TcpTransport:
         self.n_clients = len(self._addresses)
         self._next_request_id = 0
         self._sockets: dict[int, socket.socket] = {}
-        self.bytes_received = 0
 
     def _request(self, peer: int, message: Message) -> Message:
         if peer not in self._addresses:
@@ -523,7 +522,6 @@ class TcpTransport:
         except TransportError:
             self._forget(peer)
             raise
-        self.bytes_received += len(reply_frame)
         return reply
 
     def _exchange(self, peer: int, frame: bytes) -> bytes:
@@ -574,15 +572,23 @@ class TcpTransport:
         return reply.params, reply.sample_count, nbytes
 
 
-def parse_peer_table(entries: list[dict]) -> list[PeerAddress]:
-    """Build a peer table from config entries {client_index, endpoint}."""
+def parse_peer_table(entries: list) -> list[PeerAddress]:
+    """Build a peer table from a JSON list of {client_index, endpoint} objects."""
+    if not isinstance(entries, list):
+        raise ValueError(f"peer table must be a JSON list, got {entries!r}")
     peers = []
     seen = set()
     for entry in entries:
+        if not isinstance(entry, dict):
+            raise ValueError(f"peer table entry must be a JSON object, got {entry!r}")
         extra = set(entry) - {"client_index", "endpoint"}
         if extra:
             raise ValueError(f"unknown peer table keys {sorted(extra)}")
-        address = PeerAddress(int(entry["client_index"]), str(entry["endpoint"]))
+        index, endpoint = entry.get("client_index"), entry.get("endpoint")
+        if type(index) is not int or type(endpoint) is not str:
+            raise ValueError("peer table entry needs an int client_index and a "
+                             f"host:port endpoint string, got {entry!r}")
+        address = PeerAddress(index, endpoint)
         address.host_port()  # validate eagerly
         if address.client_index in seen:
             raise ValueError(f"duplicate client index {address.client_index} in peer table")

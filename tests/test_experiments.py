@@ -8,6 +8,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerfed import experiments
 from peerfed.data import FEATURE_CHANNELS, GenConfig
@@ -56,11 +58,95 @@ def small_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
+# Every field of every section differs from its default, except the two
+# that admit one value: model.input_dim and model.activation.
+EVERY_FIELD_SET = ExperimentConfig(
+    mode="braintorrent",
+    n_clients=3,
+    split=SplitSpec("cohort", (20.0, 40.5), (3, 3, 2)),
+    rounds_fls=5,
+    model=ModelSpec(FEATURE_CHANNELS, (8, 6), 3),
+    data=GenConfig(num_train=8, num_test=3, height=8, width=6, num_classes=3,
+                   noise_std=0.05, cohort_shift=0, feature_scale=0.25),
+    base_lr=0.005,
+    epochs_per_round=3,
+    batch_size=2,
+    merge_norm="global",
+    aggregate="unweighted",
+    bt_warmup=False,
+    on_unreachable="abort",
+    eval_every=2,
+    seeds=Seeds(data=11, init=12, shuffle=13, initiator=14),
+    transport="tcp",
+    sim_drop_prob=0.1,
+)
+
+# json.dumps(cfg.to_dict()) of each config: the bytes manifest.json stores.
+# tests/test_golden.py pins only the metrics files, so these pin the writer.
+PINNED_MANIFEST_CONFIGS = [
+    (small_cfg(mode="braintorrent", sim_drop_prob=0.05),
+     '{"mode": "braintorrent", "n_clients": 4, "split": {"kind": "uniform"}, '
+     '"rounds_fls": 3, "model": {"input_dim": 4, "hidden_dims": [8], "num_classes": 4, '
+     '"activation": "relu"}, "data": {"num_train": 8, "num_test": 3, "height": 8, '
+     '"width": 8, "num_classes": 4, "noise_std": 0.1, "cohort_shift": 1.0, '
+     '"feature_scale": 0.5}, "base_lr": 0.001, "epochs_per_round": 2, "batch_size": 1, '
+     '"merge_norm": "participants", "aggregate": "weighted", "bt_warmup": true, '
+     '"on_unreachable": "skip", "eval_every": 1, "seeds": {"data": 5, "init": 6, '
+     '"shuffle": 7, "initiator": 8}, "transport": "sim", "sim_drop_prob": 0.05}'),
+    (EVERY_FIELD_SET,
+     '{"mode": "braintorrent", "n_clients": 3, "split": {"kind": "cohort", '
+     '"boundaries": [20.0, 40.5], "counts": [3, 3, 2]}, "rounds_fls": 5, '
+     '"model": {"input_dim": 4, "hidden_dims": [8, 6], "num_classes": 3, '
+     '"activation": "relu"}, "data": {"num_train": 8, "num_test": 3, "height": 8, '
+     '"width": 6, "num_classes": 3, "noise_std": 0.05, "cohort_shift": 0, '
+     '"feature_scale": 0.25}, "base_lr": 0.005, "epochs_per_round": 3, "batch_size": 2, '
+     '"merge_norm": "global", "aggregate": "unweighted", "bt_warmup": false, '
+     '"on_unreachable": "abort", "eval_every": 2, "seeds": {"data": 11, "init": 12, '
+     '"shuffle": 13, "initiator": 14}, "transport": "tcp", "sim_drop_prob": 0.1}'),
+    (small_cfg(model=ModelSpec(FEATURE_CHANNELS, (), 4)),
+     '{"mode": "fls", "n_clients": 4, "split": {"kind": "uniform"}, "rounds_fls": 3, '
+     '"model": {"input_dim": 4, "hidden_dims": [], "num_classes": 4, '
+     '"activation": "relu"}, "data": {"num_train": 8, "num_test": 3, "height": 8, '
+     '"width": 8, "num_classes": 4, "noise_std": 0.1, "cohort_shift": 1.0, '
+     '"feature_scale": 0.5}, "base_lr": 0.001, "epochs_per_round": 2, "batch_size": 1, '
+     '"merge_norm": "participants", "aggregate": "weighted", "bt_warmup": true, '
+     '"on_unreachable": "skip", "eval_every": 1, "seeds": {"data": 5, "init": 6, '
+     '"shuffle": 7, "initiator": 8}, "transport": "sim", "sim_drop_prob": 0.0}'),
+]
+
+
 class TestConfig:
     def test_round_trips_through_dict(self):
         cfg = small_cfg(mode="braintorrent", sim_drop_prob=0.05)
         again = ExperimentConfig.from_dict(cfg.to_dict())
         assert again == cfg
+
+    @pytest.mark.parametrize("cfg, manifest_text", PINNED_MANIFEST_CONFIGS,
+                             ids=["small", "every_field_set", "no_hidden_layer"])
+    def test_manifest_text_round_trips(self, cfg, manifest_text):
+        again = ExperimentConfig.from_dict(cfg.to_dict())
+        assert again == cfg
+        assert json.dumps(cfg.to_dict()) == manifest_text
+
+    def test_only_split_boundaries_become_floats(self):
+        d = small_cfg(split=SplitSpec("cohort", (20.0, 30.0, 40.0))).to_dict()
+        d["split"]["boundaries"] = [20, 30, 40]
+        d["data"]["cohort_shift"] = 1
+        text = json.dumps(ExperimentConfig.from_dict(d).to_dict())
+        assert '"boundaries": [20.0, 30.0, 40.0]' in text
+        assert '"cohort_shift": 1,' in text
+
+    def test_partial_sections_keep_their_defaults(self):
+        cfg = ExperimentConfig.from_dict({"model": {"num_classes": 4}, "split": {}})
+        assert cfg.model == ModelSpec(FEATURE_CHANNELS, (512,), 4)
+        assert cfg.split == SplitSpec()
+        assert cfg == ExperimentConfig()
+
+    @pytest.mark.parametrize("key", ["boundaries", "counts"])
+    def test_empty_split_list_means_absent(self, key):
+        d = small_cfg().to_dict()
+        d["split"][key] = []
+        assert getattr(ExperimentConfig.from_dict(d).split, key) is None
 
     def test_unknown_top_level_key_rejected(self):
         d = small_cfg().to_dict()
@@ -111,13 +197,68 @@ class TestConfig:
         ("seeds.data", 1.0),
         ("model.hidden_dims", [8, "8"]),
         ("data.num_train", 20.7),
+        ("base_lr", float("inf")),
+        ("data.noise_std", float("nan")),
+        ("data.feature_scale", float("inf")),
+        ("split.boundaries", [20.0, float("nan"), 40.0]),
+        pytest.param("base_lr", 10**400, id="base_lr-int_past_float_range"),
     ])
     def test_wrongly_typed_value_rejected(self, path, value):
-        d = small_cfg().to_dict()
+        # A cohort split, so that only the value under test is wrong.
+        d = small_cfg(split=SplitSpec("cohort", (20.0, 30.0, 40.0))).to_dict()
         *section, key = path.split(".")
         (d[section[0]] if section else d)[key] = value
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("section, value", [
+        (None, []),
+        ("model", 3),
+        ("data", None),
+        ("split", "uniform"),
+        ("seeds", [1, 2]),
+    ])
+    def test_non_object_section_rejected(self, section, value):
+        d = value if section is None else {**small_cfg().to_dict(), section: value}
+        with pytest.raises(ValueError, match=f"{section or 'config'} must be a JSON object"):
+            ExperimentConfig.from_dict(d)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                               max_size=4),
+    max_leaves=8,
+)
+FULL_CONFIG = EVERY_FIELD_SET.to_dict()
+CONFIG_PATHS = ["", "data.seed", *FULL_CONFIG, *(
+    f"{section}.{key}" for section, keys in FULL_CONFIG.items() if isinstance(keys, dict)
+    for key in keys
+)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(base=st.sampled_from([FULL_CONFIG, small_cfg().to_dict(), {}]),
+       path=st.sampled_from(CONFIG_PATHS), value=JSON_VALUES)
+def test_any_json_value_loads_and_round_trips_or_is_rejected(base, path, value):
+    """A JSON value under any config key loads, and its config round-trips to
+    equal JSON, or it raises ValueError; never another exception."""
+    d = json.loads(json.dumps(base))
+    if not path:
+        d = value
+    elif "." in path:
+        section, key = path.split(".")
+        d.setdefault(section, {})[key] = value
+    else:
+        d[path] = value
+    try:
+        cfg = ExperimentConfig.from_dict(d)
+    except ValueError:
+        return
+    text = json.dumps(cfg.to_dict())
+    again = ExperimentConfig.from_dict(json.loads(text))
+    assert again == cfg
+    assert json.dumps(again.to_dict()) == text
 
 
 class TestRunTraining:

@@ -460,3 +460,19 @@ class TestPeerTable:
     def test_bad_endpoint_rejected(self):
         with pytest.raises(ValueError):
             parse_peer_table([{"client_index": 0, "endpoint": "no-port"}])
+
+    @pytest.mark.parametrize("table, match", [
+        ([{"client_index": 1.9, "endpoint": "127.0.0.1:9000"}], "int client_index"),
+        ([{"client_index": "0", "endpoint": "127.0.0.1:9000"}], "int client_index"),
+        ([{"client_index": True, "endpoint": "127.0.0.1:9000"}], "int client_index"),
+        ([{"client_index": 0, "endpoint": "127.0.0.1:70000"}], "1-65535"),
+        ([{"client_index": 0, "endpoint": "127.0.0.1:0"}], "1-65535"),
+        ([{"client_index": 0}], "endpoint string"),
+        ([{"client_index": 0, "endpoint": ["127.0.0.1", 9000]}], "endpoint string"),
+        ({"client_index": 0, "endpoint": "127.0.0.1:9000"}, "must be a JSON list"),
+        (["x"], "must be a JSON object"),
+    ], ids=["float_index", "str_index", "bool_index", "port_70000", "port_0",
+            "no_endpoint", "list_endpoint", "object_table", "str_entry"])
+    def test_malformed_table_rejected(self, table, match):
+        with pytest.raises(ValueError, match=match):
+            parse_peer_table(table)
