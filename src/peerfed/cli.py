@@ -15,9 +15,10 @@ from .data import load_dataset, save_dataset
 from .experiments import (
     ExperimentConfig,
     build_dataset,
+    check_tcp_peer_inputs,
+    manifest_config,
     run_experiment1,
     run_experiment2,
-    run_from_manifest,
     run_tcp_peer,
     run_training,
 )
@@ -62,14 +63,35 @@ def _cell(value) -> str:
     return f"{value:.4f}" if isinstance(value, float) else str(value)
 
 
-def cmd_run(args: argparse.Namespace) -> int:
+def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None]:
+    """The run's config and, for one TCP peer, its peer table. Bad input
+    raises ValueError, or OSError for a file that cannot be read.
+    """
     if args.from_manifest:
-        result = run_from_manifest(args.from_manifest, out_dir=args.out)
+        return manifest_config(args.from_manifest), None
+    cfg = _apply_overrides(_load_config(args.config), args)
+    if args.experiment or cfg.transport != "tcp":
+        return cfg, None
+    if args.peers is None or args.self_index is None:
+        raise ValueError("--transport tcp requires --peers and --self-index")
+    with open(args.peers) as fh:
+        peers = parse_peer_table(json.load(fh))
+    check_tcp_peer_inputs(cfg, args.self_index, peers)
+    return cfg, peers
+
+
+def cmd_run(args: argparse.Namespace) -> int:
+    try:
+        cfg, peers = _run_inputs(args)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+
+    if args.from_manifest:
+        result = run_training(cfg, out_dir=args.out)
         print(f"reproduced run: {result.config.mode}, "
               f"final avg dice {result.final.avg_client_dice:.4f}")
         return 0
-
-    cfg = _apply_overrides(_load_config(args.config), args)
 
     if args.experiment:
         run = run_experiment1 if args.experiment == "exp1" else run_experiment2
@@ -82,13 +104,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                 print(f"{name}: {_cell(table)}")
         return 0
 
-    if cfg.transport == "tcp":
-        if args.peers is None or args.self_index is None:
-            print("error: --transport tcp requires --peers and --self-index",
-                  file=sys.stderr)
-            return 2
-        with open(args.peers) as fh:
-            peers = parse_peer_table(json.load(fh))
+    if peers is not None:
         out = Path(args.out) if args.out else Path("peerfed-out")
         path = run_tcp_peer(cfg, args.self_index, peers, out)
         print(f"client {args.self_index} final weights: {path}")

@@ -21,6 +21,8 @@ import csv
 import hashlib
 import io
 import json
+import os
+import platform
 import sys
 import time
 from dataclasses import dataclass, field, fields, is_dataclass, replace
@@ -144,6 +146,12 @@ class Seeds:
     init: int = 1
     shuffle: int = 2
     initiator: int = 3
+
+    def __post_init__(self) -> None:
+        # init seeds numpy's generator as it is, which takes no negative
+        # seed; the others pass through derive_seed first.
+        if self.init < 0:
+            raise ValueError(f"seeds.init must be >= 0, got {self.init}")
 
 
 @dataclass(frozen=True)
@@ -530,6 +538,25 @@ def emit_metrics(records: list[MetricsRecord], path: str | Path, fmt: str = "csv
     return path
 
 
+def run_environment() -> dict:
+    """What a rerun needs to know of the machine: the numpy and BLAS build
+    that the bitwise contract rests on, the BLAS thread settings and the CPUs.
+    """
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
+        blas = {}
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "threads": {var: os.environ.get(var)
+                    for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+        "cpu_count": os.cpu_count(),
+        "affinity_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+    }
+
+
 def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> dict:
     """Persist metrics (canonical), a reproduction manifest, and a report."""
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -544,6 +571,7 @@ def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> dict
         "total_updates": result.total_updates,
         "failed_rounds": result.failed_rounds,
         "shard_sizes": [c.shard.sample_count for c in result.final_clients],
+        "environment": run_environment(),
         "outputs": {
             "metrics_csv": metrics_csv.name,
             "metrics_json": metrics_json.name,
@@ -570,11 +598,17 @@ def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> dict
     return manifest
 
 
+def manifest_config(manifest_path: str | Path) -> ExperimentConfig:
+    """The config a run manifest records; ValueError if it holds none."""
+    manifest = json.loads(Path(manifest_path).read_text())
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise ValueError(f"{manifest_path} is not a run manifest: no config")
+    return ExperimentConfig.from_dict(manifest["config"])
+
+
 def run_from_manifest(manifest_path: str | Path, out_dir: str | Path | None = None) -> RunResult:
     """Re-execute the run a manifest describes; metrics reproduce bitwise."""
-    manifest = json.loads(Path(manifest_path).read_text())
-    cfg = ExperimentConfig.from_dict(manifest["config"])
-    return run_training(cfg, out_dir=out_dir)
+    return run_training(manifest_config(manifest_path), out_dir=out_dir)
 
 
 # ---------------------------------------------------------------------------
@@ -728,6 +762,19 @@ def _wait_for_versions(
             time.sleep(poll_interval_s)
 
 
+def check_tcp_peer_inputs(cfg: ExperimentConfig, self_index: int,
+                          peers: list[PeerAddress]) -> None:
+    """ValueError unless cfg, self_index and peers make a TCP peer run."""
+    if cfg.mode != "braintorrent":
+        raise ValueError("TCP peers run the peer-to-peer protocol only")
+    indices = sorted(p.client_index for p in peers)
+    if indices != list(range(cfg.n_clients)):
+        raise ValueError(f"peer table client indices {indices} are not "
+                         f"0..{cfg.n_clients - 1}, one entry each")
+    if not 0 <= self_index < cfg.n_clients:
+        raise ValueError(f"self_index {self_index} is not in 0..{cfg.n_clients - 1}")
+
+
 def run_tcp_peer(
     cfg: ExperimentConfig,
     self_index: int,
@@ -746,15 +793,7 @@ def run_tcp_peer(
     bit for bit. A round that hits any transport fault retries after a
     short pause; atomicity makes the retry safe.
     """
-    if cfg.mode != "braintorrent":
-        raise ValueError("TCP peers run the peer-to-peer protocol only")
-    indices = sorted(p.client_index for p in peers)
-    if indices != list(range(cfg.n_clients)):
-        raise ValueError(f"peer table client indices {indices} are not "
-                         f"0..{cfg.n_clients - 1}, one entry each")
-    if not 0 <= self_index < cfg.n_clients:
-        raise ValueError(f"self_index {self_index} is not in 0..{cfg.n_clients - 1}")
-
+    check_tcp_peer_inputs(cfg, self_index, peers)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

@@ -58,6 +58,48 @@ def test_run_requires_config_or_manifest(capsys):
     assert "config" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("case, message", [
+    ("infinite_base_lr", "base_lr"),
+    ("negative_init_seed", "seeds.init"),
+    ("negative_init_override", "seeds.init"),
+    ("missing_config", "absent.json"),
+    ("peer_table_object", "peer table must be a JSON list"),
+    ("self_index_out_of_range", "self_index 3"),
+    ("manifest_bad_config", "gossip"),
+    ("manifest_without_config", "not a run manifest"),
+])
+def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case, message):
+    def write(name, text):
+        (tmp_path / name).write_text(text)
+        return str(tmp_path / name)
+
+    cfg = json.loads(config_path.read_text())
+    run = ["run", "--config", str(config_path)]
+    peers = [{"client_index": i, "endpoint": f"127.0.0.1:{i + 1}"} for i in range(3)]
+    argv = {
+        "infinite_base_lr": lambda: ["run", "--config", write("c.json", '{"base_lr": Infinity}')],
+        "negative_init_seed": lambda: ["run", "--config", write(
+            "c.json", json.dumps({**cfg, "seeds": {"init": -1}}))],
+        "negative_init_override": lambda: [*run, "--seed-init", "-1"],
+        "missing_config": lambda: ["run", "--config", str(tmp_path / "absent.json")],
+        "peer_table_object": lambda: [*run, "--transport", "tcp", "--self-index", "0",
+                                      "--peers", write("p.json", '{"0": "127.0.0.1:1"}')],
+        "self_index_out_of_range": lambda: [
+            "run", "--config", write("c.json", json.dumps({**cfg, "mode": "braintorrent"})),
+            "--transport", "tcp", "--self-index", "3", "--peers",
+            write("p.json", json.dumps(peers))],
+        "manifest_bad_config": lambda: ["run", "--from-manifest", write(
+            "m.json", json.dumps({"config": {**cfg, "mode": "gossip"}}))],
+        "manifest_without_config": lambda: ["run", "--from-manifest", write("m.json", "[]")],
+    }[case]()
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert not (tmp_path / "out").exists()
+
+
 def test_tcp_requires_peer_arguments(config_path, capsys):
     assert main(["run", "--config", str(config_path), "--transport", "tcp"]) == 2
     assert "--peers" in capsys.readouterr().err

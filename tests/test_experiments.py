@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
+import platform
 from dataclasses import replace
 
 import numpy as np
@@ -29,6 +31,7 @@ from peerfed.experiments import (
     emit_metrics,
     evaluate_model,
     expected_versions,
+    manifest_config,
     metrics_to_csv,
     run_experiment1,
     run_experiment2,
@@ -210,6 +213,19 @@ class TestConfig:
         (d[section[0]] if section else d)[key] = value
         with pytest.raises(ValueError, match=key):
             ExperimentConfig.from_dict(d)
+
+    def test_negative_init_seed_rejected_at_load(self):
+        d = small_cfg().to_dict()
+        d["seeds"]["init"] = -1
+        with pytest.raises(ValueError, match="seeds.init"):
+            ExperimentConfig.from_dict(d)
+
+    def test_negative_derived_seeds_still_run(self):
+        d = small_cfg(rounds_fls=1).to_dict()
+        d["seeds"].update(data=-5, shuffle=-7, initiator=-8)
+        cfg = ExperimentConfig.from_dict(d)
+        for mode in ("fls", "braintorrent"):
+            assert run_training(replace(cfg, mode=mode)).records
 
     @pytest.mark.parametrize("section, value", [
         (None, []),
@@ -465,6 +481,35 @@ class TestManifest:
         assert manifest["config"]["n_clients"] == 4
         assert manifest["shard_sizes"] == [2, 2, 2, 2]
         assert manifest["total_updates"] == 12
+
+    def test_manifest_records_the_environment(self, tmp_path):
+        run_training(small_cfg(), out_dir=tmp_path / "run")
+        env = json.loads((tmp_path / "run" / "manifest.json").read_text())["environment"]
+        assert env["python"] == platform.python_version()
+        assert env["numpy"] == np.__version__
+        assert set(env["blas"]) == {"name", "version", "openblas configuration"}
+        assert env["blas"]["name"]
+        assert set(env["threads"]) == {
+            "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
+        assert env["cpu_count"] == os.cpu_count()
+        assert env["affinity_cpus"] is None or 1 <= env["affinity_cpus"] <= env["cpu_count"]
+
+    def test_environment_without_a_blas_config_dict(self, monkeypatch):
+        # numpy before 1.26 has no show_config(mode=...): it only prints.
+        def show_config():
+            print("blas: openblas")
+
+        monkeypatch.setattr(np, "show_config", show_config)
+        env = experiments.run_environment()
+        assert env["blas"] == {"name": None, "version": None, "openblas configuration": None}
+        assert env["numpy"] == np.__version__
+
+    def test_manifest_config_rejects_a_manifest_without_one(self, tmp_path):
+        path = tmp_path / "manifest.json"
+        for text in ("[]", '{"outputs": {}}'):
+            path.write_text(text)
+            with pytest.raises(ValueError, match="not a run manifest"):
+                manifest_config(path)
 
 
 class TestExperiment1:

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import peerfed
+from peerfed.model import _BLOCK_ROWS as BLOCK
 from peerfed.model import (
     Batch,
     ModelSpec,
@@ -269,11 +270,15 @@ def _weights_and_batch(spec: ModelSpec, n: int, seed: int) -> tuple[ModelWeights
 class TestScratchBuffers:
     """forward and loss_and_grad reuse per-thread buffers; results must not show it."""
 
-    @pytest.mark.parametrize("hidden_dims", [(), (512,), (16, 8, 4)])
+    @pytest.mark.parametrize("hidden_dims", [(), (512,), (16, 8, 4), (64, 64)])
     def test_bitwise_equal_to_reference_as_row_counts_change(self, hidden_dims):
         spec = ModelSpec(4, hidden_dims, 4)
         earlier = []
-        for step, n in enumerate([1024, 64, 1, 1024, 2048]):
+        # The last five sit at the row-block edges; BLOCK + 1 and 2 * BLOCK + 1
+        # leave a 1-row tail, which must not run as a block of its own, and
+        # BLOCK + 2 a 2-row tail, which changes the bits of a 64-term product.
+        block_edges = [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1]
+        for step, n in enumerate([1024, 64, 1, 1024, 2048, *block_edges]):
             w, batch = _weights_and_batch(spec, n, seed=step)
             loss, grad = loss_and_grad(spec, w, batch)
             logits = forward(spec, w, batch.pixels)
