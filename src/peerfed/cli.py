@@ -33,9 +33,9 @@ def _load_config(path: str) -> ExperimentConfig:
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     if args.mode:
         cfg = replace(cfg, mode=args.mode)
-    if args.clients:
+    if args.clients is not None:
         cfg = replace(cfg, n_clients=args.clients)
-    if args.rounds:
+    if args.rounds is not None:
         cfg = replace(cfg, rounds_fls=args.rounds)
     if args.transport:
         cfg = replace(cfg, transport=args.transport)
@@ -47,6 +47,12 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
     if seed_overrides:
         cfg = replace(cfg, seeds=replace(cfg.seeds, **seed_overrides))
     return cfg
+
+
+def _error(exc: Exception) -> int:
+    """Report input the command rejects as one line; the exit status is 2."""
+    print(f"error: {exc}", file=sys.stderr)
+    return 2
 
 
 def _print_table(headers: list[str], rows: list[list[str]]) -> None:
@@ -84,8 +90,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg, peers = _run_inputs(args)
     except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return _error(exc)
 
     if args.from_manifest:
         result = run_training(cfg, out_dir=args.out)
@@ -122,16 +127,19 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 
 def cmd_dataset(args: argparse.Namespace) -> int:
-    if args.dataset_cmd == "gen":
-        cfg = _load_config(args.config)
-        train, test = build_dataset(cfg)
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        save_dataset(train, cfg.data.num_classes, out / "train.btds")
-        save_dataset(test, cfg.data.num_classes, out / "test.btds")
-        print(f"wrote {len(train)} train / {len(test)} test images to {out}")
-        return 0
-    images, num_classes = load_dataset(args.infile)
+    try:
+        if args.dataset_cmd == "gen":
+            cfg = _load_config(args.config)
+            train, test = build_dataset(cfg)
+            out = Path(args.out)
+            out.mkdir(parents=True, exist_ok=True)
+            save_dataset(train, cfg.data.num_classes, out / "train.btds")
+            save_dataset(test, cfg.data.num_classes, out / "test.btds")
+            print(f"wrote {len(train)} train / {len(test)} test images to {out}")
+            return 0
+        images, num_classes = load_dataset(args.infile)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
     print(f"{len(images)} images, {num_classes} classes")
     for i, im in enumerate(images):
         counts = np.bincount(im.labels, minlength=num_classes)
@@ -149,24 +157,26 @@ def cmd_report(args: argparse.Namespace) -> int:
     rows = []
     plot_rows = []
     for manifest_path in manifests:
-        manifest = json.loads(manifest_path.read_text())
-        cfg = manifest["config"]
         run_dir = manifest_path.parent
-        with open(run_dir / manifest["outputs"]["metrics_csv"]) as fh:
-            records = list(csv.DictReader(fh))
+        try:
+            cfg = manifest_config(manifest_path)
+            with open(run_dir / "metrics.csv") as fh:
+                records = list(csv.DictReader(fh))
+        except (OSError, ValueError) as exc:
+            return _error(exc)
         if not records:
             continue
         final = records[-1]
         name = run_dir.relative_to(root).as_posix() or run_dir.name
         rows.append([
-            name, cfg["mode"], str(cfg["n_clients"]),
+            name, cfg.mode, str(cfg.n_clients),
             f"{float(final['avg_client_dice']):.4f}",
             f"{float(final['aggregated_model_dice']):.4f}",
             final["bytes_transferred"],
         ])
         for rec in records:
             plot_rows.append([
-                name, cfg["mode"], str(cfg["n_clients"]), rec["round_index"],
+                name, cfg.mode, str(cfg.n_clients), rec["round_index"],
                 rec["avg_client_dice"], rec["aggregated_model_dice"],
                 rec["bytes_transferred"],
             ])

@@ -341,7 +341,6 @@ def _initial_clients(cfg: ExperimentConfig, shards: list[DatasetShard]) -> list[
             weights=w0.copy(),
             version=VersionVector.zeros(len(shards)),
             shard=shards[i],
-            own_update_count=0,
         )
         for i in range(len(shards))
     ]
@@ -599,11 +598,15 @@ def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> dict
 
 
 def manifest_config(manifest_path: str | Path) -> ExperimentConfig:
-    """The config a run manifest records; ValueError if it holds none."""
-    manifest = json.loads(Path(manifest_path).read_text())
-    if not isinstance(manifest, dict) or "config" not in manifest:
-        raise ValueError(f"{manifest_path} is not a run manifest: no config")
-    return ExperimentConfig.from_dict(manifest["config"])
+    """The config a run manifest records; ValueError naming the file if it
+    holds no valid one, OSError if it cannot be read."""
+    try:
+        manifest = json.loads(Path(manifest_path).read_text())
+        if not isinstance(manifest, dict) or "config" not in manifest:
+            raise ValueError("not a run manifest: no config")
+        return ExperimentConfig.from_dict(manifest["config"])
+    except ValueError as exc:
+        raise ValueError(f"{manifest_path}: {exc}") from None
 
 
 def run_from_manifest(manifest_path: str | Path, out_dir: str | Path | None = None) -> RunResult:

@@ -62,15 +62,11 @@ class ClientState:
     weights: ModelWeights
     version: VersionVector
     shard: DatasetShard
-    own_update_count: int = 0
 
-    def validate(self) -> None:
-        if int(self.version.entries[self.client_index]) != self.own_update_count:
-            raise ValueError(
-                f"client {self.client_index}: version entry "
-                f"{int(self.version.entries[self.client_index])} != "
-                f"own_update_count {self.own_update_count}"
-            )
+    @property
+    def own_update_count(self) -> int:
+        """Local updates this client has made: its own version entry."""
+        return int(self.version.entries[self.client_index])
 
 
 @dataclass(frozen=True)
@@ -126,8 +122,7 @@ class ClientNode:
 
     def version_entry(self) -> int:
         with self._lock:
-            s = self._state
-            return int(s.version.entries[s.client_index])
+            return self._state.own_update_count
 
     def weights_payload(self) -> tuple[np.ndarray, int]:
         with self._lock:
@@ -161,10 +156,15 @@ def weighted_average(entries: list[tuple[ModelWeights, int]]) -> ModelWeights:
         if count < 1:
             raise ValueError(f"sample counts must be positive, got {count}")
         total += count
-    acc = np.zeros(length, dtype=np.float64)
+    return _weighted_sum(entries, total)
+
+
+def _weighted_sum(entries: list[tuple[ModelWeights, int]], total: int) -> ModelWeights:
+    """Sum of count / total x params over entries, accumulated left to right."""
+    acc = np.zeros(entries[0][0].params.shape[0], dtype=np.float64)
     for weights, count in entries:
         acc += (count / total) * weights.params
-    return ModelWeights(fingerprint, acc)
+    return ModelWeights(entries[0][0].spec_fingerprint, acc)
 
 
 def _merge(
@@ -178,11 +178,7 @@ def _merge(
     # merge toward zero. Kept for study; "participants" is the default.
     if params.total_samples < 1:
         raise ValueError("merge_norm='global' requires total_samples")
-    fingerprint = entries[0][0].spec_fingerprint
-    acc = np.zeros(entries[0][0].params.shape[0], dtype=np.float64)
-    for weights, count in entries:
-        acc += (count / params.total_samples) * weights.params
-    return ModelWeights(fingerprint, acc)
+    return _weighted_sum(entries, params.total_samples)
 
 
 def fls_round(
@@ -244,7 +240,7 @@ def run_initiator_round(
     stale = sorted(select_stale_peers(v_old, v_new))
 
     bytes_received = 0
-    fetched: list[tuple[int, ModelWeights, int]] = []
+    entries = {state.client_index: (state.weights, state.shard.sample_count)}
     for peer in stale:
         payload, sample_count, nbytes = transport.fetch_weights(state.client_index, peer)
         if payload.shape != state.weights.params.shape:
@@ -252,18 +248,9 @@ def run_initiator_round(
                 f"peer {peer} sent {payload.shape[0]} params, expected "
                 f"{state.weights.params.shape[0]}"
             )
-        fetched.append(
-            (peer, ModelWeights(state.weights.spec_fingerprint, payload), sample_count)
-        )
+        entries[peer] = (ModelWeights(state.weights.spec_fingerprint, payload), sample_count)
         bytes_received += nbytes
-
-    entries = [(state.weights, state.shard.sample_count)] + [
-        (weights, count) for _, weights, count in fetched
-    ]
-    entries_by_index = sorted(
-        zip([state.client_index] + stale, entries), key=lambda pair: pair[0]
-    )
-    merged = _merge([entry for _, entry in entries_by_index], params)
+    merged = _merge([entries[i] for i in sorted(entries)], params)
 
     version = v_old.copy()
     for peer in stale:
@@ -271,7 +258,7 @@ def run_initiator_round(
     new_state = local_update(replace(state, weights=merged, version=version), params)
     report = MergeReport(
         initiator=state.client_index,
-        participants=frozenset([state.client_index, *stale]),
+        participants=frozenset(entries),
         bytes_received=bytes_received,
         v_old=v_old,
         v_new=v_new,
@@ -312,12 +299,7 @@ def local_update(state: ClientState, params: RoundParams) -> ClientState:
     )
     version = state.version.copy()
     version.entries[state.client_index] += 1
-    return replace(
-        state,
-        weights=weights,
-        version=version,
-        own_update_count=state.own_update_count + 1,
-    )
+    return replace(state, weights=weights, version=version)
 
 
 def pick_initiator(round_index: int, n_clients: int, rng_seed: int) -> int:

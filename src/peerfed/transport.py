@@ -8,17 +8,21 @@ The length prefix counts the 12 header bytes plus the payload. Weight
 payloads ship raw float64 parameters, so aggregation results do not
 depend on which transport carried them.
 
-Two transports share one client-side interface (``ping`` and
-``fetch_weights``): an in-process simulated transport that is
-deterministic given its seed and supports fault injection, and a TCP
-transport so peers can run as separate processes. Over TCP each client
-keeps one open connection to each peer it talks to and sends every request
-to that peer over it, one at a time; each peer's server answers all of its
-connections from one thread.
+Two transports carry the same exchange: an in-process simulated transport
+that is deterministic given its seed and supports fault injection, and a
+TCP transport so peers can run as separate processes. Both share one
+request path: the same ``ping`` and ``fetch_weights``, one responder
+(``reply_to``) that builds every reply a node sends, and one check
+(``_checked_reply``) that every reply passes before it is used. A
+transport only carries the frames, through its own ``_request``. Over TCP
+each client keeps one open connection to each peer it talks to and sends
+every request to that peer over it, one at a time; each peer's server
+answers all of its connections from one thread.
 """
 
 from __future__ import annotations
 
+import itertools
 import logging
 import selectors
 import socket
@@ -219,6 +223,50 @@ def weights_frame_bytes(n_params: int) -> int:
     return 4 + HEADER_BYTES + 8 + 8 * n_params
 
 
+def reply_to(node, client_index: int, request: Message | ProtocolError) -> Message:
+    """The reply client_index's node sends to a request, or to a frame that
+    failed to decode with the given error; the one responder of both transports."""
+    if isinstance(request, PingRequest):
+        return PingResponse(client_index, request.request_id, node.version_entry())
+    if isinstance(request, WeightsRequest):
+        params, sample_count = node.weights_payload()
+        return WeightsResponse(client_index, request.request_id, sample_count, params)
+    if isinstance(request, ProtocolError):
+        mismatch = isinstance(request, VersionMismatchError)
+        code = ERR_VERSION_MISMATCH if mismatch else ERR_BAD_REQUEST
+        return ErrorMessage(client_index, 0, code, str(request))
+    text = f"unexpected {type(request).__name__}"
+    return ErrorMessage(client_index, request.request_id, ERR_BAD_REQUEST, text)
+
+
+_REPLY_TYPES = {PingRequest: PingResponse, WeightsRequest: WeightsResponse}
+
+
+def _checked_reply(request: Message, reply_frame: bytes, peer: int) -> Message:
+    """Decode peer's reply to request; ProtocolError unless it answers request."""
+    reply = decode(reply_frame)
+    if isinstance(reply, ErrorMessage):
+        raise ProtocolError(f"client {peer} refused request: [{reply.code}] {reply.text}")
+    if reply.request_id != request.request_id:
+        raise ProtocolError(f"response id {reply.request_id} does not match request")
+    expected = _REPLY_TYPES[type(request)]
+    if not isinstance(reply, expected):
+        raise ProtocolError(f"expected {expected.__name__}, got {type(reply).__name__}")
+    return reply
+
+
+def _ping(self, sender: int, peer: int) -> int:
+    """Peer's own version, as it answers a ping."""
+    reply, _ = self._request(peer, PingRequest(sender, next(self._request_ids)))
+    return reply.own_version
+
+
+def _fetch_weights(self, sender: int, peer: int) -> tuple[np.ndarray, int, int]:
+    """Peer's (params, sample_count) and the byte length of the frame that carried them."""
+    reply, nbytes = self._request(peer, WeightsRequest(sender, next(self._request_ids)))
+    return reply.params, reply.sample_count, nbytes
+
+
 @dataclass(frozen=True)
 class TraceEntry:
     kind: str  # message kind, or "drop"/"unreachable" for lost traffic
@@ -227,14 +275,20 @@ class TraceEntry:
     nbytes: int
 
 
+_TRACE_KINDS = {PingRequest: "ping_request", PingResponse: "ping_response",
+                WeightsRequest: "weights_request", WeightsResponse: "weights_response"}
+
+
 class SimTransport:
     """In-process transport: synchronous request/response, FIFO per pair.
 
-    Every message still passes through encode/decode, so byte counts and
-    framing behave exactly as on the wire. Fault injection: per-peer
-    unreachable flags and a seeded per-message drop probability. The full
-    message trace is a pure function of (registered nodes, seed, call
-    sequence).
+    It shares the request path of the TCP transport: the same ping and
+    fetch_weights, the same responder and the same reply check; only the
+    carriage differs. Every message still passes through encode/decode, so
+    byte counts and framing behave exactly as on the wire. Fault
+    injection: per-peer unreachable flags and a seeded per-message drop
+    probability. The full message trace is a pure function of (registered
+    nodes, seed, call sequence).
     """
 
     def __init__(self, n_clients: int, seed: int = 0, drop_prob: float = 0.0):
@@ -249,7 +303,7 @@ class SimTransport:
         self._rng = np.random.default_rng(seed)
         self._nodes: dict[int, object] = {}
         self._down: set[int] = set()
-        self._next_request_id = 0
+        self._request_ids = itertools.count(1)
 
     def register(self, client_index: int, node) -> None:
         if not 0 <= client_index < self.n_clients:
@@ -262,7 +316,8 @@ class SimTransport:
         else:
             self._down.discard(client_index)
 
-    def _deliver(self, kind: str, sender: int, receiver: int, frame: bytes) -> None:
+    def _deliver(self, message: Message, receiver: int, frame: bytes) -> None:
+        sender = message.sender
         down = receiver if receiver in self._down else sender if sender in self._down else None
         if down is not None:
             self.trace.append(TraceEntry("unreachable", sender, receiver, 0))
@@ -270,56 +325,23 @@ class SimTransport:
         if self.drop_prob > 0.0 and self._rng.random() < self.drop_prob:
             self.trace.append(TraceEntry("drop", sender, receiver, 0))
             raise PeerUnreachableError(f"message to client {receiver} was dropped")
-        self.trace.append(TraceEntry(kind, sender, receiver, len(frame)))
+        self.trace.append(TraceEntry(_TRACE_KINDS[type(message)], sender, receiver, len(frame)))
         self._delivered += len(frame)
 
-    def _node(self, peer: int):
+    def _request(self, peer: int, request: Message) -> tuple[Message, int]:
+        """Carry request to peer and its reply back: (checked reply, reply bytes)."""
+        frame = encode(request)
+        self._deliver(request, peer, frame)
         node = self._nodes.get(peer)
         if node is None:
             raise PeerUnreachableError(f"client {peer} is not registered")
-        return node
+        reply = reply_to(node, peer, decode(frame))
+        reply_frame = encode(reply)
+        self._deliver(reply, request.sender, reply_frame)
+        return _checked_reply(request, reply_frame, peer), len(reply_frame)
 
-    def _request_id(self) -> int:
-        self._next_request_id += 1
-        return self._next_request_id
-
-    def ping(self, sender: int, peer: int) -> int:
-        request_id = self._request_id()
-        request = encode(PingRequest(sender=sender, request_id=request_id))
-        self._deliver("ping_request", sender, peer, request)
-        decoded = decode(request)
-        node = self._node(peer)
-        response = encode(
-            PingResponse(
-                sender=peer, request_id=decoded.request_id, own_version=node.version_entry()
-            )
-        )
-        self._deliver("ping_response", peer, sender, response)
-        reply = decode(response)
-        if reply.request_id != request_id:
-            raise ProtocolError("ping response id does not match request")
-        return reply.own_version
-
-    def fetch_weights(self, sender: int, peer: int) -> tuple[np.ndarray, int, int]:
-        request_id = self._request_id()
-        request = encode(WeightsRequest(sender=sender, request_id=request_id))
-        self._deliver("weights_request", sender, peer, request)
-        decoded = decode(request)
-        node = self._node(peer)
-        params, sample_count = node.weights_payload()
-        response = encode(
-            WeightsResponse(
-                sender=peer,
-                request_id=decoded.request_id,
-                sample_count=sample_count,
-                params=params,
-            )
-        )
-        self._deliver("weights_response", peer, sender, response)
-        reply = decode(response)
-        if reply.request_id != request_id:
-            raise ProtocolError("weights response id does not match request")
-        return reply.params, reply.sample_count, len(response)
+    ping = _ping
+    fetch_weights = _fetch_weights
 
     def delivered_bytes(self) -> int:
         return self._delivered
@@ -438,40 +460,13 @@ class TcpPeerServer:
             try:
                 message = decode(frame)
             except ProtocolError as exc:
-                code = (
-                    ERR_VERSION_MISMATCH
-                    if isinstance(exc, VersionMismatchError)
-                    else ERR_BAD_REQUEST
-                )
-                reply = ErrorMessage(
-                    sender=self.client_index, request_id=0, code=code, text=str(exc)
-                )
-                conn.sendall(encode(reply))
+                conn.sendall(encode(reply_to(self.node, self.client_index, exc)))
                 return False
             conn.sendall(encode(self.respond(message)))
         return True
 
     def respond(self, message: Message) -> Message:
-        if isinstance(message, PingRequest):
-            return PingResponse(
-                sender=self.client_index,
-                request_id=message.request_id,
-                own_version=self.node.version_entry(),
-            )
-        if isinstance(message, WeightsRequest):
-            params, sample_count = self.node.weights_payload()
-            return WeightsResponse(
-                sender=self.client_index,
-                request_id=message.request_id,
-                sample_count=sample_count,
-                params=params,
-            )
-        return ErrorMessage(
-            sender=self.client_index,
-            request_id=getattr(message, "request_id", 0),
-            code=ERR_BAD_REQUEST,
-            text=f"unexpected {type(message).__name__}",
-        )
+        return reply_to(self.node, self.client_index, message)
 
 
 class TcpTransport:
@@ -493,13 +488,14 @@ class TcpTransport:
         self.timeout_s = timeout_s
         self._addresses = {p.client_index: p.host_port() for p in peers}
         self.n_clients = len(self._addresses)
-        self._next_request_id = 0
+        self._request_ids = itertools.count(1)
         self._sockets: dict[int, socket.socket] = {}
 
-    def _request(self, peer: int, message: Message) -> Message:
+    def _request(self, peer: int, request: Message) -> tuple[Message, int]:
+        """Send request to peer and read its reply: (checked reply, reply bytes)."""
         if peer not in self._addresses:
             raise PeerUnreachableError(f"no address for client {peer}")
-        frame = encode(message)
+        frame = encode(request)
         reused = peer in self._sockets
         try:
             reply_frame = self._exchange(peer, frame)
@@ -512,17 +508,10 @@ class TcpTransport:
                 raise
             reply_frame = self._exchange(peer, frame)
         try:
-            reply = decode(reply_frame)
-            if isinstance(reply, ErrorMessage):
-                raise ProtocolError(
-                    f"client {peer} refused request: [{reply.code}] {reply.text}"
-                )
-            if reply.request_id != message.request_id:
-                raise ProtocolError(f"response id {reply.request_id} does not match request")
+            return _checked_reply(request, reply_frame, peer), len(reply_frame)
         except TransportError:
             self._forget(peer)
             raise
-        return reply
 
     def _exchange(self, peer: int, frame: bytes) -> bytes:
         """Send one request frame to peer and read back one reply frame."""
@@ -550,26 +539,8 @@ class TcpTransport:
         for peer in list(self._sockets):
             self._forget(peer)
 
-    def _request_id(self) -> int:
-        self._next_request_id += 1
-        return self._next_request_id
-
-    def ping(self, sender: int, peer: int) -> int:
-        reply = self._request(
-            peer, PingRequest(sender=sender, request_id=self._request_id())
-        )
-        if not isinstance(reply, PingResponse):
-            raise ProtocolError(f"expected ping response, got {type(reply).__name__}")
-        return reply.own_version
-
-    def fetch_weights(self, sender: int, peer: int) -> tuple[np.ndarray, int, int]:
-        reply = self._request(
-            peer, WeightsRequest(sender=sender, request_id=self._request_id())
-        )
-        if not isinstance(reply, WeightsResponse):
-            raise ProtocolError(f"expected weights response, got {type(reply).__name__}")
-        nbytes = weights_frame_bytes(reply.params.shape[0])
-        return reply.params, reply.sample_count, nbytes
+    ping = _ping
+    fetch_weights = _fetch_weights
 
 
 def parse_peer_table(entries: list) -> list[PeerAddress]:

@@ -62,11 +62,15 @@ def test_run_requires_config_or_manifest(capsys):
     ("infinite_base_lr", "base_lr"),
     ("negative_init_seed", "seeds.init"),
     ("negative_init_override", "seeds.init"),
+    ("zero_clients_override", "n_clients must be >= 1"),
+    ("zero_rounds_override", "rounds_fls must be >= 1"),
     ("missing_config", "absent.json"),
     ("peer_table_object", "peer table must be a JSON list"),
     ("self_index_out_of_range", "self_index 3"),
     ("manifest_bad_config", "gossip"),
     ("manifest_without_config", "not a run manifest"),
+    ("dataset_gen_missing_config", "absent.json"),
+    ("dataset_gen_rejected_config", "base_lr"),
 ])
 def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case, message):
     def write(name, text):
@@ -81,6 +85,8 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "negative_init_seed": lambda: ["run", "--config", write(
             "c.json", json.dumps({**cfg, "seeds": {"init": -1}}))],
         "negative_init_override": lambda: [*run, "--seed-init", "-1"],
+        "zero_clients_override": lambda: [*run, "--clients", "0"],
+        "zero_rounds_override": lambda: [*run, "--rounds", "0"],
         "missing_config": lambda: ["run", "--config", str(tmp_path / "absent.json")],
         "peer_table_object": lambda: [*run, "--transport", "tcp", "--self-index", "0",
                                       "--peers", write("p.json", '{"0": "127.0.0.1:1"}')],
@@ -91,6 +97,10 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "manifest_bad_config": lambda: ["run", "--from-manifest", write(
             "m.json", json.dumps({"config": {**cfg, "mode": "gossip"}}))],
         "manifest_without_config": lambda: ["run", "--from-manifest", write("m.json", "[]")],
+        "dataset_gen_missing_config": lambda: [
+            "dataset", "gen", "--config", str(tmp_path / "absent.json")],
+        "dataset_gen_rejected_config": lambda: [
+            "dataset", "gen", "--config", write("c.json", '{"base_lr": Infinity}')],
     }[case]()
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
@@ -113,6 +123,39 @@ def test_dataset_gen_and_dump(tmp_path, config_path, capsys):
     assert main(["dataset", "dump", "--in", str(out / "test.btds")]) == 0
     dump = capsys.readouterr().out
     assert "2 images" in dump and "cohort=" in dump
+
+
+@pytest.mark.parametrize("name, message", [
+    ("config.json", "not a BTDS file"),
+    ("absent.btds", "absent.btds"),
+], ids=["not_btds", "missing_file"])
+def test_dataset_dump_rejects_a_file_it_cannot_read(tmp_path, config_path, capsys,
+                                                     name, message):
+    assert main(["dataset", "dump", "--in", str(tmp_path / name)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("{}", "not a run manifest"),
+    ("[1]", "not a run manifest"),
+    ('{"config": {"mode": "gossip"}}', "gossip"),
+    ("{", "manifest.json"),
+], ids=["empty_object", "list", "rejected_config", "not_json"])
+def test_report_rejects_a_bad_manifest(tmp_path, config_path, capsys, manifest, message):
+    main(["run", "--config", str(config_path), "--out", str(tmp_path / "runs" / "good")])
+    bad = tmp_path / "runs" / "bad" / "manifest.json"
+    bad.parent.mkdir()
+    bad.write_text(manifest)
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(bad) in captured.err and message in captured.err
+    assert not (tmp_path / "runs" / "report.csv").exists()
 
 
 def test_report_renders_and_writes_csv(tmp_path, config_path, capsys):

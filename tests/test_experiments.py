@@ -322,8 +322,7 @@ class TestRunTraining:
         res = run_training(small_cfg(mode="braintorrent", sim_drop_prob=0.3))
         assert res.failed_rounds > 0
         assert res.total_updates < 12
-        for c in res.final_clients:
-            c.validate()
+        assert sum(c.own_update_count for c in res.final_clients) == res.total_updates
 
     def test_dice_in_unit_interval(self):
         res = run_training(small_cfg(mode="fls"))

@@ -46,7 +46,6 @@ def build_clients(n_clients: int, init_seed: int = 5):
             weights=w0.copy(),
             version=VersionVector.zeros(n_clients),
             shard=shards[i],
-            own_update_count=0,
         )
         for i in range(n_clients)
     ]
@@ -156,7 +155,6 @@ class TestFlsRound:
         for i, c in enumerate(new_clients):
             assert c.own_update_count == 1
             assert c.version.entries[i] == 1
-            c.validate()
 
     def test_aggregate_uses_full_sample_totals(self):
         clients = build_clients(3)  # shard sizes 3, 3, 2
@@ -247,7 +245,6 @@ class TestBtRound:
         assert state.weights.params.tobytes() == expected.params.tobytes()
         np.testing.assert_array_equal(state.version.entries, [0, 1, 1, 1])
         assert state.own_update_count == 1
-        state.validate()
 
     def test_merge_order_is_ascending_client_index(self):
         # Initiator 2 merging peers 0 and 1 must average in index order,
@@ -381,10 +378,3 @@ class TestVersionVector:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             VersionVector(np.array([0, -1]))
-
-    def test_client_state_validation(self):
-        clients = build_clients(2)
-        bad = ClientState(0, clients[0].weights, VersionVector(np.array([2, 0])),
-                          clients[0].shard, own_update_count=1)
-        with pytest.raises(ValueError):
-            bad.validate()

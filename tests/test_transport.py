@@ -398,16 +398,17 @@ class TestTcpTransport:
         finally:
             server.stop()
 
-    @pytest.mark.parametrize("bad_reply", ["error", "wrong_id"])
+    @pytest.mark.parametrize("bad_reply", ["error", "wrong_id", "wrong_type"])
     def test_bad_reply_drops_the_connection(self, connects, bad_reply):
         server = self.start_server(StubNode(version=3))
         try:
             transport = self.transport_for(server)
             assert transport.ping(0, 1) == 3
-            if bad_reply == "error":
-                server.respond = lambda m: ErrorMessage(1, m.request_id, 2, "no")
-            else:
-                server.respond = lambda m: PingResponse(1, m.request_id + 1, 3)
+            server.respond = {
+                "error": lambda m: ErrorMessage(1, m.request_id, 2, "no"),
+                "wrong_id": lambda m: PingResponse(1, m.request_id + 1, 3),
+                "wrong_type": lambda m: WeightsResponse(1, m.request_id, 1, np.zeros(2)),
+            }[bad_reply]
             with pytest.raises(ProtocolError):
                 transport.ping(0, 1)
             del server.respond
