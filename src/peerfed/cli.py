@@ -19,8 +19,10 @@ from .experiments import (
     manifest_config,
     run_experiment1,
     run_experiment2,
+    run_summary,
     run_tcp_peer,
     run_training,
+    write_table,
 )
 from .transport import parse_peer_table
 
@@ -89,16 +91,12 @@ def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg, peers = _run_inputs(args)
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
     except (OSError, ValueError) as exc:
         return _error(exc)
 
-    if args.from_manifest:
-        result = run_training(cfg, out_dir=args.out)
-        print(f"reproduced run: {result.config.mode}, "
-              f"final avg dice {result.final.avg_client_dice:.4f}")
-        return 0
-
-    if args.experiment:
+    if args.experiment and not args.from_manifest:
         run = run_experiment1 if args.experiment == "exp1" else run_experiment2
         for name, table in run(cfg, out_dir=args.out)["tables"].items():
             if isinstance(table, tuple):  # (headers, rows), as in <name>.csv
@@ -115,14 +113,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         print(f"client {args.self_index} final weights: {path}")
         return 0
 
-    result = run_training(cfg, out_dir=args.out)
-    final = result.final
-    print(f"mode={cfg.mode} clients={cfg.n_clients} rounds={cfg.rounds_fls}")
-    print(f"final avg dice over clients: {final.avg_client_dice:.4f}")
-    print(f"final aggregated-model dice: {final.aggregated_model_dice:.4f}")
-    print(f"bytes transferred: {final.bytes_transferred}")
-    if args.out:
-        print(f"outputs written to {args.out}")
+    print("\n".join(run_summary(run_training(cfg, out_dir=args.out))))
     return 0
 
 
@@ -148,6 +139,21 @@ def cmd_dataset(args: argparse.Namespace) -> int:
     return 0
 
 
+def _metrics_rows(path: Path) -> list[list]:
+    """(round_index, avg dice, aggregated dice, bytes) of each row of a run's
+    metrics.csv; ValueError naming the file for a missing column or a bad number.
+    """
+    with open(path) as fh:
+        try:
+            return [[int(rec["round_index"]), float(rec["avg_client_dice"]),
+                     float(rec["aggregated_model_dice"]), int(rec["bytes_transferred"])]
+                    for rec in csv.DictReader(fh)]
+        except KeyError as exc:
+            raise ValueError(f"{path}: no {exc} column") from None
+        except (TypeError, ValueError) as exc:  # TypeError: a row short of a column
+            raise ValueError(f"{path}: {exc}") from None
+
+
 def cmd_report(args: argparse.Namespace) -> int:
     root = Path(args.indir)
     manifests = sorted(root.glob("**/manifest.json"))
@@ -156,37 +162,25 @@ def cmd_report(args: argparse.Namespace) -> int:
         return 1
     rows = []
     plot_rows = []
-    for manifest_path in manifests:
-        run_dir = manifest_path.parent
-        try:
+    try:
+        for manifest_path in manifests:
+            run_dir = manifest_path.parent
             cfg = manifest_config(manifest_path)
-            with open(run_dir / "metrics.csv") as fh:
-                records = list(csv.DictReader(fh))
-        except (OSError, ValueError) as exc:
-            return _error(exc)
-        if not records:
-            continue
-        final = records[-1]
-        name = run_dir.relative_to(root).as_posix() or run_dir.name
-        rows.append([
-            name, cfg.mode, str(cfg.n_clients),
-            f"{float(final['avg_client_dice']):.4f}",
-            f"{float(final['aggregated_model_dice']):.4f}",
-            final["bytes_transferred"],
-        ])
-        for rec in records:
-            plot_rows.append([
-                name, cfg.mode, str(cfg.n_clients), rec["round_index"],
-                rec["avg_client_dice"], rec["aggregated_model_dice"],
-                rec["bytes_transferred"],
-            ])
-    _print_table(["run", "mode", "clients", "avg dice", "agg dice", "bytes"], rows)
-    out_csv = Path(args.out) if args.out else root / "report.csv"
-    with open(out_csv, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["run", "mode", "n_clients", "round_index",
-                         "avg_client_dice", "aggregated_model_dice", "bytes_transferred"])
-        writer.writerows(plot_rows)
+            records = _metrics_rows(run_dir / "metrics.csv")
+            if not records:
+                continue
+            name = (run_dir.relative_to(root).as_posix() if run_dir != root
+                    else root.resolve().name)
+            _, avg, agg, nbytes = records[-1]
+            rows.append([name, cfg.mode, cfg.n_clients, avg, agg, nbytes])
+            plot_rows += [[name, cfg.mode, cfg.n_clients, *rec] for rec in records]
+        out_csv = Path(args.out) if args.out else root / "report.csv"
+        write_table(out_csv, ["run", "mode", "n_clients", "round_index", "avg_client_dice",
+                              "aggregated_model_dice", "bytes_transferred"], plot_rows)
+    except (OSError, ValueError) as exc:
+        return _error(exc)
+    _print_table(["run", "mode", "clients", "avg dice", "agg dice", "bytes"],
+                 [[_cell(v) for v in row] for row in rows])
     print(f"plot-ready CSV: {out_csv}")
     return 0
 

@@ -27,6 +27,9 @@ _RADIUS_SWING = 0.3
 _CENTER_JITTER = 0.1
 _OUTER_RADIUS = 0.95
 
+# Seeds generate_dataset_for_cohorts tries before it gives up on exact counts.
+COHORT_MAX_ATTEMPTS = 32
+
 
 @dataclass
 class SegImage:
@@ -184,13 +187,12 @@ def generate_dataset_for_cohorts(
     cfg: GenConfig,
     boundaries: list[float],
     counts: list[int],
-    max_attempts: int = 32,
 ) -> tuple[list[SegImage], list[SegImage]]:
     """Generate a dataset whose train cohorts hit exact per-bucket counts.
 
     Train cohorts are drawn inside their target buckets, then the realized
     histogram is verified; on a miss the whole generation retries with the
-    seed bumped by one, up to max_attempts.
+    seed bumped by one, up to COHORT_MAX_ATTEMPTS times.
     """
     if len(counts) != len(boundaries) + 1:
         raise ValueError(
@@ -205,7 +207,7 @@ def generate_dataset_for_cohorts(
     if not all(edges[i] < edges[i + 1] for i in range(len(edges) - 1)):
         raise ValueError(f"boundaries {boundaries} must lie strictly inside (0, 100)")
 
-    for attempt in range(max_attempts):
+    for attempt in range(COHORT_MAX_ATTEMPTS):
         attempt_cfg = replace(cfg, seed=cfg.seed + attempt)
         rng = np.random.default_rng(derive_seed(attempt_cfg.seed, "cohorts-targeted"))
         per_bucket = [
@@ -222,7 +224,7 @@ def generate_dataset_for_cohorts(
         if list(realized) == list(counts):
             return train, test
     raise RuntimeError(
-        f"could not realize cohort counts {counts} within {max_attempts} attempts"
+        f"could not realize cohort counts {counts} within {COHORT_MAX_ATTEMPTS} attempts"
     )
 
 

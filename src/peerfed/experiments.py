@@ -168,11 +168,17 @@ class SplitSpec:
         if self.kind == "cohort":
             if self.boundaries is None:
                 raise ValueError("cohort split requires boundaries")
+            edges = (0.0, *self.boundaries, 100.0)
+            if not all(a < b for a, b in zip(edges, edges[1:])):
+                raise ValueError(f"split boundaries {list(self.boundaries)} must be strictly "
+                                 "increasing and strictly inside (0, 100)")
             if self.counts is not None and len(self.counts) != len(self.boundaries) + 1:
                 raise ValueError(
                     f"need {len(self.boundaries) + 1} counts for "
                     f"{len(self.boundaries)} boundaries"
                 )
+            if self.counts is not None and min(self.counts) < 1:
+                raise ValueError(f"split counts {list(self.counts)} must each be >= 1")
 
 
 @dataclass(frozen=True)
@@ -275,7 +281,6 @@ class RunResult:
     total_updates: int
     failed_rounds: int
     trajectory: list[list[np.ndarray]] | None = None
-    manifest: dict | None = None
 
     @property
     def final(self) -> MetricsRecord:
@@ -320,7 +325,7 @@ def evaluate_model(
     return float(np.mean(scores))
 
 
-def _round_params(cfg: ExperimentConfig, total_samples: int) -> RoundParams:
+def _round_params(cfg: ExperimentConfig, shards: list[DatasetShard]) -> RoundParams:
     return RoundParams(
         spec=cfg.model,
         epochs=cfg.epochs_per_round,
@@ -329,7 +334,7 @@ def _round_params(cfg: ExperimentConfig, total_samples: int) -> RoundParams:
         shuffle_seed=cfg.seeds.shuffle,
         merge_norm=cfg.merge_norm,
         on_unreachable=cfg.on_unreachable,
-        total_samples=total_samples,
+        total_samples=sum(s.sample_count for s in shards),
     )
 
 
@@ -406,7 +411,7 @@ def run_training(
     )
     for i, node in enumerate(nodes):
         transport.register(i, node)
-    params = _round_params(cfg, total_samples=sum(s.sample_count for s in shards))
+    params = _round_params(cfg, shards)
     frame_bytes = weights_frame_bytes(cfg.model.param_count())
 
     server: ModelWeights | None = None  # the last server round's aggregate
@@ -480,7 +485,7 @@ def run_training(
         trajectory=trajectory,
     )
     if out_dir is not None:
-        result.manifest = write_run_outputs(result, Path(out_dir), started_at)
+        write_run_outputs(result, Path(out_dir), started_at)
     return result
 
 
@@ -489,24 +494,26 @@ def format_real(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def table_csv(headers: list[str], rows: list[list]) -> str:
+    """A table as CSV text: reals at 17 significant digits, other values as they are."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(headers)
+    writer.writerows([format_real(v) if isinstance(v, float) else v for v in row]
+                     for row in rows)
+    return buffer.getvalue()
+
+
 def metrics_to_csv(records: list[MetricsRecord]) -> str:
     """Render records as CSV with a stable column order and no wall-clock timing."""
     n_clients = len(records[0].per_client_dice) if records else 0
     columns = ["round_index", "avg_client_dice", "aggregated_model_dice", "bytes_transferred"]
     columns += [f"client_{i:02d}_dice" for i in range(n_clients)]
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(columns)
-    for rec in records:
-        row = [
-            str(rec.round_index),
-            format_real(rec.avg_client_dice),
-            format_real(rec.aggregated_model_dice),
-            str(rec.bytes_transferred),
-        ]
-        row += [format_real(d) for d in rec.per_client_dice]
-        writer.writerow(row)
-    return buffer.getvalue()
+    return table_csv(columns, [
+        [rec.round_index, rec.avg_client_dice, rec.aggregated_model_dice,
+         rec.bytes_transferred, *rec.per_client_dice]
+        for rec in records
+    ])
 
 
 def metrics_to_json(records: list[MetricsRecord]) -> str:
@@ -521,20 +528,6 @@ def metrics_to_json(records: list[MetricsRecord]) -> str:
         for rec in records
     ]
     return json.dumps({"records": out}, indent=2) + "\n"
-
-
-def emit_metrics(records: list[MetricsRecord], path: str | Path, fmt: str = "csv") -> Path:
-    """Write records to a file; canonical output excludes wall-clock timing."""
-    path = Path(path)
-    if fmt == "csv":
-        text = metrics_to_csv(records)
-    elif fmt == "json":
-        text = metrics_to_json(records)
-    else:
-        raise ValueError(f"unknown metrics format {fmt!r}")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-    return path
 
 
 def run_environment() -> dict:
@@ -556,11 +549,25 @@ def run_environment() -> dict:
     }
 
 
-def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> dict:
+def run_summary(result: RunResult) -> list[str]:
+    """The lines of a run's report.txt, which `peerfed run` also prints."""
+    cfg, final = result.config, result.final
+    return [
+        f"mode={cfg.mode} n_clients={cfg.n_clients} rounds_fls={cfg.rounds_fls}",
+        f"total client updates: {result.total_updates} "
+        f"(failed rounds: {result.failed_rounds})",
+        f"final avg dice over clients: {final.avg_client_dice:.4f}",
+        f"final aggregated-model dice: {final.aggregated_model_dice:.4f}",
+        f"bytes transferred: {final.bytes_transferred}",
+        f"wall time: {final.wall_time_ms} ms",
+    ]
+
+
+def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> None:
     """Persist metrics (canonical), a reproduction manifest, and a report."""
     out_dir.mkdir(parents=True, exist_ok=True)
-    metrics_csv = emit_metrics(result.records, out_dir / "metrics.csv", "csv")
-    metrics_json = emit_metrics(result.records, out_dir / "metrics.json", "json")
+    (out_dir / "metrics.csv").write_text(metrics_to_csv(result.records))
+    (out_dir / "metrics.json").write_text(metrics_to_json(result.records))
 
     manifest = {
         "config": result.config.to_dict(),
@@ -572,29 +579,13 @@ def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> dict
         "shard_sizes": [c.shard.sample_count for c in result.final_clients],
         "environment": run_environment(),
         "outputs": {
-            "metrics_csv": metrics_csv.name,
-            "metrics_json": metrics_json.name,
+            "metrics_csv": "metrics.csv",
+            "metrics_json": "metrics.json",
             "report": "report.txt",
         },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
-
-    lines = [
-        f"mode={result.config.mode} n_clients={result.config.n_clients} "
-        f"rounds_fls={result.config.rounds_fls}",
-        f"total client updates: {result.total_updates} "
-        f"(failed rounds: {result.failed_rounds})",
-    ]
-    if result.records:
-        final = result.final
-        lines += [
-            f"final avg dice over clients: {final.avg_client_dice:.4f}",
-            f"final aggregated-model dice: {final.aggregated_model_dice:.4f}",
-            f"bytes transferred: {final.bytes_transferred}",
-            f"wall time: {final.wall_time_ms} ms",
-        ]
-    (out_dir / "report.txt").write_text("\n".join(lines) + "\n")
-    return manifest
+    (out_dir / "report.txt").write_text("\n".join(run_summary(result)) + "\n")
 
 
 def manifest_config(manifest_path: str | Path) -> ExperimentConfig:
@@ -624,13 +615,9 @@ def _run_name(mode: str, n_clients: int) -> str:
 
 
 def write_table(path: Path, headers: list[str], rows: list[list]) -> None:
-    """Write one experiment table as CSV, reals at 17 significant digits."""
+    """Write one table as CSV (table_csv), making its directory if need be."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(headers)
-        writer.writerows([format_real(v) if isinstance(v, float) else v for v in row]
-                         for row in rows)
+    path.write_text(table_csv(headers, rows))
 
 
 def _client_columns(n_clients: int) -> list[str]:
@@ -738,6 +725,10 @@ def run_experiment2(
 # ---------------------------------------------------------------------------
 
 
+ROUND_DEADLINE_S = 120.0  # a TCP peer's bound on waiting for peers and on retrying a round
+FINAL_GRACE_S = 2.0  # how long a finished TCP peer keeps serving its final weights
+
+
 def _wait_for_versions(
     transport: TcpTransport,
     self_index: int,
@@ -783,8 +774,6 @@ def run_tcp_peer(
     self_index: int,
     peers: list[PeerAddress],
     out_dir: str | Path,
-    round_deadline_s: float = 120.0,
-    grace_s: float = 2.0,
 ) -> Path:
     """Run one peer process of a serialized-schedule peer-protocol training.
 
@@ -803,10 +792,7 @@ def run_tcp_peer(
     train, _ = build_dataset(cfg)
     shards = build_shards(cfg, train)
     state = _initial_clients(cfg, shards)[self_index]
-    params = replace(
-        _round_params(cfg, total_samples=sum(s.sample_count for s in shards)),
-        on_unreachable="abort",
-    )
+    params = replace(_round_params(cfg, shards), on_unreachable="abort")
 
     node = ClientNode(state)
     address = next(p for p in peers if p.client_index == self_index)
@@ -822,8 +808,8 @@ def run_tcp_peer(
             elif step == self_index:
                 _wait_for_versions(transport, self_index, node.version_entry(),
                                    expected_versions(steps[:r], cfg.n_clients),
-                                   round_deadline_s)
-                deadline = time.monotonic() + round_deadline_s
+                                   ROUND_DEADLINE_S)
+                deadline = time.monotonic() + ROUND_DEADLINE_S
                 while True:
                     try:
                         new_state, _ = run_initiator_round(node.state, transport, params)
@@ -836,10 +822,10 @@ def run_tcp_peer(
 
         _wait_for_versions(transport, self_index, node.version_entry(),
                            expected_versions(steps, cfg.n_clients),
-                           round_deadline_s, allow_down=True)
+                           ROUND_DEADLINE_S, allow_down=True)
         weights_path = out_dir / f"client_{self_index}_weights.npy"
         np.save(weights_path, node.state.weights.params)
-        time.sleep(grace_s)  # let slower peers finish their final polls
+        time.sleep(FINAL_GRACE_S)  # let slower peers finish their final polls
         return weights_path
     finally:
         transport.close()

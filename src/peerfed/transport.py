@@ -162,13 +162,14 @@ def encode(msg: Message) -> bytes:
     return struct.pack("<I", len(body)) + body
 
 
-def decode(data: bytes, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> Message:
+def decode(data: bytes) -> Message:
     """Parse exactly one frame; total over arbitrary bytes (raises, never crashes)."""
     if len(data) < 4:
         raise IncompleteFrameError(f"need 4 length bytes, have {len(data)}")
     (length,) = struct.unpack_from("<I", data, 0)
-    if length > max_frame_bytes:
-        raise OversizeFrameError(f"frame of {length} bytes exceeds cap {max_frame_bytes}")
+    if length > DEFAULT_MAX_FRAME_BYTES:
+        raise OversizeFrameError(
+            f"frame of {length} bytes exceeds cap {DEFAULT_MAX_FRAME_BYTES}")
     if len(data) - 4 < length:
         raise IncompleteFrameError(f"frame claims {length} bytes, have {len(data) - 4}")
     if len(data) - 4 > length:
@@ -267,18 +268,6 @@ def _fetch_weights(self, sender: int, peer: int) -> tuple[np.ndarray, int, int]:
     return reply.params, reply.sample_count, nbytes
 
 
-@dataclass(frozen=True)
-class TraceEntry:
-    kind: str  # message kind, or "drop"/"unreachable" for lost traffic
-    sender: int
-    receiver: int
-    nbytes: int
-
-
-_TRACE_KINDS = {PingRequest: "ping_request", PingResponse: "ping_response",
-                WeightsRequest: "weights_request", WeightsResponse: "weights_response"}
-
-
 class SimTransport:
     """In-process transport: synchronous request/response, FIFO per pair.
 
@@ -287,8 +276,8 @@ class SimTransport:
     carriage differs. Every message still passes through encode/decode, so
     byte counts and framing behave exactly as on the wire. Fault
     injection: per-peer unreachable flags and a seeded per-message drop
-    probability. The full message trace is a pure function of (registered
-    nodes, seed, call sequence).
+    probability. Which messages are dropped is a pure function of (seed,
+    call sequence).
     """
 
     def __init__(self, n_clients: int, seed: int = 0, drop_prob: float = 0.0):
@@ -298,8 +287,7 @@ class SimTransport:
             raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
         self.n_clients = n_clients
         self.drop_prob = drop_prob
-        self.trace: list[TraceEntry] = []
-        self._delivered = 0  # sum of trace nbytes
+        self._delivered = 0  # bytes of every frame delivered
         self._rng = np.random.default_rng(seed)
         self._nodes: dict[int, object] = {}
         self._down: set[int] = set()
@@ -320,12 +308,9 @@ class SimTransport:
         sender = message.sender
         down = receiver if receiver in self._down else sender if sender in self._down else None
         if down is not None:
-            self.trace.append(TraceEntry("unreachable", sender, receiver, 0))
             raise PeerUnreachableError(f"client {down} is unreachable")
         if self.drop_prob > 0.0 and self._rng.random() < self.drop_prob:
-            self.trace.append(TraceEntry("drop", sender, receiver, 0))
             raise PeerUnreachableError(f"message to client {receiver} was dropped")
-        self.trace.append(TraceEntry(_TRACE_KINDS[type(message)], sender, receiver, len(frame)))
         self._delivered += len(frame)
 
     def _request(self, peer: int, request: Message) -> tuple[Message, int]:
@@ -359,12 +344,13 @@ def _recv_exact(sock: socket.socket, n: int) -> bytes:
     return b"".join(chunks)
 
 
-def read_frame(sock: socket.socket, max_frame_bytes: int = DEFAULT_MAX_FRAME_BYTES) -> bytes:
+def read_frame(sock: socket.socket) -> bytes:
     """Read one length-prefixed frame off a socket."""
     prefix = _recv_exact(sock, 4)
     (length,) = struct.unpack("<I", prefix)
-    if length > max_frame_bytes:
-        raise OversizeFrameError(f"frame of {length} bytes exceeds cap {max_frame_bytes}")
+    if length > DEFAULT_MAX_FRAME_BYTES:
+        raise OversizeFrameError(
+            f"frame of {length} bytes exceeds cap {DEFAULT_MAX_FRAME_BYTES}")
     return prefix + _recv_exact(sock, length)
 
 

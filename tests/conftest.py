@@ -1,4 +1,4 @@
-"""Shared helpers for spawning loopback TCP peer processes."""
+"""Shared helpers: a frame recorder for SimTransport, and loopback TCP peer processes."""
 
 from __future__ import annotations
 
@@ -6,6 +6,37 @@ import json
 import socket
 import subprocess
 import sys
+from typing import NamedTuple
+
+from peerfed.transport import PeerUnreachableError
+
+
+class Frame(NamedTuple):
+    kind: type  # the message type the frame carries
+    sender: int
+    receiver: int
+    nbytes: int  # 0 for a frame lost to a fault
+
+
+def record_frames(transport) -> list[Frame]:
+    """Every frame a SimTransport carries from now on, in order.
+
+    Wraps the transport's _deliver, so the fault checks and drop draws
+    run exactly as they would unrecorded.
+    """
+    frames: list[Frame] = []
+    deliver = transport._deliver
+
+    def recording(message, receiver, frame):
+        try:
+            deliver(message, receiver, frame)
+        except PeerUnreachableError:
+            frames.append(Frame(type(message), message.sender, receiver, 0))
+            raise
+        frames.append(Frame(type(message), message.sender, receiver, len(frame)))
+
+    transport._deliver = recording
+    return frames
 
 
 def free_ports(n: int) -> list[int]:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import run_tcp_peers
+from conftest import record_frames, run_tcp_peers
 
 from peerfed.data import GenConfig, generate_dataset, split_uniform
 from peerfed.experiments import (
@@ -196,6 +196,7 @@ def test_criterion_5_protocol_bookkeeping():
     transport = SimTransport(6, seed=42, drop_prob=0.05)
     for i, node in enumerate(nodes):
         transport.register(i, node)
+    frames = record_frames(transport)
     params = RoundParams(spec=spec, shuffle_seed=4, on_unreachable="skip")
 
     fault_rng = np.random.default_rng(77)
@@ -209,7 +210,7 @@ def test_criterion_5_protocol_bookkeeping():
         initiator = pick_initiator(r, 6, rng_seed=99)
         before = [n.state for n in nodes]
         before_vectors = [s.version.entries.copy() for s in before]
-        trace_mark = len(transport.trace)
+        frames_mark = len(frames)
         try:
             rep = bt_round(nodes, initiator, params, transport)
         except PeerUnreachableError:
@@ -219,8 +220,8 @@ def test_criterion_5_protocol_bookkeeping():
                     violations.append(f"round {r}: aborted round mutated client {i}")
             continue
         successes += 1
-        responses = [e for e in transport.trace[trace_mark:]
-                     if e.kind == "weights_response"]
+        responses = [f for f in frames[frames_mark:]
+                     if f.kind is WeightsResponse and f.nbytes > 0]
         stale = len(rep.participants) - 1
         if len(responses) != stale:
             violations.append(

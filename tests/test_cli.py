@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from peerfed import cli
 from peerfed.cli import main
 from peerfed.data import load_dataset
 
@@ -31,6 +32,31 @@ def test_run_writes_outputs(tmp_path, config_path, capsys):
     assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
     assert (out / "metrics.csv").exists()
     assert "final avg dice" in capsys.readouterr().out
+
+
+def test_run_prints_the_lines_of_its_report(tmp_path, config_path, capsys):
+    out = tmp_path / "run"
+    assert main(["run", "--config", str(config_path), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == (out / "report.txt").read_text()
+    replay = tmp_path / "replay"
+    assert main(["run", "--from-manifest", str(out / "manifest.json"),
+                 "--out", str(replay)]) == 0
+    assert capsys.readouterr().out == (replay / "report.txt").read_text()
+
+
+def test_run_out_under_a_regular_file_fails_before_training(tmp_path, config_path, capsys,
+                                                           monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained although --out cannot be made")
+
+    monkeypatch.setattr(cli, "run_training", no_training)
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    assert main(["run", "--config", str(config_path), "--out", str(blocker / "run")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(blocker) in captured.err
 
 
 def test_run_mode_and_seed_overrides(tmp_path, config_path):
@@ -71,6 +97,10 @@ def test_run_requires_config_or_manifest(capsys):
     ("manifest_without_config", "not a run manifest"),
     ("dataset_gen_missing_config", "absent.json"),
     ("dataset_gen_rejected_config", "base_lr"),
+    ("cohort_boundary_past_100", "strictly inside (0, 100)"),
+    ("cohort_boundaries_decreasing", "strictly increasing"),
+    ("cohort_boundary_past_100_with_counts", "strictly inside (0, 100)"),
+    ("cohort_empty_bucket", "counts [3, 3, 0] must each be >= 1"),
 ])
 def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case, message):
     def write(name, text):
@@ -80,6 +110,12 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
     cfg = json.loads(config_path.read_text())
     run = ["run", "--config", str(config_path)]
     peers = [{"client_index": i, "endpoint": f"127.0.0.1:{i + 1}"} for i in range(3)]
+
+    def cohort(n_clients, boundaries, counts=None):
+        split = {"kind": "cohort", "boundaries": boundaries, "counts": counts or []}
+        text = json.dumps({**cfg, "n_clients": n_clients, "split": split})
+        return ["run", "--config", write("c.json", text)]
+
     argv = {
         "infinite_base_lr": lambda: ["run", "--config", write("c.json", '{"base_lr": Infinity}')],
         "negative_init_seed": lambda: ["run", "--config", write(
@@ -101,6 +137,10 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
             "dataset", "gen", "--config", str(tmp_path / "absent.json")],
         "dataset_gen_rejected_config": lambda: [
             "dataset", "gen", "--config", write("c.json", '{"base_lr": Infinity}')],
+        "cohort_boundary_past_100": lambda: cohort(2, [150.0]),
+        "cohort_boundaries_decreasing": lambda: cohort(3, [50.0, 40.0]),
+        "cohort_boundary_past_100_with_counts": lambda: cohort(3, [50.0, 150.0], [2, 2, 2]),
+        "cohort_empty_bucket": lambda: cohort(3, [20.0, 40.0], [3, 3, 0]),
     }[case]()
     assert main([*argv, "--out", str(tmp_path / "out")]) == 2
     captured = capsys.readouterr()
@@ -168,6 +208,38 @@ def test_report_renders_and_writes_csv(tmp_path, config_path, capsys):
     report = (tmp_path / "runs" / "report.csv").read_text().splitlines()
     assert report[0].startswith("run,mode,n_clients,round_index")
     assert len(report) > 2
+
+
+def test_report_on_one_run_directory_names_it(tmp_path, config_path, capsys):
+    run_dir = tmp_path / "runs" / "r1"
+    main(["run", "--config", str(config_path), "--out", str(run_dir)])
+    capsys.readouterr()
+    assert main(["report", "--in", str(run_dir)]) == 0
+    assert capsys.readouterr().out.splitlines()[2].startswith("r1 ")
+    assert (run_dir / "report.csv").read_text().splitlines()[1].startswith("r1,fls,3,")
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda text: text.replace("avg_client_dice", "avg_dice", 1), "no 'avg_client_dice' column"),
+    (lambda text: text.replace("\n1,", "\none,", 1), "invalid literal for int()"),
+], ids=["missing_column", "not_a_number"])
+def test_report_rejects_a_bad_metrics_table(tmp_path, config_path, capsys, edit, message):
+    metrics = tmp_path / "runs" / "r1" / "metrics.csv"
+    main(["run", "--config", str(config_path), "--out", str(metrics.parent)])
+    metrics.write_text(edit(metrics.read_text()))
+    capsys.readouterr()
+    assert main(["report", "--in", str(tmp_path / "runs")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert str(metrics) in captured.err and message in captured.err
+
+
+def test_report_out_makes_its_directory(tmp_path, config_path, capsys):
+    main(["run", "--config", str(config_path), "--out", str(tmp_path / "runs" / "r1")])
+    out = tmp_path / "new" / "dir" / "report.csv"
+    assert main(["report", "--in", str(tmp_path / "runs"), "--out", str(out)]) == 0
+    assert out.read_text().startswith("run,mode,n_clients,round_index")
 
 
 def test_report_empty_dir_fails(tmp_path, capsys):

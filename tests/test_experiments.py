@@ -10,6 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import record_frames
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,11 +29,11 @@ from peerfed.experiments import (
     bt_total_rounds,
     build_dataset,
     build_shards,
-    emit_metrics,
     evaluate_model,
     expected_versions,
     manifest_config,
     metrics_to_csv,
+    metrics_to_json,
     run_experiment1,
     run_experiment2,
     run_from_manifest,
@@ -205,6 +206,10 @@ class TestConfig:
         ("data.feature_scale", float("inf")),
         ("split.boundaries", [20.0, float("nan"), 40.0]),
         pytest.param("base_lr", 10**400, id="base_lr-int_past_float_range"),
+        pytest.param("split.boundaries", [20.0, 30.0, 150.0], id="split.boundaries-past_100"),
+        pytest.param("split.boundaries", [0.0, 30.0, 40.0], id="split.boundaries-at_0"),
+        pytest.param("split.boundaries", [20.0, 40.0, 30.0], id="split.boundaries-decreasing"),
+        pytest.param("split.counts", [3, 3, 0, 2], id="split.counts-empty_bucket"),
     ])
     def test_wrongly_typed_value_rejected(self, path, value):
         # A cohort split, so that only the value under test is wrong.
@@ -313,7 +318,7 @@ class TestRunTraining:
                 c.version.entries, [3 if j == i else 0 for j in range(4)]
             )
 
-    def test_bt_bytes_match_transport_trace(self):
+    def test_bt_run_transfers_bytes_without_failures(self):
         res = run_training(small_cfg(mode="braintorrent"))
         assert res.final.bytes_transferred > 0
         assert res.failed_rounds == 0
@@ -351,13 +356,13 @@ class TestRunTraining:
         class RecordingSimTransport(SimTransport):
             def __init__(self, *args, **kwargs):
                 super().__init__(*args, **kwargs)
-                made.append(self)
+                made.append((self, record_frames(self)))
 
         monkeypatch.setattr(experiments, "SimTransport", RecordingSimTransport)
         res = run_training(small_cfg(mode="braintorrent", sim_drop_prob=0.3))
-        (transport,) = made
+        ((transport, frames),) = made
         assert res.failed_rounds > 0
-        assert transport.delivered_bytes() == sum(e.nbytes for e in transport.trace)
+        assert transport.delivered_bytes() == sum(f.nbytes for f in frames)
         assert res.final.bytes_transferred == transport.delivered_bytes()
 
 
@@ -431,35 +436,26 @@ class TestMetricsFiles:
             MetricsRecord(2, [0.625, 0.5], 0.5625, 0.6, 200, 30),
         ]
 
-    def test_header_only_for_empty_records(self, tmp_path):
-        path = emit_metrics([], tmp_path / "m.csv", "csv")
-        lines = path.read_text().splitlines()
+    def test_header_only_for_empty_records(self):
+        lines = metrics_to_csv([]).splitlines()
         assert len(lines) == 1
         assert lines[0].startswith("round_index,")
 
-    def test_csv_row_count(self, tmp_path):
-        path = emit_metrics(self.records(), tmp_path / "m.csv", "csv")
-        assert len(path.read_text().splitlines()) == 3
+    def test_csv_row_count(self):
+        assert len(metrics_to_csv(self.records()).splitlines()) == 3
 
-    def test_json_round_trips_through_generic_parser(self, tmp_path):
-        path = emit_metrics(self.records(), tmp_path / "m.json", "json")
-        parsed = json.loads(path.read_text())
+    def test_json_round_trips_through_generic_parser(self):
+        parsed = json.loads(metrics_to_json(self.records()))
         assert parsed["records"][1]["avg_client_dice"] == 0.5625
         assert parsed["records"][0]["per_client_dice"] == [0.5, 0.25]
 
-    def test_reals_have_17_significant_digits(self, tmp_path):
+    def test_reals_have_17_significant_digits(self):
         third = 1 / 3
-        path = emit_metrics([MetricsRecord(1, [third], third, third, 0, 0)],
-                            tmp_path / "m.csv", "csv")
-        assert "0.33333333333333331" in path.read_text()
+        text = metrics_to_csv([MetricsRecord(1, [third], third, third, 0, 0)])
+        assert "0.33333333333333331" in text
 
-    def test_timing_excluded_by_default(self, tmp_path):
-        path = emit_metrics(self.records(), tmp_path / "m.csv", "csv")
-        assert "wall_time" not in path.read_text()
-
-    def test_unknown_format_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            emit_metrics([], tmp_path / "m.xml", "xml")
+    def test_timing_excluded_by_default(self):
+        assert "wall_time" not in metrics_to_csv(self.records())
 
 
 class TestManifest:

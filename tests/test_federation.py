@@ -6,6 +6,7 @@ import copy
 
 import numpy as np
 import pytest
+from conftest import record_frames
 
 from peerfed.data import DatasetShard, GenConfig, generate_dataset, split_uniform
 from peerfed.federation import (
@@ -25,7 +26,7 @@ from peerfed.federation import (
 )
 from peerfed.model import ModelSpec, ModelWeights, fine_tune, init_model, lr_schedule
 from peerfed.seeding import derive_seed
-from peerfed.transport import PeerUnreachableError, SimTransport
+from peerfed.transport import PeerUnreachableError, SimTransport, WeightsResponse
 
 SPEC = ModelSpec(input_dim=4, hidden_dims=(6,), num_classes=3)
 CFG = GenConfig(num_train=8, num_test=2, height=8, width=8, num_classes=3, seed=1)
@@ -270,10 +271,11 @@ class TestBtRound:
         for i in (1, 2):
             clients[i] = local_update(clients[i], PARAMS)
         nodes, transport = wire_up(clients)
+        frames = record_frames(transport)
         report = bt_round(nodes, 0, PARAMS, transport)
-        responses = [e for e in transport.trace if e.kind == "weights_response"]
+        responses = [f for f in frames if f.kind is WeightsResponse]
         assert len(responses) == len(report.participants) - 1 == 2
-        assert report.bytes_received == sum(e.nbytes for e in responses)
+        assert report.bytes_received == sum(f.nbytes for f in responses)
 
     def test_non_initiator_states_untouched(self):
         clients = build_clients(3)

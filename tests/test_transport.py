@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from conftest import record_frames
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -173,9 +174,9 @@ class TestSimTransport:
 
     def test_reachable_peer_one_response(self):
         transport = self.make()
+        frames = record_frames(transport)
         transport.ping(0, 1)
-        kinds = [e.kind for e in transport.trace]
-        assert kinds == ["ping_request", "ping_response"]
+        assert [f.kind for f in frames] == [PingRequest, PingResponse]
 
     def test_unreachable_flag_raises_naming_peer(self):
         transport = self.make()
@@ -188,6 +189,7 @@ class TestSimTransport:
     def test_identical_seeds_identical_traces(self):
         def run(seed):
             transport = self.make(drop_prob=0.4, seed=seed)
+            frames = record_frames(transport)
             outcomes = []
             for peer in (1, 2, 1, 2, 1):
                 try:
@@ -195,7 +197,7 @@ class TestSimTransport:
                     outcomes.append("ok")
                 except PeerUnreachableError:
                     outcomes.append("lost")
-            return outcomes, transport.trace
+            return outcomes, frames
 
         a_out, a_trace = run(9)
         b_out, b_trace = run(9)
