@@ -15,6 +15,7 @@ from .data import load_dataset, save_dataset
 from .experiments import (
     ExperimentConfig,
     build_dataset,
+    check_sweep_inputs,
     check_tcp_peer_inputs,
     manifest_config,
     run_experiment1,
@@ -39,8 +40,6 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
         cfg = replace(cfg, n_clients=args.clients)
     if args.rounds is not None:
         cfg = replace(cfg, rounds_fls=args.rounds)
-    if args.transport:
-        cfg = replace(cfg, transport=args.transport)
     seed_overrides = {
         name: getattr(args, f"seed_{name}")
         for name in ("data", "init", "shuffle", "initiator")
@@ -72,16 +71,20 @@ def _cell(value) -> str:
 
 
 def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None]:
-    """The run's config and, for one TCP peer, its peer table. Bad input
-    raises ValueError, or OSError for a file that cannot be read.
+    """The run's config, from --config or a manifest with the overrides
+    applied, and, for one TCP peer, its peer table. Bad input raises
+    ValueError, or OSError for a file that cannot be read.
     """
-    if args.from_manifest:
-        return manifest_config(args.from_manifest), None
-    cfg = _apply_overrides(_load_config(args.config), args)
-    if args.experiment or cfg.transport != "tcp":
+    if args.experiment and (args.peers is not None or args.self_index is not None):
+        raise ValueError("--experiment runs in one process; it takes no --peers or --self-index")
+    if (args.peers is None) != (args.self_index is None):
+        raise ValueError("a TCP peer needs both --peers and --self-index")
+    cfg = _apply_overrides(_load_config(args.config) if args.from_manifest is None
+                           else manifest_config(args.from_manifest), args)
+    if args.experiment:
+        check_sweep_inputs(cfg, args.experiment)
+    if args.peers is None:
         return cfg, None
-    if args.peers is None or args.self_index is None:
-        raise ValueError("--transport tcp requires --peers and --self-index")
     with open(args.peers) as fh:
         peers = parse_peer_table(json.load(fh))
     check_tcp_peer_inputs(cfg, args.self_index, peers)
@@ -96,7 +99,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         return _error(exc)
 
-    if args.experiment and not args.from_manifest:
+    if args.experiment:
         run = run_experiment1 if args.experiment == "exp1" else run_experiment2
         for name, table in run(cfg, out_dir=args.out)["tables"].items():
             if isinstance(table, tuple):  # (headers, rows), as in <name>.csv
@@ -195,14 +198,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run a training or a full experiment sweep")
     run.add_argument("--config", help="JSON experiment config")
-    run.add_argument("--from-manifest", help="reproduce a run from its manifest")
+    run.add_argument("--from-manifest", help="take the config a run manifest records")
     run.add_argument("--mode", choices=("fls", "braintorrent", "pooled", "only_client"))
     run.add_argument("--clients", type=int)
     run.add_argument("--rounds", type=int)
     run.add_argument("--out", help="output directory for metrics and manifest")
-    run.add_argument("--transport", choices=("sim", "tcp"))
-    run.add_argument("--peers", help="JSON peer table for TCP runs")
-    run.add_argument("--self-index", type=int, help="this process's client index (TCP)")
+    run.add_argument("--peers", help="JSON peer table; with --self-index, run one TCP peer")
+    run.add_argument("--self-index", type=int, help="this TCP peer's client index")
     run.add_argument("--experiment", choices=("exp1", "exp2"),
                      help="run a full experiment sweep instead of a single config")
     for name in ("data", "init", "shuffle", "initiator"):
@@ -227,8 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "run" and not args.config and not args.from_manifest:
-        print("error: run needs --config or --from-manifest", file=sys.stderr)
+    if args.command == "run" and (args.config is None) == (args.from_manifest is None):
+        print("error: run needs exactly one of --config and --from-manifest", file=sys.stderr)
         return 2
     return args.func(args)
 

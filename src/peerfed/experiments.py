@@ -197,10 +197,8 @@ class ExperimentConfig:
     merge_norm: str = "participants"
     aggregate: str = "weighted"
     bt_warmup: bool = True
-    on_unreachable: str = "skip"
     eval_every: int = 1
     seeds: Seeds = field(default_factory=Seeds)
-    transport: str = "sim"
     sim_drop_prob: float = 0.0
 
     def __post_init__(self) -> None:
@@ -218,12 +216,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown merge_norm {self.merge_norm!r}")
         if self.aggregate not in ("weighted", "unweighted"):
             raise ValueError(f"unknown aggregate {self.aggregate!r}")
-        if self.on_unreachable not in ("skip", "abort"):
-            raise ValueError(f"unknown on_unreachable {self.on_unreachable!r}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
-        if self.transport not in ("sim", "tcp"):
-            raise ValueError(f"unknown transport {self.transport!r}")
         if not 0.0 <= self.sim_drop_prob < 1.0:
             raise ValueError(f"sim_drop_prob must be in [0, 1), got {self.sim_drop_prob}")
         if self.model.input_dim != FEATURE_CHANNELS:
@@ -277,7 +271,6 @@ class RunResult:
     config: ExperimentConfig
     records: list[MetricsRecord]
     final_clients: list[ClientState]
-    aggregated: ModelWeights
     total_updates: int
     failed_rounds: int
     trajectory: list[list[np.ndarray]] | None = None
@@ -333,7 +326,6 @@ def _round_params(cfg: ExperimentConfig, shards: list[DatasetShard]) -> RoundPar
         batch_size=cfg.batch_size,
         shuffle_seed=cfg.seeds.shuffle,
         merge_norm=cfg.merge_norm,
-        on_unreachable=cfg.on_unreachable,
         total_samples=sum(s.sample_count for s in shards),
     )
 
@@ -395,9 +387,6 @@ def run_training(
     once per run (in fls, every client holds the server average). A peer
     round that cannot reach a peer changes nothing and counts as failed.
     """
-    if cfg.transport != "sim":
-        raise ValueError("run_training drives the simulated transport; "
-                         "use run_tcp_peer for one TCP peer process")
     started = time.perf_counter()
     started_at = datetime.now(timezone.utc).isoformat()
 
@@ -423,11 +412,6 @@ def run_training(
     # fixed within this run, so equal parameter bytes score equal Dice.
     scores: dict[bytes, float] = {}
 
-    def aggregate(states: list[ClientState]) -> ModelWeights:
-        if server is not None:
-            return server
-        return aggregate_all_clients(states, weighted=cfg.aggregate == "weighted")
-
     def dice(weights: ModelWeights) -> float:
         key = hashlib.sha256(weights.params.tobytes()).digest()
         if key not in scores:
@@ -437,11 +421,13 @@ def run_training(
     def evaluate() -> None:
         states = [n.state for n in nodes]
         per_client = [dice(s.weights) for s in states]
+        aggregated = server if server is not None else aggregate_all_clients(
+            states, weighted=cfg.aggregate == "weighted")
         records.append(MetricsRecord(
             round_index=updates // len(nodes),
             per_client_dice=per_client,
             avg_client_dice=float(np.mean(per_client)),
-            aggregated_model_dice=dice(aggregate(states)),
+            aggregated_model_dice=dice(aggregated),
             bytes_transferred=server_bytes + transport.delivered_bytes(),
             wall_time_ms=int((time.perf_counter() - started) * 1000),
         ))
@@ -474,12 +460,10 @@ def run_training(
     if evaluated_at != updates:
         evaluate()
 
-    final_clients = [n.state for n in nodes]
     result = RunResult(
         config=cfg,
         records=records,
-        final_clients=final_clients,
-        aggregated=aggregate(final_clients),
+        final_clients=[n.state for n in nodes],
         total_updates=updates,
         failed_rounds=failed_rounds,
         trajectory=trajectory,
@@ -600,11 +584,6 @@ def manifest_config(manifest_path: str | Path) -> ExperimentConfig:
         raise ValueError(f"{manifest_path}: {exc}") from None
 
 
-def run_from_manifest(manifest_path: str | Path, out_dir: str | Path | None = None) -> RunResult:
-    """Re-execute the run a manifest describes; metrics reproduce bitwise."""
-    return run_training(manifest_config(manifest_path), out_dir=out_dir)
-
-
 # ---------------------------------------------------------------------------
 # Experiment sweeps
 # ---------------------------------------------------------------------------
@@ -624,6 +603,13 @@ def _client_columns(n_clients: int) -> list[str]:
     return [f"client_{i:02d}" for i in range(n_clients)]
 
 
+def check_sweep_inputs(cfg: ExperimentConfig, name: str) -> None:
+    """ValueError unless cfg's data suits the sweep name, "exp1" or "exp2"."""
+    need = max(EXP1_CLIENT_SWEEP) if name == "exp1" else sum(EXP2_COUNTS)
+    if cfg.data.num_train != need:
+        raise ValueError(f"{name} needs num_train={need}, got {cfg.data.num_train}")
+
+
 def run_experiment1(
     base_cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
@@ -635,11 +621,7 @@ def run_experiment1(
     client count, plus a pooled row) and ``per_client_10`` (per-client
     dice of the 10-client setting).
     """
-    if base_cfg.data.num_train != max(EXP1_CLIENT_SWEEP):
-        raise ValueError(
-            f"experiment 1 sweeps up to {max(EXP1_CLIENT_SWEEP)} clients and needs "
-            f"num_train={max(EXP1_CLIENT_SWEEP)}, got {base_cfg.data.num_train}"
-        )
+    check_sweep_inputs(base_cfg, "exp1")
     out = Path(out_dir) if out_dir is not None else None
     runs: dict[str, RunResult] = {}
 
@@ -690,10 +672,7 @@ def run_experiment2(
     ``cohort_table.csv``, with the shard sizes and the braintorrent minus
     fls average dice beside it.
     """
-    if base_cfg.data.num_train != sum(EXP2_COUNTS):
-        raise ValueError(
-            f"experiment 2 needs num_train={sum(EXP2_COUNTS)}, got {base_cfg.data.num_train}"
-        )
+    check_sweep_inputs(base_cfg, "exp2")
     out = Path(out_dir) if out_dir is not None else None
     n_clients = len(EXP2_COUNTS)
     split = SplitSpec(kind="cohort", boundaries=EXP2_BOUNDARIES, counts=EXP2_COUNTS)

@@ -45,12 +45,11 @@ DEFAULT_BATCH_SIZE = 1
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture of a fully-connected per-pixel classifier."""
+    """Architecture of a fully-connected per-pixel classifier with ReLU hidden layers."""
 
     input_dim: int
     hidden_dims: tuple[int, ...] = ()
     num_classes: int = 4
-    activation: str = "relu"
     # Cached at construction: forward, loss_and_grad and fine_tune check it
     # on every call. Left out of equality and hashing.
     _fingerprint: str = field(init=False, repr=False, compare=False)
@@ -70,11 +69,9 @@ class ModelSpec:
             raise ValueError(f"hidden dims must all be >= 1, got {self.hidden_dims}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        if self.activation != "relu":
-            raise ValueError(f"unsupported activation {self.activation!r}")
         text = (
             f"mlp;in={self.input_dim};hidden={','.join(map(str, self.hidden_dims))};"
-            f"classes={self.num_classes};act={self.activation}"
+            f"classes={self.num_classes};act=relu"
         )
         object.__setattr__(
             self, "_fingerprint", hashlib.sha256(text.encode("ascii")).hexdigest()[:16]

@@ -67,7 +67,7 @@ def run_tcp_peers(tmp_path, cfg_dict: dict, n_clients: int, timeout: float = 120
     procs = [
         subprocess.Popen(
             [sys.executable, "-m", "peerfed.cli", "run",
-             "--config", str(config_path), "--transport", "tcp",
+             "--config", str(config_path),
              "--peers", str(peers_path), "--self-index", str(i),
              "--out", str(out)],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,

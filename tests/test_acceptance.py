@@ -18,8 +18,8 @@ from peerfed.experiments import (
     EXP2_COUNTS,
     ExperimentConfig,
     Seeds,
+    manifest_config,
     run_experiment2,
-    run_from_manifest,
     run_training,
 )
 from peerfed.federation import (
@@ -380,8 +380,8 @@ def test_criterion_10_manifest_reproducibility(tmp_path):
         seeds=Seeds(51, 52, 53, 54),
     )
     run_training(cfg, out_dir=tmp_path / "original")
-    run_from_manifest(tmp_path / "original" / "manifest.json",
-                      out_dir=tmp_path / "replay")
+    run_training(manifest_config(tmp_path / "original" / "manifest.json"),
+                 out_dir=tmp_path / "replay")
     identical = all(
         (tmp_path / "original" / name).read_bytes()
         == (tmp_path / "replay" / name).read_bytes()

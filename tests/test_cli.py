@@ -60,14 +60,19 @@ def test_run_out_under_a_regular_file_fails_before_training(tmp_path, config_pat
 
 
 def test_run_mode_and_seed_overrides(tmp_path, config_path):
-    out = tmp_path / "run"
-    assert main([
-        "run", "--config", str(config_path), "--mode", "braintorrent",
-        "--seed-initiator", "99", "--out", str(out),
-    ]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["config"]["mode"] == "braintorrent"
-    assert manifest["config"]["seeds"]["initiator"] == 99
+    plain = tmp_path / "plain"
+    assert main(["run", "--config", str(config_path), "--out", str(plain)]) == 0
+    # A manifest is a config source like --config and takes the same overrides.
+    for source in (["--config", str(config_path)],
+                   ["--from-manifest", str(plain / "manifest.json")]):
+        out = tmp_path / source[0].lstrip("-")
+        assert main([
+            "run", *source, "--mode", "braintorrent",
+            "--seed-initiator", "99", "--out", str(out),
+        ]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["config"]["mode"] == "braintorrent"
+        assert manifest["config"]["seeds"]["initiator"] == 99
 
 
 def test_run_from_manifest(tmp_path, config_path, capsys):
@@ -93,8 +98,15 @@ def test_run_requires_config_or_manifest(capsys):
     ("missing_config", "absent.json"),
     ("peer_table_object", "peer table must be a JSON list"),
     ("self_index_out_of_range", "self_index 3"),
+    ("peers_without_self_index", "needs both --peers and --self-index"),
+    ("self_index_without_peers", "needs both --peers and --self-index"),
+    ("experiment_with_peers", "--experiment runs in one process"),
+    ("exp1_wrong_num_train", "needs num_train=20, got 6"),
+    ("config_names_transport", "unknown config keys: ['transport']"),
+    ("config_and_manifest", "exactly one of --config and --from-manifest"),
     ("manifest_bad_config", "gossip"),
     ("manifest_without_config", "not a run manifest"),
+    ("manifest_with_removed_keys", "unknown config keys: ['on_unreachable', 'transport']"),
     ("dataset_gen_missing_config", "absent.json"),
     ("dataset_gen_rejected_config", "base_lr"),
     ("cohort_boundary_past_100", "strictly inside (0, 100)"),
@@ -110,6 +122,7 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
     cfg = json.loads(config_path.read_text())
     run = ["run", "--config", str(config_path)]
     peers = [{"client_index": i, "endpoint": f"127.0.0.1:{i + 1}"} for i in range(3)]
+    bt_run = ["run", "--config", write("bt.json", json.dumps({**cfg, "mode": "braintorrent"}))]
 
     def cohort(n_clients, boundaries, counts=None):
         split = {"kind": "cohort", "boundaries": boundaries, "counts": counts or []}
@@ -124,15 +137,26 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "zero_clients_override": lambda: [*run, "--clients", "0"],
         "zero_rounds_override": lambda: [*run, "--rounds", "0"],
         "missing_config": lambda: ["run", "--config", str(tmp_path / "absent.json")],
-        "peer_table_object": lambda: [*run, "--transport", "tcp", "--self-index", "0",
+        "peer_table_object": lambda: [*bt_run, "--self-index", "0",
                                       "--peers", write("p.json", '{"0": "127.0.0.1:1"}')],
         "self_index_out_of_range": lambda: [
-            "run", "--config", write("c.json", json.dumps({**cfg, "mode": "braintorrent"})),
-            "--transport", "tcp", "--self-index", "3", "--peers",
-            write("p.json", json.dumps(peers))],
+            *bt_run, "--self-index", "3", "--peers", write("p.json", json.dumps(peers))],
+        "peers_without_self_index": lambda: [
+            *bt_run, "--peers", write("p.json", json.dumps(peers))],
+        "self_index_without_peers": lambda: [*bt_run, "--self-index", "0"],
+        "experiment_with_peers": lambda: [
+            *run, "--experiment", "exp2", "--peers", write("p.json", json.dumps(peers))],
+        "exp1_wrong_num_train": lambda: [*run, "--experiment", "exp1"],
+        "config_names_transport": lambda: ["run", "--config", write(
+            "c.json", json.dumps({**cfg, "transport": "tcp"}))],
+        "config_and_manifest": lambda: [
+            *run, "--from-manifest", write("m.json", json.dumps({"config": cfg}))],
         "manifest_bad_config": lambda: ["run", "--from-manifest", write(
             "m.json", json.dumps({"config": {**cfg, "mode": "gossip"}}))],
         "manifest_without_config": lambda: ["run", "--from-manifest", write("m.json", "[]")],
+        "manifest_with_removed_keys": lambda: ["run", "--from-manifest", write(
+            "m.json", json.dumps({"config": {**cfg, "on_unreachable": "skip",
+                                             "transport": "sim"}}))],
         "dataset_gen_missing_config": lambda: [
             "dataset", "gen", "--config", str(tmp_path / "absent.json")],
         "dataset_gen_rejected_config": lambda: [
@@ -150,9 +174,19 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
     assert not (tmp_path / "out").exists()
 
 
-def test_tcp_requires_peer_arguments(config_path, capsys):
-    assert main(["run", "--config", str(config_path), "--transport", "tcp"]) == 2
-    assert "--peers" in capsys.readouterr().err
+def test_run_experiment2_prints_its_tables(tmp_path, config_path, capsys):
+    cfg = json.loads(config_path.read_text())
+    cfg["data"]["num_train"] = 20
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "exp2"
+    assert main(["run", "--config", str(path), "--experiment", "exp2", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    headers = (out / "cohort_table.csv").read_text().splitlines()[0].split(",")
+    assert lines[0] == "cohort_table:" and lines[1].split() == headers
+    assert [line.split()[0] for line in lines[3:6]] == ["braintorrent", "fls", "pooled"]
+    assert lines[6] == "shard_sizes: [5, 9, 2, 1, 3]"
+    assert lines[7].startswith("bt_minus_fls_avg: ") and len(lines) == 8
 
 
 def test_dataset_gen_and_dump(tmp_path, config_path, capsys):

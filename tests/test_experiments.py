@@ -36,7 +36,6 @@ from peerfed.experiments import (
     metrics_to_json,
     run_experiment1,
     run_experiment2,
-    run_from_manifest,
     run_tcp_peer,
     run_training,
     schedule,
@@ -62,8 +61,8 @@ def small_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(**defaults)
 
 
-# Every field of every section differs from its default, except the two
-# that admit one value: model.input_dim and model.activation.
+# Every field of every section differs from its default, except the one
+# that admits one value: model.input_dim.
 EVERY_FIELD_SET = ExperimentConfig(
     mode="braintorrent",
     n_clients=3,
@@ -78,10 +77,8 @@ EVERY_FIELD_SET = ExperimentConfig(
     merge_norm="global",
     aggregate="unweighted",
     bt_warmup=False,
-    on_unreachable="abort",
     eval_every=2,
     seeds=Seeds(data=11, init=12, shuffle=13, initiator=14),
-    transport="tcp",
     sim_drop_prob=0.1,
 )
 
@@ -90,32 +87,32 @@ EVERY_FIELD_SET = ExperimentConfig(
 PINNED_MANIFEST_CONFIGS = [
     (small_cfg(mode="braintorrent", sim_drop_prob=0.05),
      '{"mode": "braintorrent", "n_clients": 4, "split": {"kind": "uniform"}, '
-     '"rounds_fls": 3, "model": {"input_dim": 4, "hidden_dims": [8], "num_classes": 4, '
-     '"activation": "relu"}, "data": {"num_train": 8, "num_test": 3, "height": 8, '
+     '"rounds_fls": 3, "model": {"input_dim": 4, "hidden_dims": [8], "num_classes": 4}, '
+     '"data": {"num_train": 8, "num_test": 3, "height": 8, '
      '"width": 8, "num_classes": 4, "noise_std": 0.1, "cohort_shift": 1.0, '
      '"feature_scale": 0.5}, "base_lr": 0.001, "epochs_per_round": 2, "batch_size": 1, '
      '"merge_norm": "participants", "aggregate": "weighted", "bt_warmup": true, '
-     '"on_unreachable": "skip", "eval_every": 1, "seeds": {"data": 5, "init": 6, '
-     '"shuffle": 7, "initiator": 8}, "transport": "sim", "sim_drop_prob": 0.05}'),
+     '"eval_every": 1, "seeds": {"data": 5, "init": 6, '
+     '"shuffle": 7, "initiator": 8}, "sim_drop_prob": 0.05}'),
     (EVERY_FIELD_SET,
      '{"mode": "braintorrent", "n_clients": 3, "split": {"kind": "cohort", '
      '"boundaries": [20.0, 40.5], "counts": [3, 3, 2]}, "rounds_fls": 5, '
-     '"model": {"input_dim": 4, "hidden_dims": [8, 6], "num_classes": 3, '
-     '"activation": "relu"}, "data": {"num_train": 8, "num_test": 3, "height": 8, '
+     '"model": {"input_dim": 4, "hidden_dims": [8, 6], "num_classes": 3}, '
+     '"data": {"num_train": 8, "num_test": 3, "height": 8, '
      '"width": 6, "num_classes": 3, "noise_std": 0.05, "cohort_shift": 0, '
      '"feature_scale": 0.25}, "base_lr": 0.005, "epochs_per_round": 3, "batch_size": 2, '
      '"merge_norm": "global", "aggregate": "unweighted", "bt_warmup": false, '
-     '"on_unreachable": "abort", "eval_every": 2, "seeds": {"data": 11, "init": 12, '
-     '"shuffle": 13, "initiator": 14}, "transport": "tcp", "sim_drop_prob": 0.1}'),
+     '"eval_every": 2, "seeds": {"data": 11, "init": 12, '
+     '"shuffle": 13, "initiator": 14}, "sim_drop_prob": 0.1}'),
     (small_cfg(model=ModelSpec(FEATURE_CHANNELS, (), 4)),
      '{"mode": "fls", "n_clients": 4, "split": {"kind": "uniform"}, "rounds_fls": 3, '
-     '"model": {"input_dim": 4, "hidden_dims": [], "num_classes": 4, '
-     '"activation": "relu"}, "data": {"num_train": 8, "num_test": 3, "height": 8, '
+     '"model": {"input_dim": 4, "hidden_dims": [], "num_classes": 4}, '
+     '"data": {"num_train": 8, "num_test": 3, "height": 8, '
      '"width": 8, "num_classes": 4, "noise_std": 0.1, "cohort_shift": 1.0, '
      '"feature_scale": 0.5}, "base_lr": 0.001, "epochs_per_round": 2, "batch_size": 1, '
      '"merge_norm": "participants", "aggregate": "weighted", "bt_warmup": true, '
-     '"on_unreachable": "skip", "eval_every": 1, "seeds": {"data": 5, "init": 6, '
-     '"shuffle": 7, "initiator": 8}, "transport": "sim", "sim_drop_prob": 0.0}'),
+     '"eval_every": 1, "seeds": {"data": 5, "init": 6, '
+     '"shuffle": 7, "initiator": 8}, "sim_drop_prob": 0.0}'),
 ]
 
 
@@ -152,17 +149,21 @@ class TestConfig:
         d["split"][key] = []
         assert getattr(ExperimentConfig.from_dict(d).split, key) is None
 
+    # transport, on_unreachable and model.activation were config keys
+    # before 0.2.0; a config or manifest that still names them is rejected.
     def test_unknown_top_level_key_rejected(self):
-        d = small_cfg().to_dict()
-        d["typo_key"] = 1
-        with pytest.raises(ValueError, match="typo_key"):
-            ExperimentConfig.from_dict(d)
+        for key, value in [("typo_key", 1), ("transport", "sim"), ("on_unreachable", "skip")]:
+            d = small_cfg().to_dict()
+            d[key] = value
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict(d)
 
     def test_unknown_nested_key_rejected(self):
-        d = small_cfg().to_dict()
-        d["model"]["layers"] = 3
-        with pytest.raises(ValueError, match="layers"):
-            ExperimentConfig.from_dict(d)
+        for key, value in [("layers", 3), ("activation", "relu")]:
+            d = small_cfg().to_dict()
+            d["model"][key] = value
+            with pytest.raises(ValueError, match=key):
+                ExperimentConfig.from_dict(d)
 
     def test_data_seed_key_rejected(self):
         d = small_cfg().to_dict()
@@ -341,10 +342,6 @@ class TestRunTraining:
         transferred = [r.bytes_transferred for r in res.records]
         assert transferred == sorted(transferred)
 
-    def test_tcp_transport_rejected_here(self):
-        with pytest.raises(ValueError, match="tcp"):
-            run_training(small_cfg(transport="tcp"))
-
     def test_deterministic_records(self):
         a = run_training(small_cfg(mode="braintorrent"))
         b = run_training(small_cfg(mode="braintorrent"))
@@ -466,7 +463,7 @@ class TestManifest:
 
     def test_manifest_rerun_reproduces_metrics_bitwise(self, tmp_path):
         run_training(small_cfg(mode="braintorrent"), out_dir=tmp_path / "a")
-        run_from_manifest(tmp_path / "a" / "manifest.json", out_dir=tmp_path / "b")
+        run_training(manifest_config(tmp_path / "a" / "manifest.json"), out_dir=tmp_path / "b")
         for name in ("metrics.csv", "metrics.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
 

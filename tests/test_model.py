@@ -129,8 +129,6 @@ class TestInit:
             ModelSpec(input_dim=3, num_classes=1)
         with pytest.raises(ValueError):
             ModelSpec(input_dim=3, hidden_dims=(0,), num_classes=3)
-        with pytest.raises(ValueError):
-            ModelSpec(input_dim=3, num_classes=4, activation="tanh")
 
     @pytest.mark.parametrize(
         "args",

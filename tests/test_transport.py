@@ -18,6 +18,10 @@ from peerfed.transport import (
     ERR_VERSION_MISMATCH,
     HEADER_BYTES,
     PROTOCOL_VERSION,
+    TAG_ERROR,
+    TAG_PING_REQUEST,
+    TAG_PING_RESPONSE,
+    TAG_WEIGHTS_RESPONSE,
     ErrorMessage,
     IncompleteFrameError,
     OversizeFrameError,
@@ -36,6 +40,7 @@ from peerfed.transport import (
     decode,
     encode,
     parse_peer_table,
+    read_frame,
     weights_frame_bytes,
 )
 
@@ -65,6 +70,12 @@ def all_message_examples():
         WeightsResponse(sender=2, request_id=8, sample_count=1, params=np.zeros(0)),
         ErrorMessage(sender=4, request_id=9, code=2, text="nope — bad frame"),
     ]
+
+
+def raw_frame(tag: int, payload: bytes) -> bytes:
+    """A frame with a valid length prefix and header around any payload."""
+    body = struct.pack("<BHQB", PROTOCOL_VERSION, 0, 1, tag) + payload
+    return struct.pack("<I", len(body)) + body
 
 
 class TestCodec:
@@ -123,6 +134,28 @@ class TestCodec:
         frame[20] = 3  # claim 3 params while carrying 2
         with pytest.raises(ProtocolError):
             decode(bytes(frame))
+
+    @pytest.mark.parametrize("frame, message", [
+        (struct.pack("<I", HEADER_BYTES - 1) + bytes(HEADER_BYTES - 1),
+         "shorter than the header"),
+        (raw_frame(TAG_PING_REQUEST, b"x"), "1-byte payload on request"),
+        (raw_frame(TAG_PING_RESPONSE, bytes(7)), "must be 8 bytes, got 7"),
+        (raw_frame(TAG_WEIGHTS_RESPONSE, bytes(7)), "weights response payload too short: 7"),
+        (raw_frame(TAG_ERROR, bytes(5)), "error payload too short: 5"),
+        (raw_frame(TAG_ERROR, struct.pack("<HI", 1, 4) + b"abc"), "length mismatch"),
+        (raw_frame(TAG_ERROR, struct.pack("<HI", 1, 1) + b"\xff"), "not valid UTF-8"),
+    ], ids=["short_header", "request_payload", "ping_payload", "weights_payload",
+            "error_payload", "error_text_length", "error_text_utf8"])
+    def test_malformed_payload_rejected(self, frame, message):
+        with pytest.raises(ProtocolError, match=message):
+            decode(frame)
+
+    def test_read_frame_rejects_oversize_length_prefix(self):
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            sender.sendall(struct.pack("<I", DEFAULT_MAX_FRAME_BYTES + 1))
+            with pytest.raises(OversizeFrameError):
+                read_frame(receiver)
 
     def test_fuzz_smoke_never_crashes(self):
         rng = np.random.default_rng(0)
