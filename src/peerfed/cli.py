@@ -1,23 +1,22 @@
-"""Command-line interface: run trainings, generate datasets, render reports."""
+"""Command-line interface: run trainings, print datasets, render reports."""
 
 from __future__ import annotations
 
 import argparse
 import csv
-import json
 import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
-from .data import load_dataset, save_dataset
 from .experiments import (
     ExperimentConfig,
     build_dataset,
     check_sweep_inputs,
     check_tcp_peer_inputs,
     manifest_config,
+    read_json,
     run_experiment1,
     run_experiment2,
     run_summary,
@@ -29,8 +28,7 @@ from .transport import parse_peer_table
 
 
 def _load_config(path: str) -> ExperimentConfig:
-    with open(path) as fh:
-        return ExperimentConfig.from_dict(json.load(fh))
+    return ExperimentConfig.from_dict(read_json(path))
 
 
 def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
@@ -85,8 +83,7 @@ def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None
         check_sweep_inputs(cfg, args.experiment)
     if args.peers is None:
         return cfg, None
-    with open(args.peers) as fh:
-        peers = parse_peer_table(json.load(fh))
+    peers = parse_peer_table(read_json(args.peers))
     check_tcp_peer_inputs(cfg, args.self_index, peers)
     return cfg, peers
 
@@ -122,23 +119,17 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_dataset(args: argparse.Namespace) -> int:
     try:
-        if args.dataset_cmd == "gen":
-            cfg = _load_config(args.config)
-            train, test = build_dataset(cfg)
-            out = Path(args.out)
-            out.mkdir(parents=True, exist_ok=True)
-            save_dataset(train, cfg.data.num_classes, out / "train.btds")
-            save_dataset(test, cfg.data.num_classes, out / "test.btds")
-            print(f"wrote {len(train)} train / {len(test)} test images to {out}")
-            return 0
-        images, num_classes = load_dataset(args.infile)
+        cfg = _load_config(args.config)
+        train, test = build_dataset(cfg)
     except (OSError, ValueError) as exc:
         return _error(exc)
-    print(f"{len(images)} images, {num_classes} classes")
-    for i, im in enumerate(images):
-        counts = np.bincount(im.labels, minlength=num_classes)
-        print(f"  [{i:3d}] {im.height}x{im.width} cohort={im.cohort:6.2f} "
-              f"class pixels={list(counts)}")
+    num_classes = cfg.data.num_classes
+    for name, images in (("train", train), ("test", test)):
+        print(f"{name}: {len(images)} images, {num_classes} classes")
+        for i, im in enumerate(images):
+            counts = np.bincount(im.labels, minlength=num_classes)
+            print(f"  [{i:3d}] {im.height}x{im.width} cohort={im.cohort:6.2f} "
+                  f"class pixels={counts.tolist()}")
     return 0
 
 
@@ -188,8 +179,15 @@ def cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError for a bad command line, so main reports it in one line."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="peerfed",
         description="Federated learning (server-based and peer-to-peer) "
                     "on synthetic segmentation data.",
@@ -211,13 +209,8 @@ def build_parser() -> argparse.ArgumentParser:
         run.add_argument(f"--seed-{name}", type=int, dest=f"seed_{name}")
     run.set_defaults(func=cmd_run)
 
-    dataset = sub.add_parser("dataset", help="generate or inspect datasets")
-    dataset_sub = dataset.add_subparsers(dest="dataset_cmd", required=True)
-    gen = dataset_sub.add_parser("gen", help="generate train/test BTDS files")
-    gen.add_argument("--config", required=True)
-    gen.add_argument("--out", required=True)
-    dump = dataset_sub.add_parser("dump", help="summarize a BTDS file")
-    dump.add_argument("--in", dest="infile", required=True)
+    dataset = sub.add_parser("dataset", help="print the data a config generates")
+    dataset.add_argument("--config", required=True, help="JSON experiment config")
     dataset.set_defaults(func=cmd_dataset)
 
     report = sub.add_parser("report", help="summarize run directories")
@@ -228,10 +221,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    if args.command == "run" and (args.config is None) == (args.from_manifest is None):
-        print("error: run needs exactly one of --config and --from-manifest", file=sys.stderr)
-        return 2
+    try:
+        args = build_parser().parse_args(argv)
+        if args.command == "run" and (args.config is None) == (args.from_manifest is None):
+            raise ValueError("run needs exactly one of --config and --from-manifest")
+    except ValueError as exc:
+        return _error(exc)
     return args.func(args)
 
 

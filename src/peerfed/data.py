@@ -10,7 +10,6 @@ so the classifier's learning budget matches the feature magnitudes.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -18,9 +17,6 @@ import numpy as np
 from .seeding import derive_seed
 
 FEATURE_CHANNELS = 4
-
-BTDS_MAGIC = b"BTDS"
-BTDS_VERSION = 1
 
 # Fraction by which cohort 0..100 rescales region radii at cohort_shift=1.
 _RADIUS_SWING = 0.3
@@ -279,70 +275,3 @@ def split_by_cohort(
             )
     return [DatasetShard(client_index=i, images=group) for i, group in enumerate(groups)]
 
-
-def save_dataset(images: list[SegImage], num_classes: int, path) -> None:
-    """Write images to one file in the BTDS binary layout (all little-endian)."""
-    with open(path, "wb") as fh:
-        fh.write(BTDS_MAGIC)
-        fh.write(struct.pack("<B", BTDS_VERSION))
-        fh.write(struct.pack("<III", len(images), num_classes, FEATURE_CHANNELS))
-        for image in images:
-            fh.write(struct.pack("<IId", image.height, image.width, image.cohort))
-            fh.write(image.features.astype("<f8").tobytes())
-            fh.write(image.labels.astype("<u2").tobytes())
-
-
-def load_dataset(path) -> tuple[list[SegImage], int]:
-    """Read a BTDS file back into images plus its num_classes.
-
-    Total over arbitrary bytes: anything but a complete BTDS file of
-    non-empty images whose labels lie in [0, num_classes) raises ValueError.
-    """
-    with open(path, "rb") as fh:
-        data = fh.read()
-    if data[:4] != BTDS_MAGIC:
-        raise ValueError(f"not a BTDS file: bad magic {data[:4]!r}")
-    if len(data) < 17:
-        raise ValueError(f"truncated BTDS header: {len(data)} of 17 bytes")
-    version = data[4]
-    if version != BTDS_VERSION:
-        raise ValueError(f"unsupported BTDS version {version}")
-    n_images, num_classes, channels = struct.unpack_from("<III", data, 5)
-    if channels != FEATURE_CHANNELS:
-        raise ValueError(f"unsupported channel count {channels}")
-    if num_classes < 2:
-        raise ValueError(f"num_classes must be >= 2, got {num_classes}")
-    offset = 17
-    images = []
-    for index in range(n_images):
-        if len(data) - offset < 16:
-            raise ValueError(f"truncated BTDS file: no header for image {index}")
-        height, width, cohort = struct.unpack_from("<IId", data, offset)
-        offset += 16
-        n = height * width
-        if n == 0:
-            raise ValueError(f"image {index} is {height}x{width}: no pixels")
-        size = n * (8 * channels + 2)
-        if len(data) - offset < size:
-            raise ValueError(f"truncated BTDS file: image {index} needs {size} bytes, "
-                             f"{len(data) - offset} left")
-        features = np.frombuffer(data, dtype="<f8", count=n * channels, offset=offset).reshape(
-            n, channels
-        )
-        offset += 8 * n * channels
-        labels = np.frombuffer(data, dtype="<u2", count=n, offset=offset).astype(np.int64)
-        offset += 2 * n
-        if labels.max() >= num_classes:
-            raise ValueError(f"image {index} has label {labels.max()} >= num_classes {num_classes}")
-        images.append(
-            SegImage(
-                height=height,
-                width=width,
-                features=features.copy(),
-                labels=labels,
-                cohort=cohort,
-            )
-        )
-    if offset != len(data):
-        raise ValueError(f"trailing bytes after {n_images} images")
-    return images, num_classes

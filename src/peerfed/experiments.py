@@ -518,10 +518,7 @@ def run_environment() -> dict:
     """What a rerun needs to know of the machine: the numpy and BLAS build
     that the bitwise contract rests on, the BLAS thread settings and the CPUs.
     """
-    try:
-        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
-    except (TypeError, KeyError):  # numpy < 1.26 only prints its config
-        blas = {}
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
@@ -572,11 +569,20 @@ def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> None
     (out_dir / "report.txt").write_text("\n".join(run_summary(result)) + "\n")
 
 
+def read_json(path: str | Path):
+    """The JSON value a file holds; ValueError naming the file if it is not
+    JSON or nests too deeply to parse, OSError if it cannot be read."""
+    try:
+        return json.loads(Path(path).read_text())
+    except (ValueError, RecursionError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def manifest_config(manifest_path: str | Path) -> ExperimentConfig:
     """The config a run manifest records; ValueError naming the file if it
     holds no valid one, OSError if it cannot be read."""
+    manifest = read_json(manifest_path)
     try:
-        manifest = json.loads(Path(manifest_path).read_text())
         if not isinstance(manifest, dict) or "config" not in manifest:
             raise ValueError("not a run manifest: no config")
         return ExperimentConfig.from_dict(manifest["config"])

@@ -197,7 +197,7 @@ _scratch = threading.local()
 _BLOCK_ROWS = 128
 
 # Longest product, in terms summed per output, that runs in row blocks. On
-# OpenBLAS 0.3.31 (Haswell kernels), splitting rows changed bits from 16
+# OpenBLAS 0.3.31 (SkylakeX kernel), splitting rows changed bits from 16
 # terms on for `a @ W` and from 32 for `delta @ W.T`, never below that in
 # 9,000 random products of up to 2,100 rows.
 _BLOCK_MAX_TERMS = 8

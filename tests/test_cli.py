@@ -1,4 +1,4 @@
-"""CLI subcommands: run, dataset gen/dump, report, manifest replay."""
+"""CLI subcommands: run, dataset, report, manifest replay; rejected command lines."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 
 from peerfed import cli
 from peerfed.cli import main
-from peerfed.data import load_dataset
 
 
 @pytest.fixture
@@ -107,8 +106,17 @@ def test_run_requires_config_or_manifest(capsys):
     ("manifest_bad_config", "gossip"),
     ("manifest_without_config", "not a run manifest"),
     ("manifest_with_removed_keys", "unknown config keys: ['on_unreachable', 'transport']"),
-    ("dataset_gen_missing_config", "absent.json"),
-    ("dataset_gen_rejected_config", "base_lr"),
+    ("dataset_missing_config", "absent.json"),
+    ("dataset_rejected_config", "base_lr"),
+    ("dataset_without_config", "required: --config"),
+    ("dataset_gen", "unrecognized arguments: gen"),
+    ("no_subcommand", "required: command"),
+    ("unknown_option", "unrecognized arguments: --transport tcp"),
+    ("unknown_mode", "invalid choice: 'gossip'"),
+    ("clients_not_an_int", "invalid int value: 'x'"),
+    ("config_nested_too_deeply", "deep.json: maximum recursion depth"),
+    ("manifest_nested_too_deeply", "deep.json: maximum recursion depth"),
+    ("peers_nested_too_deeply", "deep.json: maximum recursion depth"),
     ("cohort_boundary_past_100", "strictly inside (0, 100)"),
     ("cohort_boundaries_decreasing", "strictly increasing"),
     ("cohort_boundary_past_100_with_counts", "strictly inside (0, 100)"),
@@ -123,6 +131,8 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
     run = ["run", "--config", str(config_path)]
     peers = [{"client_index": i, "endpoint": f"127.0.0.1:{i + 1}"} for i in range(3)]
     bt_run = ["run", "--config", write("bt.json", json.dumps({**cfg, "mode": "braintorrent"}))]
+
+    deep = write("deep.json", "[" * 100_000)
 
     def cohort(n_clients, boundaries, counts=None):
         split = {"kind": "cohort", "boundaries": boundaries, "counts": counts or []}
@@ -157,16 +167,26 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "manifest_with_removed_keys": lambda: ["run", "--from-manifest", write(
             "m.json", json.dumps({"config": {**cfg, "on_unreachable": "skip",
                                              "transport": "sim"}}))],
-        "dataset_gen_missing_config": lambda: [
-            "dataset", "gen", "--config", str(tmp_path / "absent.json")],
-        "dataset_gen_rejected_config": lambda: [
-            "dataset", "gen", "--config", write("c.json", '{"base_lr": Infinity}')],
+        "dataset_missing_config": lambda: ["dataset", "--config", str(tmp_path / "absent.json")],
+        "dataset_rejected_config": lambda: [
+            "dataset", "--config", write("c.json", '{"base_lr": Infinity}')],
+        "dataset_without_config": lambda: ["dataset"],
+        "dataset_gen": lambda: ["dataset", "gen", "--config", str(config_path)],
+        "no_subcommand": lambda: [],
+        "unknown_option": lambda: [*run, "--transport", "tcp"],
+        "unknown_mode": lambda: [*run, "--mode", "gossip"],
+        "clients_not_an_int": lambda: [*run, "--clients", "x"],
+        "config_nested_too_deeply": lambda: ["run", "--config", deep],
+        "manifest_nested_too_deeply": lambda: ["run", "--from-manifest", deep],
+        "peers_nested_too_deeply": lambda: [*bt_run, "--self-index", "0", "--peers", deep],
         "cohort_boundary_past_100": lambda: cohort(2, [150.0]),
         "cohort_boundaries_decreasing": lambda: cohort(3, [50.0, 40.0]),
         "cohort_boundary_past_100_with_counts": lambda: cohort(3, [50.0, 150.0], [2, 2, 2]),
         "cohort_empty_bucket": lambda: cohort(3, [20.0, 40.0], [3, 3, 0]),
     }[case]()
-    assert main([*argv, "--out", str(tmp_path / "out")]) == 2
+    if argv[:1] == ["run"]:
+        argv += ["--out", str(tmp_path / "out")]
+    assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
@@ -189,27 +209,20 @@ def test_run_experiment2_prints_its_tables(tmp_path, config_path, capsys):
     assert lines[7].startswith("bt_minus_fls_avg: ") and len(lines) == 8
 
 
-def test_dataset_gen_and_dump(tmp_path, config_path, capsys):
-    out = tmp_path / "data"
-    assert main(["dataset", "gen", "--config", str(config_path), "--out", str(out)]) == 0
-    images, num_classes = load_dataset(out / "train.btds")
-    assert len(images) == 6 and num_classes == 4
-    assert main(["dataset", "dump", "--in", str(out / "test.btds")]) == 0
-    dump = capsys.readouterr().out
-    assert "2 images" in dump and "cohort=" in dump
-
-
-@pytest.mark.parametrize("name, message", [
-    ("config.json", "not a BTDS file"),
-    ("absent.btds", "absent.btds"),
-], ids=["not_btds", "missing_file"])
-def test_dataset_dump_rejects_a_file_it_cannot_read(tmp_path, config_path, capsys,
-                                                     name, message):
-    assert main(["dataset", "dump", "--in", str(tmp_path / name)]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
-    assert message in captured.err
+def test_dataset_prints_the_data_its_config_generates(config_path, capsys):
+    assert main(["dataset", "--config", str(config_path)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "train: 6 images, 4 classes",
+        "  [  0] 8x8 cohort= 15.57 class pixels=[36, 14, 12, 2]",
+        "  [  1] 8x8 cohort= 73.76 class pixels=[23, 23, 13, 5]",
+        "  [  2] 8x8 cohort= 81.46 class pixels=[20, 23, 16, 5]",
+        "  [  3] 8x8 cohort= 32.00 class pixels=[32, 19, 9, 4]",
+        "  [  4] 8x8 cohort= 93.98 class pixels=[21, 22, 15, 6]",
+        "  [  5] 8x8 cohort= 64.46 class pixels=[26, 22, 10, 6]",
+        "test: 2 images, 4 classes",
+        "  [  0] 8x8 cohort= 64.77 class pixels=[26, 22, 12, 4]",
+        "  [  1] 8x8 cohort= 63.93 class pixels=[25, 23, 11, 5]",
+    ]
 
 
 @pytest.mark.parametrize("manifest, message", [

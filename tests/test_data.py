@@ -1,17 +1,13 @@
-"""Synthetic dataset generator, sharding, and BTDS serialization."""
+"""Synthetic dataset generator and sharding."""
 
 from __future__ import annotations
 
-import struct
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from peerfed.data import (
-    BTDS_MAGIC,
     FEATURE_CHANNELS,
     DatasetShard,
     GenConfig,
@@ -19,8 +15,6 @@ from peerfed.data import (
     bayes_predict,
     generate_dataset,
     generate_dataset_for_cohorts,
-    load_dataset,
-    save_dataset,
     split_by_cohort,
     split_uniform,
 )
@@ -30,6 +24,12 @@ CFG = GenConfig(num_train=20, num_test=10, height=16, width=16, num_classes=4, s
 
 EXP2_BOUNDARIES = [20.0, 30.0, 40.0, 50.0]
 EXP2_COUNTS = [5, 9, 2, 1, 3]
+
+
+def image_facts(images):
+    """Everything an image holds, as bytes where it is an array."""
+    return [(im.height, im.width, im.cohort, im.features.tobytes(), im.labels.tobytes())
+            for im in images]
 
 
 class TestGenerate:
@@ -45,6 +45,12 @@ class TestGenerate:
             assert a.features.tobytes() == b.features.tobytes()
             assert a.labels.tobytes() == b.labels.tobytes()
             assert a.cohort == b.cohort
+
+    def test_byte_identical_across_generations(self):
+        a_train, a_test = generate_dataset(CFG)
+        b_train, b_test = generate_dataset(CFG)
+        assert image_facts(a_train) == image_facts(b_train)
+        assert image_facts(a_test) == image_facts(b_test)
 
     def test_every_class_present_in_train(self):
         train, _ = generate_dataset(CFG)
@@ -151,10 +157,10 @@ class TestSplitByCohort:
             split_by_cohort(train, [30.0, 30.0])
 
     def test_targeted_generation_deterministic(self):
-        a, _ = generate_dataset_for_cohorts(CFG, EXP2_BOUNDARIES, EXP2_COUNTS)
-        b, _ = generate_dataset_for_cohorts(CFG, EXP2_BOUNDARIES, EXP2_COUNTS)
-        for x, y in zip(a, b):
-            assert x.features.tobytes() == y.features.tobytes()
+        a_train, a_test = generate_dataset_for_cohorts(CFG, EXP2_BOUNDARIES, EXP2_COUNTS)
+        b_train, b_test = generate_dataset_for_cohorts(CFG, EXP2_BOUNDARIES, EXP2_COUNTS)
+        assert image_facts(a_train) == image_facts(b_train)
+        assert image_facts(a_test) == image_facts(b_test)
 
     def test_bad_count_configs_rejected(self):
         with pytest.raises(ValueError):
@@ -163,98 +169,6 @@ class TestSplitByCohort:
             generate_dataset_for_cohorts(CFG, EXP2_BOUNDARIES, [5, 9, 2, 0, 4])
         with pytest.raises(ValueError):
             generate_dataset_for_cohorts(CFG, EXP2_BOUNDARIES, [5, 9, 2, 1, 4])
-
-
-class TestSerialization:
-    def test_round_trip_exact(self, tmp_path):
-        train, _ = generate_dataset(CFG)
-        path = tmp_path / "train.btds"
-        save_dataset(train, CFG.num_classes, path)
-        loaded, num_classes = load_dataset(path)
-        assert num_classes == CFG.num_classes
-        assert len(loaded) == len(train)
-        for a, b in zip(train, loaded):
-            assert (a.height, a.width, a.cohort) == (b.height, b.width, b.cohort)
-            assert a.features.tobytes() == b.features.tobytes()
-            np.testing.assert_array_equal(a.labels, b.labels)
-
-    def test_byte_identical_across_generations(self, tmp_path):
-        a, _ = generate_dataset(CFG)
-        b, _ = generate_dataset(CFG)
-        pa, pb = tmp_path / "a.btds", tmp_path / "b.btds"
-        save_dataset(a, CFG.num_classes, pa)
-        save_dataset(b, CFG.num_classes, pb)
-        assert pa.read_bytes() == pb.read_bytes()
-
-    def test_magic_bytes_first(self, tmp_path):
-        path = tmp_path / "x.btds"
-        train, _ = generate_dataset(replace(CFG, num_train=1, num_test=1))
-        save_dataset(train, CFG.num_classes, path)
-        assert path.read_bytes()[:4] == BTDS_MAGIC == b"BTDS"
-
-    def test_bad_magic_rejected(self, tmp_path):
-        path = tmp_path / "bad.btds"
-        path.write_bytes(b"NOPE" + b"\x00" * 20)
-        with pytest.raises(ValueError, match="magic"):
-            load_dataset(path)
-
-    def test_truncated_file_rejected(self, tmp_path):
-        train, _ = generate_dataset(replace(CFG, num_train=2, num_test=1))
-        path = tmp_path / "t.btds"
-        save_dataset(train, CFG.num_classes, path)
-        clipped = tmp_path / "clipped.btds"
-        clipped.write_bytes(path.read_bytes()[:-7])
-        with pytest.raises(ValueError, match="truncated"):
-            load_dataset(clipped)
-
-    @pytest.mark.parametrize("data, match", [
-        (BTDS_MAGIC + b"\x01" + b"\x00" * 5, "header"),
-        (BTDS_MAGIC + struct.pack("<BIII", 1, 0, 1, 4), "num_classes"),
-        (BTDS_MAGIC + struct.pack("<BIII", 1, 1, 4, 4) + struct.pack("<IId", 0, 7, 50.0),
-         "no pixels"),
-    ])
-    def test_malformed_file_rejected(self, tmp_path, data, match):
-        path = tmp_path / "bad.btds"
-        path.write_bytes(data)
-        with pytest.raises(ValueError, match=match):
-            load_dataset(path)
-
-    def test_label_beyond_num_classes_rejected(self, tmp_path):
-        train, _ = generate_dataset(replace(CFG, num_train=1, num_test=1))
-        path = tmp_path / "l.btds"
-        save_dataset(train, CFG.num_classes, path)
-        data = bytearray(path.read_bytes())
-        data[-2:] = (65535).to_bytes(2, "little")
-        path.write_bytes(bytes(data))
-        with pytest.raises(ValueError, match="label 65535"):
-            load_dataset(path)
-
-
-@pytest.fixture(scope="module")
-def btds_bytes(tmp_path_factory) -> bytes:
-    train, _ = generate_dataset(replace(CFG, num_train=2, num_test=1, height=4, width=4))
-    path = tmp_path_factory.mktemp("btds") / "valid.btds"
-    save_dataset(train, CFG.num_classes, path)
-    return path.read_bytes()
-
-
-@settings(max_examples=300, deadline=None)
-@given(cut=st.integers(0, 10_000), flips=st.lists(st.tuples(st.integers(0, 10_000),
-                                                             st.integers(1, 255)), max_size=4))
-def test_corrupt_btds_rejected_or_in_range(btds_bytes, tmp_path_factory, cut, flips):
-    """A truncated or byte-flipped file raises ValueError or loads with in-range labels."""
-    data = bytearray(btds_bytes[:len(btds_bytes) - cut % (len(btds_bytes) + 1)])
-    for position, mask in flips:
-        if data:
-            data[position % len(data)] ^= mask
-    path = tmp_path_factory.mktemp("fuzz") / "f.btds"
-    path.write_bytes(bytes(data))
-    try:
-        images, num_classes = load_dataset(path)
-    except ValueError:
-        return
-    for image in images:
-        assert 0 <= image.labels.min() <= image.labels.max() < num_classes
 
 
 class TestTypes:

@@ -486,16 +486,6 @@ class TestManifest:
         assert env["cpu_count"] == os.cpu_count()
         assert env["affinity_cpus"] is None or 1 <= env["affinity_cpus"] <= env["cpu_count"]
 
-    def test_environment_without_a_blas_config_dict(self, monkeypatch):
-        # numpy before 1.26 has no show_config(mode=...): it only prints.
-        def show_config():
-            print("blas: openblas")
-
-        monkeypatch.setattr(np, "show_config", show_config)
-        env = experiments.run_environment()
-        assert env["blas"] == {"name": None, "version": None, "openblas configuration": None}
-        assert env["numpy"] == np.__version__
-
     def test_manifest_config_rejects_a_manifest_without_one(self, tmp_path):
         path = tmp_path / "manifest.json"
         for text in ("[]", '{"outputs": {}}'):
