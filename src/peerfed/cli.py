@@ -109,7 +109,10 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     if peers is not None:
         out = Path(args.out) if args.out else Path("peerfed-out")
-        path = run_tcp_peer(cfg, args.self_index, peers, out)
+        try:
+            path = run_tcp_peer(cfg, args.self_index, peers, out)
+        except ValueError as exc:  # e.g. its own endpoint cannot be bound
+            return _error(exc)
         print(f"client {args.self_index} final weights: {path}")
         return 0
 

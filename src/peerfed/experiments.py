@@ -206,6 +206,8 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.n_clients < 1:
             raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
+        if self.mode == "braintorrent" and self.n_clients > 1 << 16:
+            raise ValueError(f"n_clients {self.n_clients} > 65536 overflows the 16-bit sender field")
         if self.rounds_fls < 1:
             raise ValueError(f"rounds_fls must be >= 1, got {self.rounds_fls}")
         if self.base_lr <= 0:
@@ -710,35 +712,24 @@ def run_experiment2(
 # ---------------------------------------------------------------------------
 
 
-ROUND_DEADLINE_S = 120.0  # a TCP peer's bound on waiting for peers and on retrying a round
-FINAL_GRACE_S = 2.0  # how long a finished TCP peer keeps serving its final weights
+ROUND_DEADLINE_S = 120.0  # how long a TCP peer waits for any one thing before giving up
+POLL_S = 0.05  # a TCP peer's pause between two checks of what it waits for
 
 
-def _wait_for_versions(
-    transport: TcpTransport,
-    self_index: int,
-    own_version: int,
-    expected: list[int],
-    deadline_s: float,
-    allow_down: bool = False,
-    poll_interval_s: float = 0.05,
-) -> None:
-    pending = {j for j in range(len(expected)) if j != self_index}
-    if own_version < expected[self_index]:
-        raise RuntimeError("local client is behind its own schedule")
-    deadline = time.monotonic() + deadline_s
-    while pending:
-        for j in sorted(pending):
-            try:
-                if transport.ping(self_index, j) >= expected[j]:
-                    pending.discard(j)
-            except TransportError:
-                if allow_down:
-                    pending.discard(j)
-        if pending:
-            if time.monotonic() > deadline:
-                raise RuntimeError(f"peers {sorted(pending)} never reached {expected}")
-            time.sleep(poll_interval_s)
+def _wait_until(ready, what: str) -> None:
+    """Call ready() every POLL_S until it returns true, a TransportError
+    counting as not yet; RuntimeError after ROUND_DEADLINE_S."""
+    deadline = time.monotonic() + ROUND_DEADLINE_S
+    error = None
+    while True:
+        try:
+            if ready():
+                return
+        except TransportError as exc:
+            error = exc
+        if time.monotonic() > deadline:
+            raise RuntimeError(f"no {what} within {ROUND_DEADLINE_S:g} s") from error
+        time.sleep(POLL_S)
 
 
 def check_tcp_peer_inputs(cfg: ExperimentConfig, self_index: int,
@@ -762,55 +753,55 @@ def run_tcp_peer(
 ) -> Path:
     """Run one peer process of a serialized-schedule peer-protocol training.
 
-    Every process derives the same data, shards, initial weights, and
-    schedule(cfg) from the config, applies the warm-up pass, and runs the
-    peer rounds it initiates. Before the round at step r it polls peers
-    (plain pings) until their versions reach those of steps[:r], so rounds
-    execute in schedule order and the final weights match a simulated run
-    bit for bit. A round that hits any transport fault retries after a
-    short pause; atomicity makes the retry safe.
+    Binds the peer's endpoint first (ValueError naming it if that fails).
+    Every process derives the same data, shards, initial weights and
+    schedule(cfg) from the config. A round this peer initiates runs, and
+    runs again after a transport fault (rounds are atomic), once pings
+    show every peer at the versions of the steps before it, so the final
+    weights match a simulated run bit for bit. The peer stops once every
+    other peer has reached its final version and been sent this peer's
+    final version in a ping reply. Each wait ends at ROUND_DEADLINE_S.
     """
     check_tcp_peer_inputs(cfg, self_index, peers)
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    train, _ = build_dataset(cfg)
-    shards = build_shards(cfg, train)
-    state = _initial_clients(cfg, shards)[self_index]
-    params = replace(_round_params(cfg, shards), on_unreachable="abort")
-
-    node = ClientNode(state)
     address = next(p for p in peers if p.client_index == self_index)
-    host, port = address.host_port()
-    server = TcpPeerServer(node, self_index, host, port)
-    server.start()
+    node = ClientNode(None)  # given its state before the server starts answering
+    try:
+        server = TcpPeerServer(node, self_index, *address.host_port())
+    except OSError as exc:
+        raise ValueError(f"cannot listen on {address.endpoint}: {exc}") from None
     transport = TcpTransport(self_index, peers)
     try:
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
+        train, _ = build_dataset(cfg)
+        shards = build_shards(cfg, train)
+        node.commit(_initial_clients(cfg, shards)[self_index])
+        params = replace(_round_params(cfg, shards), on_unreachable="abort")
+        server.start()
+        others = [j for j in range(cfg.n_clients) if j != self_index]
+        seen = [-1] * cfg.n_clients  # the highest version each peer answered a ping with
+
+        def reached(target: list[int]) -> bool:  # pings only the peers not yet seen there
+            for j in others:
+                if seen[j] < target[j]:
+                    seen[j] = transport.ping(self_index, j)
+            return all(seen[j] >= target[j] for j in others)
+
+        def run_round() -> bool:
+            node.commit(run_initiator_round(node.state, transport, params)[0])
+            return True
+
         steps = schedule(cfg)
         for r, step in enumerate(steps):
             if step == LOCAL_PASS:
                 node.commit(local_update(node.state, params))
             elif step == self_index:
-                _wait_for_versions(transport, self_index, node.version_entry(),
-                                   expected_versions(steps[:r], cfg.n_clients),
-                                   ROUND_DEADLINE_S)
-                deadline = time.monotonic() + ROUND_DEADLINE_S
-                while True:
-                    try:
-                        new_state, _ = run_initiator_round(node.state, transport, params)
-                        node.commit(new_state)
-                        break
-                    except TransportError:
-                        if time.monotonic() > deadline:
-                            raise
-                        time.sleep(0.1)
-
-        _wait_for_versions(transport, self_index, node.version_entry(),
-                           expected_versions(steps, cfg.n_clients),
-                           ROUND_DEADLINE_S, allow_down=True)
-        weights_path = out_dir / f"client_{self_index}_weights.npy"
+                target = expected_versions(steps[:r], cfg.n_clients)
+                _wait_until(lambda: reached(target) and run_round(), f"round {r}")
+        final, sent = expected_versions(steps, cfg.n_clients), server.sent_versions
+        _wait_until(lambda: reached(final) and all(
+            sent.get(j, -1) >= final[self_index] for j in others), "end of the run")
+        weights_path = Path(out_dir) / f"client_{self_index}_weights.npy"
         np.save(weights_path, node.state.weights.params)
-        time.sleep(FINAL_GRACE_S)  # let slower peers finish their final polls
         return weights_path
     finally:
         transport.close()

@@ -104,7 +104,7 @@ class ClientNode:
     """Thread-safe holder of one client's state for transports to read.
 
     Snapshot reads and commits are serialized by a lock, so a concurrent
-    reader always sees a coherent (version, weights, count) triple.
+    reader sees the weights, sample count and own version entry of one commit.
     """
 
     def __init__(self, state: ClientState):

@@ -363,6 +363,7 @@ class TcpPeerServer:
     DEFAULT_MAX_FRAME_BYTES, after an ErrorMessage reply to an undecodable
     frame, or when a reply cannot be sent within DEFAULT_TIMEOUT_S. An idle
     or half-sent connection holds only its buffer, never a thread.
+    sent_versions maps each sender to the version its last ping reply carried.
 
     The node's snapshot lock makes each read coherent while the owner
     thread trains and commits.
@@ -371,6 +372,7 @@ class TcpPeerServer:
     def __init__(self, node, client_index: int, host: str, port: int):
         self.node = node
         self.client_index = client_index
+        self.sent_versions: dict[int, int] = {}
         self._listener = socket.create_server((host, port))
         self._listener.setblocking(False)
         # stop() writes a byte here to wake the loop out of select().
@@ -448,7 +450,10 @@ class TcpPeerServer:
             except ProtocolError as exc:
                 conn.sendall(encode(reply_to(self.node, self.client_index, exc)))
                 return False
-            conn.sendall(encode(self.respond(message)))
+            reply = self.respond(message)
+            conn.sendall(encode(reply))
+            if type(reply) is PingResponse:
+                self.sent_versions[message.sender] = reply.own_version
         return True
 
     def respond(self, message: Message) -> Message:

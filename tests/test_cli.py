@@ -3,10 +3,11 @@
 from __future__ import annotations
 
 import json
+import socket
 
 import pytest
 
-from peerfed import cli
+from peerfed import cli, experiments
 from peerfed.cli import main
 
 
@@ -192,6 +193,29 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_tcp_peer_whose_port_is_taken_is_a_one_line_error(tmp_path, config_path, capsys,
+                                                          monkeypatch):
+    def no_data(*args, **kwargs):
+        raise AssertionError("generated data although the endpoint cannot be bound")
+
+    monkeypatch.setattr(experiments, "build_dataset", no_data)
+    cfg = {**json.loads(config_path.read_text()), "mode": "braintorrent"}
+    (tmp_path / "bt.json").write_text(json.dumps(cfg))
+    with socket.create_server(("127.0.0.1", 0)) as taken:
+        endpoint = f"127.0.0.1:{taken.getsockname()[1]}"
+        peers = [{"client_index": 0, "endpoint": endpoint}] + [
+            {"client_index": i, "endpoint": f"127.0.0.1:{i}"} for i in (1, 2)]
+        (tmp_path / "peers.json").write_text(json.dumps(peers))
+        status = main(["run", "--config", str(tmp_path / "bt.json"), "--peers",
+                       str(tmp_path / "peers.json"), "--self-index", "0",
+                       "--out", str(tmp_path / "out")])
+    assert status == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: cannot listen on {endpoint}: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_run_experiment2_prints_its_tables(tmp_path, config_path, capsys):

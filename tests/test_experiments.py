@@ -25,7 +25,7 @@ from peerfed.experiments import (
     MetricsRecord,
     Seeds,
     SplitSpec,
-    _wait_for_versions,
+    _wait_until,
     bt_total_rounds,
     build_dataset,
     build_shards,
@@ -191,6 +191,9 @@ class TestConfig:
     def test_too_many_clients_rejected(self):
         with pytest.raises(ValueError, match="clients"):
             small_cfg(n_clients=9)
+        with pytest.raises(ValueError, match="16-bit sender field"):
+            ExperimentConfig(mode="braintorrent", n_clients=65537,
+                             data=GenConfig(num_train=65537, height=4, width=4))
 
     @pytest.mark.parametrize("path, value", [
         ("bt_warmup", "false"),
@@ -573,16 +576,26 @@ class TestScheduleHelpers:
         with pytest.raises(ValueError, match=match):
             run_tcp_peer(cfg, self_index, peers, tmp_path)
 
-    def test_wait_for_versions_retries_after_protocol_error(self):
-        class FlakyTransport:
-            pings = 0
+    def test_wait_until_retries_after_protocol_error(self, monkeypatch):
+        monkeypatch.setattr(experiments, "POLL_S", 0.0)
+        calls = []
 
-            def ping(self, sender, peer):
-                self.pings += 1
-                if self.pings == 1:
-                    raise ProtocolError("corrupt reply")
-                return 1
+        def ready():
+            calls.append(len(calls))
+            if len(calls) == 1:
+                raise ProtocolError("corrupt reply")
+            return True
 
-        transport = FlakyTransport()
-        _wait_for_versions(transport, 0, 1, [1, 1], deadline_s=5.0, poll_interval_s=0.0)
-        assert transport.pings == 2
+        _wait_until(ready, "a reply")
+        assert len(calls) == 2
+
+    def test_wait_until_gives_up_at_the_deadline(self, monkeypatch):
+        monkeypatch.setattr(experiments, "POLL_S", 0.0)
+        monkeypatch.setattr(experiments, "ROUND_DEADLINE_S", 0.0)
+
+        def ready():
+            raise ProtocolError("corrupt reply")
+
+        with pytest.raises(RuntimeError, match="a reply") as info:
+            _wait_until(ready, "a reply")
+        assert isinstance(info.value.__cause__, ProtocolError)

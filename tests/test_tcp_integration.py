@@ -1,12 +1,18 @@
-"""Three real peer processes over loopback TCP must match the simulation."""
+"""TCP peers over loopback must match the simulation: three real peer
+processes, and peers on threads of this process that start at different times."""
 
 from __future__ import annotations
 
+import threading
+import time
+
 import numpy as np
 import pytest
-from conftest import run_tcp_peers
+from conftest import free_ports, run_tcp_peers
 
-from peerfed.experiments import ExperimentConfig, run_training
+from peerfed import experiments
+from peerfed.experiments import ExperimentConfig, run_tcp_peer, run_training, schedule
+from peerfed.transport import PeerAddress
 
 N_CLIENTS = 3
 
@@ -35,3 +41,75 @@ def test_tcp_run_matches_simulation_bitwise(tmp_path):
         assert tcp_params.tobytes() == sim.final_clients[i].weights.params.tobytes(), (
             f"client {i} weights diverge between TCP and simulated runs"
         )
+
+
+JOIN_S = 30.0  # bound on a whole threaded run, late start included
+
+
+def run_threaded_peers(cfg: ExperimentConfig, out, first=(), late_s: float = 0.0) -> list:
+    """Run every client's run_tcp_peer on its own thread of this process,
+    the clients in first late_s seconds before the rest; each one's saved
+    final params, after asserting that every peer finished within JOIN_S."""
+    ports = free_ports(cfg.n_clients)
+    peers = [PeerAddress(i, f"127.0.0.1:{port}") for i, port in enumerate(ports)]
+    errors = []
+
+    def peer(i):
+        try:
+            run_tcp_peer(cfg, i, peers, out)
+        except Exception as exc:
+            errors.append(f"client {i}: {exc!r}")
+
+    threads = [threading.Thread(target=peer, args=(i,), daemon=True)
+               for i in range(cfg.n_clients)]
+    deadline = time.monotonic() + JOIN_S
+    for i in first:
+        threads[i].start()
+    time.sleep(late_s)
+    for i, thread in enumerate(threads):
+        if i not in first:
+            thread.start()
+    for thread in threads:
+        thread.join(max(0.0, deadline - time.monotonic()))
+    running = [i for i, thread in enumerate(threads) if thread.is_alive()]
+    assert not running, f"clients {running} still running after {JOIN_S:g} s"
+    assert not errors, "\n".join(errors)
+    return [np.load(out / f"client_{i}_weights.npy") for i in range(cfg.n_clients)]
+
+
+def assert_matches_simulation(cfg: ExperimentConfig, params: list) -> None:
+    sim = run_training(cfg)
+    for i, p in enumerate(params):
+        assert p.tobytes() == sim.final_clients[i].weights.params.tobytes(), (
+            f"client {i} weights diverge between TCP and simulated runs"
+        )
+
+
+@pytest.mark.slow
+def test_peer_without_rounds_started_first_waits_for_late_peers(tmp_path, monkeypatch):
+    # A peer that initiates no round has nothing to wait for but the end
+    # of the run; it must still serve the peers that start after it.
+    monkeypatch.setattr(experiments, "ROUND_DEADLINE_S", 10.0)
+    cfg = ExperimentConfig.from_dict({
+        **tcp_config_dict(),
+        "seeds": {"data": 1, "init": 2, "shuffle": 3, "initiator": 3},
+    })
+    assert 1 not in schedule(cfg)
+    params = run_threaded_peers(cfg, tmp_path, first=(1,), late_s=2.5)
+    assert_matches_simulation(cfg, params)
+
+
+@pytest.mark.slow
+def test_peers_that_end_at_version_zero_see_each_other(tmp_path, monkeypatch):
+    # Clients 1 and 2 never update, so each must still ping the other once
+    # to learn its final version 0 and to be seen at it.
+    monkeypatch.setattr(experiments, "ROUND_DEADLINE_S", 10.0)
+    d = tcp_config_dict()
+    cfg = ExperimentConfig.from_dict({
+        **d, "n_clients": 4, "rounds_fls": 1, "bt_warmup": False,
+        "data": {**d["data"], "num_train": 8},
+        "seeds": {**d["seeds"], "initiator": 3},
+    })
+    assert experiments.expected_versions(schedule(cfg), 4)[1:3] == [0, 0]
+    params = run_threaded_peers(cfg, tmp_path)
+    assert_matches_simulation(cfg, params)
