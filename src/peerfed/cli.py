@@ -13,15 +13,14 @@ import numpy as np
 from .experiments import (
     ExperimentConfig,
     build_dataset,
-    check_sweep_inputs,
     check_tcp_peer_inputs,
     manifest_config,
     read_json,
-    run_experiment1,
-    run_experiment2,
     run_summary,
+    run_sweep,
     run_tcp_peer,
     run_training,
+    sweep_configs,
     write_table,
 )
 from .transport import parse_peer_table
@@ -75,12 +74,15 @@ def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None
     """
     if args.experiment and (args.peers is not None or args.self_index is not None):
         raise ValueError("--experiment runs in one process; it takes no --peers or --self-index")
+    if args.experiment and (args.mode is not None or args.clients is not None):
+        raise ValueError("--experiment sets the mode and clients of each of its runs; "
+                         "it takes no --mode or --clients")
     if (args.peers is None) != (args.self_index is None):
         raise ValueError("a TCP peer needs both --peers and --self-index")
     cfg = _apply_overrides(_load_config(args.config) if args.from_manifest is None
                            else manifest_config(args.from_manifest), args)
     if args.experiment:
-        check_sweep_inputs(cfg, args.experiment)
+        sweep_configs(args.experiment, cfg)  # ValueError if the sweep cannot use cfg
     if args.peers is None:
         return cfg, None
     peers = parse_peer_table(read_json(args.peers))
@@ -97,14 +99,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         return _error(exc)
 
     if args.experiment:
-        run = run_experiment1 if args.experiment == "exp1" else run_experiment2
-        for name, table in run(cfg, out_dir=args.out)["tables"].items():
-            if isinstance(table, tuple):  # (headers, rows), as in <name>.csv
-                headers, rows = table
-                print(f"{name}:")
-                _print_table(headers, [[_cell(v) for v in row] for row in rows])
-            else:
-                print(f"{name}: {_cell(table)}")
+        for name, (headers, rows) in run_sweep(args.experiment, cfg, args.out)["tables"].items():
+            print(f"{name}:")  # the table of <out>/<name>.csv
+            _print_table(headers, [[_cell(v) for v in row] for row in rows])
         return 0
 
     if peers is not None:

@@ -597,10 +597,6 @@ def manifest_config(manifest_path: str | Path) -> ExperimentConfig:
 # ---------------------------------------------------------------------------
 
 
-def _run_name(mode: str, n_clients: int) -> str:
-    return f"{mode}_c{n_clients:02d}"
-
-
 def write_table(path: Path, headers: list[str], rows: list[list]) -> None:
     """Write one table as CSV (table_csv), making its directory if need be."""
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -611,99 +607,86 @@ def _client_columns(n_clients: int) -> list[str]:
     return [f"client_{i:02d}" for i in range(n_clients)]
 
 
-def check_sweep_inputs(cfg: ExperimentConfig, name: str) -> None:
-    """ValueError unless cfg's data suits the sweep name, "exp1" or "exp2"."""
+def sweep_configs(name: str, base: ExperimentConfig) -> dict[str, ExperimentConfig]:
+    """The runs of sweep name, in the order they run, by run name (also the
+    run's out_dir subdirectory); ValueError unless base's data suits it.
+
+    * ``exp1``: fls and braintorrent at 5/7/10/20 uniform clients, then
+      pooled and only_client at 10: ``fls_c05 ... braintorrent_c20,
+      pooled_c10, only_client_c10``.
+    * ``exp2``: the 5 age-cohort shards of sizes 5/9/2/1/3 under
+      braintorrent, fls and pooled: ``braintorrent_c05, fls_c05, pooled``.
+
+    Every other setting comes from base; its mode and n_clients are unused.
+    """
+    if name not in ("exp1", "exp2"):
+        raise ValueError(f"unknown sweep {name!r}; expected exp1 or exp2")
     need = max(EXP1_CLIENT_SWEEP) if name == "exp1" else sum(EXP2_COUNTS)
-    if cfg.data.num_train != need:
-        raise ValueError(f"{name} needs num_train={need}, got {cfg.data.num_train}")
-
-
-def run_experiment1(
-    base_cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-) -> dict:
-    """Client sweep 5/7/10/20 for both protocols plus pooled and only-client.
-
-    Produces two (headers, rows) tables, each written to ``<name>.csv``:
-    ``summary_clients`` (avg-over-clients and aggregated-model dice per
-    client count, plus a pooled row) and ``per_client_10`` (per-client
-    dice of the 10-client setting).
-    """
-    check_sweep_inputs(base_cfg, "exp1")
-    out = Path(out_dir) if out_dir is not None else None
-    runs: dict[str, RunResult] = {}
-
-    def run_point(mode: str, n_clients: int) -> MetricsRecord:
-        cfg = replace(base_cfg, mode=mode, n_clients=n_clients,
-                      split=SplitSpec(kind="uniform"))
-        name = _run_name(mode, n_clients)
-        runs[name] = run_training(cfg, out_dir=out / name if out else None)
-        return runs[name].final
-
-    summary = []
-    for n_clients in EXP1_CLIENT_SWEEP:
-        fls = run_point("fls", n_clients)
-        bt = run_point("braintorrent", n_clients)
-        summary.append([n_clients, round(base_cfg.data.num_train / n_clients),
-                        fls.avg_client_dice, bt.avg_client_dice,
-                        fls.aggregated_model_dice, bt.aggregated_model_dice])
-    pooled = run_point("pooled", base_cfg.n_clients)
-    summary.append(["pooled", "", "", "", pooled.aggregated_model_dice, ""])
-    run_point("only_client", 10)
-
-    per_client = []
-    for mode in ("braintorrent", "fls", "only_client"):
-        dice = runs[_run_name(mode, 10)].final.per_client_dice
-        per_client.append([mode, *dice, float(np.mean(dice))])
-
-    tables = {
-        "summary_clients": (
-            ["n_clients", "images_per_client", "fls_avg_dice", "braintorrent_avg_dice",
-             "fls_aggregated_dice", "braintorrent_aggregated_dice"],
-            summary,
-        ),
-        "per_client_10": (["method", *_client_columns(10), "mean"], per_client),
-    }
-    if out is not None:
-        for name, (headers, rows) in tables.items():
-            write_table(out / f"{name}.csv", headers, rows)
-    return {"tables": tables, "runs": runs}
-
-
-def run_experiment2(
-    base_cfg: ExperimentConfig,
-    out_dir: str | Path | None = None,
-) -> dict:
-    """Non-uniform cohort shards (sizes 5/9/2/1/3) for both protocols plus pooled.
-
-    Produces the ``cohort_table`` (headers, rows) table, written to
-    ``cohort_table.csv``, with the shard sizes and the braintorrent minus
-    fls average dice beside it.
-    """
-    check_sweep_inputs(base_cfg, "exp2")
-    out = Path(out_dir) if out_dir is not None else None
-    n_clients = len(EXP2_COUNTS)
+    if base.data.num_train != need:
+        raise ValueError(f"{name} needs num_train={need}, got {base.data.num_train}")
+    if name == "exp1":
+        points = [(mode, n) for n in EXP1_CLIENT_SWEEP for mode in ("fls", "braintorrent")]
+        return {f"{mode}_c{n:02d}": replace(base, mode=mode, n_clients=n, split=SplitSpec())
+                for mode, n in points + [("pooled", 10), ("only_client", 10)]}
     split = SplitSpec(kind="cohort", boundaries=EXP2_BOUNDARIES, counts=EXP2_COUNTS)
-    runs: dict[str, RunResult] = {}
-    for mode in ("braintorrent", "fls", "pooled"):
-        cfg = replace(base_cfg, mode=mode, n_clients=n_clients, split=split)
-        name = "pooled" if mode == "pooled" else _run_name(mode, n_clients)
-        runs[mode] = run_training(cfg, out_dir=out / name if out else None)
+    return {run: replace(base, mode=mode, n_clients=len(EXP2_COUNTS), split=split)
+            for run, mode in (("braintorrent_c05", "braintorrent"), ("fls_c05", "fls"),
+                              ("pooled", "pooled"))}
 
-    rows = []
-    for mode in ("braintorrent", "fls"):
-        final = runs[mode].final
-        rows.append([mode, *final.per_client_dice, final.avg_client_dice,
-                     final.aggregated_model_dice])
-    rows.append(["pooled", *[""] * n_clients, "", runs["pooled"].final.aggregated_model_dice])
-    tables = {
-        "cohort_table": (["method", *_client_columns(n_clients), "avg", "aggregated"], rows),
-        "shard_sizes": [c.shard.sample_count for c in runs["fls"].final_clients],
-        "bt_minus_fls_avg": (runs["braintorrent"].final.avg_client_dice
-                             - runs["fls"].final.avg_client_dice),
-    }
+
+def sweep_tables(name: str, base: ExperimentConfig,
+                 finals: dict[str, MetricsRecord]) -> dict[str, tuple[list[str], list[list]]]:
+    """The (headers, rows) tables of sweep name, by CSV name, from the final
+    record of each run of sweep_configs(name, base).
+
+    * ``exp1``: ``summary_clients`` (avg-over-clients and aggregated-model
+      dice of both protocols per client count, plus a pooled row) and
+      ``per_client_10`` (per-client dice of the 10-client runs).
+    * ``exp2``: ``cohort_table`` (per-client, avg and aggregated dice of
+      both protocols, plus a pooled row). The braintorrent minus fls gap is
+      the difference of its two ``avg`` cells.
+    """
+    if name == "exp1":
+        summary = []
+        for n in EXP1_CLIENT_SWEEP:
+            fls, bt = finals[f"fls_c{n:02d}"], finals[f"braintorrent_c{n:02d}"]
+            summary.append([n, round(base.data.num_train / n),
+                            fls.avg_client_dice, bt.avg_client_dice,
+                            fls.aggregated_model_dice, bt.aggregated_model_dice])
+        summary.append(["pooled", "", "", "", finals["pooled_c10"].aggregated_model_dice, ""])
+        per_client = [[mode, *finals[f"{mode}_c10"].per_client_dice,
+                       finals[f"{mode}_c10"].avg_client_dice]
+                      for mode in ("braintorrent", "fls", "only_client")]
+        return {
+            "summary_clients": (
+                ["n_clients", "images_per_client", "fls_avg_dice", "braintorrent_avg_dice",
+                 "fls_aggregated_dice", "braintorrent_aggregated_dice"],
+                summary,
+            ),
+            "per_client_10": (["method", *_client_columns(10), "mean"], per_client),
+        }
+    n = len(EXP2_COUNTS)
+    rows = [[mode, *final.per_client_dice, final.avg_client_dice, final.aggregated_model_dice]
+            for mode, final in (("braintorrent", finals["braintorrent_c05"]),
+                                ("fls", finals["fls_c05"]))]
+    rows.append(["pooled", *[""] * n, "", finals["pooled"].aggregated_model_dice])
+    return {"cohort_table": (["method", *_client_columns(n), "avg", "aggregated"], rows)}
+
+
+def run_sweep(name: str, base: ExperimentConfig, out_dir: str | Path | None = None) -> dict:
+    """Run sweep name ("exp1" or "exp2"): each run of sweep_configs in turn
+    through run_training, into out_dir/<run name> when out_dir is given,
+    then each table of sweep_tables to out_dir/<table name>.csv.
+
+    Returns {"tables": sweep_tables(...), "runs": {run name: RunResult}}.
+    """
+    out = Path(out_dir) if out_dir is not None else None
+    runs = {run: run_training(cfg, out_dir=out / run if out else None)
+            for run, cfg in sweep_configs(name, base).items()}
+    tables = sweep_tables(name, base, {run: result.final for run, result in runs.items()})
     if out is not None:
-        write_table(out / "cohort_table.csv", *tables["cohort_table"])
+        for table, (headers, rows) in tables.items():
+            write_table(out / f"{table}.csv", headers, rows)
     return {"tables": tables, "runs": runs}
 
 

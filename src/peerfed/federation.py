@@ -197,7 +197,7 @@ def fls_round(
 def ping_request(
     initiator: ClientState,
     transport,
-    on_unreachable: str = "abort",
+    on_unreachable: str,
 ) -> VersionVector:
     """Collect every peer's current own-version into a fresh vector.
 

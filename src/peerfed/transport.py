@@ -77,12 +77,17 @@ class PeerUnreachableError(TransportError):
 @dataclass(frozen=True)
 class PeerAddress:
     client_index: int
-    endpoint: str  # "host:port"
+    endpoint: str  # "host:port", an IPv6 host in brackets: "[::1]:9000"
 
     def host_port(self) -> tuple[str, int]:
         host, _, port = self.endpoint.rpartition(":")
+        bracketed = host.startswith("[") and host.endswith("]")
+        host = host[1:-1] if bracketed else host
         if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
             raise ValueError(f"endpoint must be host:port, port 1-65535, got {self.endpoint!r}")
+        if "[" in host or "]" in host or (":" in host and not bracketed):
+            raise ValueError("endpoint host must be a name, an IPv4 address or a bracketed "
+                             f"IPv6 address, got {self.endpoint!r}")
         return host, int(port)
 
 
@@ -373,7 +378,8 @@ class TcpPeerServer:
         self.node = node
         self.client_index = client_index
         self.sent_versions: dict[int, int] = {}
-        self._listener = socket.create_server((host, port))
+        family = socket.AF_INET6 if ":" in host else socket.AF_INET
+        self._listener = socket.create_server((host, port), family=family)
         self._listener.setblocking(False)
         # stop() writes a byte here to wake the loop out of select().
         self._wake_r, self._wake_w = socket.socketpair()

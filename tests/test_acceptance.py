@@ -19,7 +19,7 @@ from peerfed.experiments import (
     ExperimentConfig,
     Seeds,
     manifest_config,
-    run_experiment2,
+    run_sweep,
     run_training,
 )
 from peerfed.federation import (
@@ -289,15 +289,16 @@ def test_criterion_7_cohort_experiment_structure(tmp_path):
         data=GenConfig(num_train=20, num_test=4, height=16, width=16, num_classes=4),
         seeds=Seeds(31, 32, 33, 34),
     )
-    out = run_experiment2(base, out_dir=tmp_path)
-    tables = out["tables"]
-    sizes_ok = tables["shard_sizes"] == list(EXP2_COUNTS)
-    completed = all(out["runs"][m].records for m in ("braintorrent", "fls", "pooled"))
+    runs = run_sweep("exp2", base, out_dir=tmp_path)["runs"]
+    shard_sizes = [c.shard.sample_count for c in runs["fls_c05"].final_clients]
+    sizes_ok = shard_sizes == list(EXP2_COUNTS)
+    completed = all(runs[name].records for name in ("braintorrent_c05", "fls_c05", "pooled"))
     passed = sizes_ok and completed
+    gap = runs["braintorrent_c05"].final.avg_client_dice - runs["fls_c05"].final.avg_client_dice
     report(7, "cohort-split experiment structure", passed,
-           f"shard sizes {tables['shard_sizes']} (want {list(EXP2_COUNTS)}); "
+           f"shard sizes {shard_sizes} (want {list(EXP2_COUNTS)}); "
            f"both protocols completed: {completed}; "
-           f"non-uniform bt-fls avg gap {tables['bt_minus_fls_avg']:+.3f} (reported only)")
+           f"non-uniform bt-fls avg gap {gap:+.3f} (reported only)")
     assert sizes_ok
     assert completed
 

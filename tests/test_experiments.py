@@ -34,11 +34,11 @@ from peerfed.experiments import (
     manifest_config,
     metrics_to_csv,
     metrics_to_json,
-    run_experiment1,
-    run_experiment2,
+    run_sweep,
     run_tcp_peer,
     run_training,
     schedule,
+    sweep_configs,
 )
 from peerfed.federation import pick_initiator
 from peerfed.model import ModelSpec, ModelWeights
@@ -497,17 +497,47 @@ class TestManifest:
                 manifest_config(path)
 
 
+SWEEP_BASE = ExperimentConfig(
+    mode="fls",
+    n_clients=10,
+    rounds_fls=2,
+    model=SMALL_MODEL,
+    data=GenConfig(num_train=20, num_test=2, height=8, width=8, num_classes=4),
+    seeds=Seeds(1, 2, 3, 4),
+)
+
+
+class TestSweepConfigs:
+    def test_run_names_modes_and_clients_in_order(self):
+        exp1 = sweep_configs("exp1", SWEEP_BASE)
+        assert [(run, cfg.mode, cfg.n_clients) for run, cfg in exp1.items()] == [
+            ("fls_c05", "fls", 5), ("braintorrent_c05", "braintorrent", 5),
+            ("fls_c07", "fls", 7), ("braintorrent_c07", "braintorrent", 7),
+            ("fls_c10", "fls", 10), ("braintorrent_c10", "braintorrent", 10),
+            ("fls_c20", "fls", 20), ("braintorrent_c20", "braintorrent", 20),
+            ("pooled_c10", "pooled", 10), ("only_client_c10", "only_client", 10),
+        ]
+        exp2 = sweep_configs("exp2", SWEEP_BASE)
+        assert [(run, cfg.mode, cfg.n_clients) for run, cfg in exp2.items()] == [
+            ("braintorrent_c05", "braintorrent", 5), ("fls_c05", "fls", 5),
+            ("pooled", "pooled", 5),
+        ]
+
+    @pytest.mark.parametrize("name", ["exp1", "exp2"])
+    def test_runs_do_not_depend_on_base_mode_or_clients(self, name):
+        configs = sweep_configs(name, SWEEP_BASE)
+        for mode, n_clients in (("braintorrent", 7), ("pooled", 1), ("only_client", 20)):
+            other = replace(SWEEP_BASE, mode=mode, n_clients=n_clients)
+            assert sweep_configs(name, other) == configs
+
+    def test_unknown_sweep_rejected(self):
+        with pytest.raises(ValueError, match="unknown sweep 'exp3'"):
+            sweep_configs("exp3", SWEEP_BASE)
+
+
 class TestExperiment1:
     def test_sweep_structure(self, tmp_path):
-        base = ExperimentConfig(
-            mode="fls",
-            n_clients=10,
-            rounds_fls=2,
-            model=SMALL_MODEL,
-            data=GenConfig(num_train=20, num_test=2, height=8, width=8, num_classes=4),
-            seeds=Seeds(1, 2, 3, 4),
-        )
-        tables = run_experiment1(base, out_dir=tmp_path)["tables"]
+        tables = run_sweep("exp1", SWEEP_BASE, out_dir=tmp_path)["tables"]
         _, summary = tables["summary_clients"]
         assert [row[0] for row in summary] == [5, 7, 10, 20, "pooled"]
         assert [row[1] for row in summary[:-1]] == [4, 3, 2, 1]
@@ -520,22 +550,15 @@ class TestExperiment1:
 
     def test_wrong_train_count_rejected(self):
         with pytest.raises(ValueError, match="num_train"):
-            run_experiment1(small_cfg())
+            run_sweep("exp1", small_cfg())
 
 
 class TestExperiment2:
     def test_structure_and_shard_sizes(self, tmp_path):
-        base = ExperimentConfig(
-            mode="fls",
-            n_clients=5,
-            rounds_fls=2,
-            model=SMALL_MODEL,
-            data=GenConfig(num_train=20, num_test=2, height=8, width=8, num_classes=4),
-            seeds=Seeds(1, 2, 3, 4),
-        )
-        out = run_experiment2(base, out_dir=tmp_path)
+        out = run_sweep("exp2", SWEEP_BASE, out_dir=tmp_path)
         tables = out["tables"]
-        assert tables["shard_sizes"] == list(EXP2_COUNTS)
+        shard_sizes = [c.shard.sample_count for c in out["runs"]["fls_c05"].final_clients]
+        assert shard_sizes == list(EXP2_COUNTS)
         assert [row[0] for row in tables["cohort_table"][1]] == ["braintorrent", "fls", "pooled"]
         assert (tmp_path / "cohort_table.csv").exists()
         manifest = json.loads((tmp_path / "fls_c05" / "manifest.json").read_text())

@@ -171,7 +171,7 @@ class TestPingAndStaleness:
     def test_fresh_system_all_zeros(self):
         clients = build_clients(3)
         _, transport = wire_up(clients)
-        v_new = ping_request(clients[0], transport)
+        v_new = ping_request(clients[0], transport, on_unreachable="abort")
         np.testing.assert_array_equal(v_new.entries, [0, 0, 0])
 
     def test_peer_version_visible(self):
@@ -179,14 +179,14 @@ class TestPingAndStaleness:
         for _ in range(3):
             clients[2] = local_update(clients[2], PARAMS)
         _, transport = wire_up(clients)
-        v_new = ping_request(clients[0], transport)
+        v_new = ping_request(clients[0], transport, on_unreachable="abort")
         assert v_new.entries[2] == 3
 
     def test_ping_is_read_only(self):
         clients = build_clients(3)
         nodes, transport = wire_up(clients)
         before = [c.version.entries.copy() for c in clients]
-        ping_request(clients[0], transport)
+        ping_request(clients[0], transport, on_unreachable="abort")
         for c, b in zip((n.state for n in nodes), before):
             np.testing.assert_array_equal(c.version.entries, b)
 
@@ -212,6 +212,13 @@ class TestPingAndStaleness:
         assert v_new.entries[1] == 0  # last-known entry, so not stale
         with pytest.raises(PeerUnreachableError):
             ping_request(clients[0], transport, on_unreachable="abort")
+
+    def test_unreachable_policy_has_no_default(self):
+        # RoundParams holds the one default; a caller passes its policy on.
+        clients = build_clients(3)
+        _, transport = wire_up(clients)
+        with pytest.raises(TypeError, match="on_unreachable"):
+            ping_request(clients[0], transport)
 
 
 class TestBtRound:

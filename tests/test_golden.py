@@ -17,8 +17,7 @@ from peerfed.data import FEATURE_CHANNELS, GenConfig
 from peerfed.experiments import (
     ExperimentConfig,
     Seeds,
-    run_experiment1,
-    run_experiment2,
+    run_sweep,
     run_training,
 )
 from peerfed.model import ModelSpec
@@ -57,7 +56,7 @@ RUNS = {
                         "3bbaa4a87fec1cf10f0b0a62580dd09dbba68a90101ae19415b0a5bb656dea05"),
 }
 
-# The TestExperiment1 config of test_experiments.py.
+# The SWEEP_BASE config of test_experiments.py.
 SWEEP_BASE = ExperimentConfig(
     mode="fls",
     n_clients=10,
@@ -86,6 +85,6 @@ def test_metrics_files_match_recorded_digests(name, tmp_path):
 
 
 def test_experiment_tables_match_recorded_digests(tmp_path):
-    run_experiment1(SWEEP_BASE, out_dir=tmp_path)
-    run_experiment2(SWEEP_BASE, out_dir=tmp_path)
+    run_sweep("exp1", SWEEP_BASE, out_dir=tmp_path)
+    run_sweep("exp2", SWEEP_BASE, out_dir=tmp_path)
     assert {name: sha256(tmp_path / name) for name in TABLES} == TABLES

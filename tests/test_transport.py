@@ -268,6 +268,14 @@ def raw_connection(server) -> socket.socket:
     return sock
 
 
+def has_ipv6_loopback() -> bool:
+    try:
+        socket.create_server(("::1", 0), family=socket.AF_INET6).close()
+    except OSError:
+        return False
+    return True
+
+
 class TestTcpTransport:
     @pytest.fixture(autouse=True)
     def no_leaked_threads(self):
@@ -302,6 +310,19 @@ class TestTcpTransport:
             np.testing.assert_array_equal(params, [1.5, -2.5])
             assert count == 9
             assert nbytes == weights_frame_bytes(2)
+            transport.close()
+        finally:
+            server.stop()
+
+    def test_bracketed_ipv6_endpoint_round_trip(self):
+        if not has_ipv6_loopback():
+            pytest.skip("no IPv6 loopback")
+        server = TcpPeerServer(StubNode(version=4), 1, "::1", 0)
+        server.start()
+        try:
+            peers = [PeerAddress(0, "[::1]:1"), PeerAddress(1, f"[::1]:{server.port}")]
+            transport = TcpTransport(0, peers, timeout_s=5.0)
+            assert transport.ping(0, 1) == 4
             transport.close()
         finally:
             server.stop()
@@ -496,6 +517,22 @@ class TestPeerTable:
     def test_bad_endpoint_rejected(self):
         with pytest.raises(ValueError):
             parse_peer_table([{"client_index": 0, "endpoint": "no-port"}])
+
+    def test_bracketed_ipv6_host_loses_its_brackets(self):
+        [peer] = parse_peer_table([{"client_index": 0, "endpoint": "[::1]:9000"}])
+        assert peer.host_port() == ("::1", 9000)
+
+    @pytest.mark.parametrize("endpoint, match", [
+        ("[::1:9000", "bracketed IPv6"),
+        ("::1]:9000", "bracketed IPv6"),
+        ("[[::1]]:9000", "bracketed IPv6"),
+        ("::1:9000", "bracketed IPv6"),
+        ("fe80::1", "bracketed IPv6"),
+        ("[]:9000", "must be host:port"),
+    ])
+    def test_unmatched_bracket_or_bare_ipv6_rejected(self, endpoint, match):
+        with pytest.raises(ValueError, match=match):
+            parse_peer_table([{"client_index": 0, "endpoint": endpoint}])
 
     @pytest.mark.parametrize("table, match", [
         ([{"client_index": 1.9, "endpoint": "127.0.0.1:9000"}], "int client_index"),
