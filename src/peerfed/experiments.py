@@ -18,6 +18,7 @@ differ only in the steps it holds:
 from __future__ import annotations
 
 import csv
+import ctypes
 import hashlib
 import io
 import json
@@ -516,6 +517,28 @@ def metrics_to_json(records: list[MetricsRecord]) -> str:
     return json.dumps({"records": out}, indent=2) + "\n"
 
 
+def blas_corename() -> str | None:
+    """The kernel set numpy's OpenBLAS picked for this CPU at load time (or
+    that OPENBLAS_CORETYPE forced), e.g. "SkylakeX"; None for another BLAS.
+
+    The build's "openblas configuration" names only the build target, and
+    with DYNAMIC_ARCH the kernels that run, and so the bits they give, can
+    differ from it.
+    """
+    from numpy.linalg import _umath_linalg
+
+    try:
+        lib = ctypes.CDLL(_umath_linalg.__file__)
+    except OSError:
+        return None
+    for symbol in ("scipy_openblas_get_corename64_", "openblas_get_corename"):
+        get = getattr(lib, symbol, None)
+        if get is not None:
+            get.argtypes, get.restype = [], ctypes.c_char_p
+            return get().decode("ascii")
+    return None
+
+
 def run_environment() -> dict:
     """What a rerun needs to know of the machine: the numpy and BLAS build
     that the bitwise contract rests on, the BLAS thread settings and the CPUs.
@@ -524,7 +547,8 @@ def run_environment() -> dict:
     return {
         "python": platform.python_version(),
         "numpy": np.__version__,
-        "blas": {key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+        "blas": {**{key: blas.get(key) for key in ("name", "version", "openblas configuration")},
+                 "corename": blas_corename()},
         "threads": {var: os.environ.get(var)
                     for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "cpu_count": os.cpu_count(),

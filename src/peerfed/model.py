@@ -23,6 +23,18 @@ output runs whole: OpenBLAS sums long products for a few rows in another
 order. And four ops always stay whole, because splitting them changes
 bits: the output layer's `h @ W` and the three sums over all rows,
 `h.T @ delta`, `x.T @ delta` and `delta.sum(0)`.
+
+Two products are rewritten where that keeps every bit. The flat params
+hold a layer's W and then its b, so the first layer's, read as one
+(fan_in + 1, fan_out) matrix, are already [[W], [b]]: the first hidden
+layer multiplies its input with a column of ones appended (a per-thread
+scratch) by that view, and the broadcast `+= b` pass goes. And a weight
+gradient with a narrow delta is taken as `(delta.T @ h).T`, which
+OpenBLAS runs faster than `h.T @ delta`. Either keeps the bits only for
+some shapes, which `_folds_bias` and `_transposes_grad` admit. Their
+gates were measured on OpenBLAS 0.3.31 under its SkylakeX, Haswell and
+Sandybridge kernels, each with 1 to 8 BLAS threads; the paper's [512]
+model takes both (4 -> 512 folded, 512 -> 4 transposed).
 """
 
 from __future__ import annotations
@@ -188,7 +200,7 @@ def forward(spec: ModelSpec, weights: ModelWeights, pixels: np.ndarray) -> np.nd
         )
     layers = unflatten(spec, weights.params)
     w, b = layers[-1]
-    return _activations(layers, x)[-1] @ w + b
+    return _activations(weights.params, layers, x)[-1] @ w + b
 
 
 _scratch = threading.local()
@@ -201,6 +213,30 @@ _BLOCK_ROWS = 128
 # terms on for `a @ W` and from 32 for `delta @ W.T`, never below that in
 # 9,000 random products of up to 2,100 rows.
 _BLOCK_MAX_TERMS = 8
+
+
+def _folds_bias(fan_in: int, fan_out: int) -> bool:
+    """Whether the first hidden layer runs as [x, 1] @ [[W], [b]] (module
+    docstring). Measured: an even fan_in of at most 6 and a fan_out that is
+    a multiple of 8 (8 to 4,096) kept the bits at every row count tried (1
+    to 299, then up to 4,096). An odd fan_in changed 1-row (GEMV) products
+    under SkylakeX and Haswell, and fan_in 7 or 8 nearly every odd row
+    count under Haswell.
+    """
+    return fan_in % 2 == 0 and fan_in <= 6 and fan_out % 8 == 0
+
+
+def _transposes_grad(fan_in: int, fan_out: int) -> bool:
+    """Whether a layer's weight gradient is taken as `(delta.T @ a).T`
+    (module docstring). Measured: a fan_out of 4 or 8 and a fan_in that is
+    a larger multiple of 8 (up to 1,024) kept the bits at every row count
+    tried (1 to 299, then up to 4,096). Under Haswell with one thread, an
+    odd fan_out changed nearly every product over 3 inputs and an odd fan_in
+    every product with an even fan_out; with two threads or more, fan_out 2
+    from 64 inputs and fan_in 20 or 100 changed products of 1,000 rows or
+    more.
+    """
+    return fan_out in (4, 8) and fan_in % 8 == 0 and fan_in > fan_out
 
 
 def _row_blocks(n: int, terms: int) -> list[slice]:
@@ -230,22 +266,35 @@ def _scratch_rows(name: str, widths: list[int], n: int, dtype: type) -> list[np.
     return [buf[:n] for buf in buffers]
 
 
-def _activations(layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray) -> list[np.ndarray]:
+def _activations(
+    params: np.ndarray, layers: list[tuple[np.ndarray, np.ndarray]], x: np.ndarray
+) -> list[np.ndarray]:
     """The rows of x followed by the ReLU output of every hidden layer.
 
     Each hidden output is a view into this thread's scratch, valid until
     the thread's next forward or loss_and_grad call. Each layer runs in the
     row blocks `_row_blocks` gives for its product (see the module
-    docstring); the output layer is left to the caller, whole.
+    docstring); the output layer is left to the caller, whole. `params` is
+    the flat vector that `layers` views, read whole for a folded first layer.
     """
-    widths = [w.shape[1] for w, _ in layers[:-1]]
+    n = x.shape[0]
+    hidden = _scratch_rows("hidden", [w.shape[1] for w, _ in layers[:-1]], n, np.float64)
     activations = [x]
-    for (w, b), h in zip(layers[:-1], _scratch_rows("hidden", widths, x.shape[0], np.float64)):
-        for block in _row_blocks(x.shape[0], w.shape[0]):
-            a = np.matmul(activations[-1][block], w, out=h[block])
-            a += b
+    below = x
+    for i, ((w, b), h) in enumerate(zip(layers[:-1], hidden)):
+        if i == 0 and _folds_bias(*w.shape):
+            fan_in, fan_out = w.shape
+            [below] = _scratch_rows("biased_input", [fan_in + 1], n, np.float64)
+            below[:, :fan_in] = x
+            below[:, fan_in] = 1.0
+            w, b = params[: (fan_in + 1) * fan_out].reshape(fan_in + 1, fan_out), None
+        for block in _row_blocks(n, w.shape[0]):
+            a = np.matmul(below[block], w, out=h[block])
+            if b is not None:
+                a += b
             np.maximum(a, 0.0, out=a)
         activations.append(h)
+        below = h
     return activations
 
 
@@ -269,7 +318,7 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
     layers = unflatten(spec, weights.params)
     n = batch.pixels.shape[0]
 
-    activations = _activations(layers, batch.pixels)
+    activations = _activations(weights.params, layers, batch.pixels)
     w, b = layers[-1]
     logits = activations[-1] @ w + b
 
@@ -293,7 +342,7 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
     for i in range(len(layers) - 1, -1, -1):
         w_i, _ = layers[i]
         a = activations[i]
-        grad_w = a.T @ delta
+        grad_w = (delta.T @ a).T if _transposes_grad(*w_i.shape) else a.T @ delta
         grad_b = delta.sum(axis=0)
         grad_chunks.append(grad_b)
         grad_chunks.append(grad_w.ravel())

@@ -83,7 +83,7 @@ class PeerAddress:
         host, _, port = self.endpoint.rpartition(":")
         bracketed = host.startswith("[") and host.endswith("]")
         host = host[1:-1] if bracketed else host
-        if not host or not port.isdigit() or not 1 <= int(port) <= 65535:
+        if not host or not (port.isascii() and port.isdigit()) or not 1 <= int(port) <= 65535:
             raise ValueError(f"endpoint must be host:port, port 1-65535, got {self.endpoint!r}")
         if "[" in host or "]" in host or (":" in host and not bracketed):
             raise ValueError("endpoint host must be a name, an IPv4 address or a bracketed "

@@ -482,12 +482,17 @@ class TestManifest:
         env = json.loads((tmp_path / "run" / "manifest.json").read_text())["environment"]
         assert env["python"] == platform.python_version()
         assert env["numpy"] == np.__version__
-        assert set(env["blas"]) == {"name", "version", "openblas configuration"}
+        assert set(env["blas"]) == {"name", "version", "openblas configuration", "corename"}
         assert env["blas"]["name"]
+        assert env["blas"]["corename"] == experiments.blas_corename()
         assert set(env["threads"]) == {
             "OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"}
         assert env["cpu_count"] == os.cpu_count()
         assert env["affinity_cpus"] is None or 1 <= env["affinity_cpus"] <= env["cpu_count"]
+
+    def test_corename_is_null_without_an_openblas_symbol(self, monkeypatch):
+        monkeypatch.setattr(experiments.ctypes, "CDLL", lambda path: object())
+        assert experiments.run_environment()["blas"]["corename"] is None
 
     def test_manifest_config_rejects_a_manifest_without_one(self, tmp_path):
         path = tmp_path / "manifest.json"

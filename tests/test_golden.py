@@ -1,4 +1,5 @@
-"""Bitwise oracle: SHA-256 of the canonical output files for fixed-seed configs.
+"""Bitwise oracle: SHA-256 of the canonical output files, and of the final
+weights, for fixed-seed configs.
 
 Any change to training, merging, evaluation cadence, byte accounting or
 CSV/JSON rendering shows up here as a mismatch. A change that means to
@@ -9,14 +10,21 @@ refactor must leave them as they are.
 from __future__ import annotations
 
 import hashlib
+import os
+import platform
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import peerfed
 from peerfed.data import FEATURE_CHANNELS, GenConfig
 from peerfed.experiments import (
     ExperimentConfig,
     Seeds,
+    blas_corename,
     run_sweep,
     run_training,
 )
@@ -56,6 +64,34 @@ RUNS = {
                         "3bbaa4a87fec1cf10f0b0a62580dd09dbba68a90101ae19415b0a5bb656dea05"),
 }
 
+# SHA-256 of every client's final params.tobytes(), in client order, for
+# each RUNS config, by the OpenBLAS kernel that computed them (the kernels
+# round some products differently). The metrics files hold Dice scores and
+# byte counts, which a change of a few ulps in every weight leaves as they
+# were; these do not.
+_SKYLAKEX_WEIGHTS = {
+    "braintorrent": "50fb5fd5caa80774580218bb1596aed85320491698f5f8b191780a76be7ced19",
+    "bt_drop_no_warmup": "f60aed9ae1f096744f08445c3cf3db6a4af99d1af9ed246f29193a7929ab0836",
+    "bt_eval_every_2": "50fb5fd5caa80774580218bb1596aed85320491698f5f8b191780a76be7ced19",
+    "fls": "21ed4a468dd4c2016bfdb3581441ab494ed8e02508a20c9410dd8ca545b7baf3",
+    "fls_eval_every_2": "21ed4a468dd4c2016bfdb3581441ab494ed8e02508a20c9410dd8ca545b7baf3",
+    "only_client": "f67d8ff02860601775acf4b4af10074693fa882f255edc00f2dff2411a6121f2",
+    "pooled": "6f2ea80605e1fbd67d4f7def4008f2734472918954e566dc96b7c71222ebaa7f",
+}
+WEIGHTS = {
+    "SkylakeX": _SKYLAKEX_WEIGHTS,
+    "Haswell": _SKYLAKEX_WEIGHTS,
+    "Sandybridge": {
+        "braintorrent": "d0bfb849f40707fc95fcaf746c9e7a9331b611e6a84b93237a11cc2714963fae",
+        "bt_drop_no_warmup": "6d63445732ab01acbefde32cdd36da52beb4cc616afafb50f0106ab1eaaad4dd",
+        "bt_eval_every_2": "d0bfb849f40707fc95fcaf746c9e7a9331b611e6a84b93237a11cc2714963fae",
+        "fls": "335eb78f5c4c4eee4103116ede8f353142c219fc2c241184b1ba1f4c27a563f1",
+        "fls_eval_every_2": "335eb78f5c4c4eee4103116ede8f353142c219fc2c241184b1ba1f4c27a563f1",
+        "only_client": "c3164dda4250b4b1b84615b8e090dc682154b551b868eab96bbacb11d70cb5fd",
+        "pooled": "dbc09beac76e0daeb9ad7f272de1eec462f8300721dd89f8149d0a49e24ec105",
+    },
+}
+
 # The SWEEP_BASE config of test_experiments.py.
 SWEEP_BASE = ExperimentConfig(
     mode="fls",
@@ -84,7 +120,59 @@ def test_metrics_files_match_recorded_digests(name, tmp_path):
         csv_digest, json_digest)
 
 
+@pytest.mark.parametrize("name", sorted(RUNS))
+def test_final_weights_match_recorded_digests(name):
+    kernel = blas_corename()
+    if kernel not in WEIGHTS:
+        pytest.skip(f"no weight digests recorded for BLAS kernel {kernel!r}")
+    result = run_training(replace(BASE, **RUNS[name][0]))
+    digest = hashlib.sha256()
+    for client in result.final_clients:
+        digest.update(client.weights.params.tobytes())
+    assert digest.hexdigest() == WEIGHTS[kernel][name]
+
+
 def test_experiment_tables_match_recorded_digests(tmp_path):
     run_sweep("exp1", SWEEP_BASE, out_dir=tmp_path)
     run_sweep("exp2", SWEEP_BASE, out_dir=tmp_path)
     assert {name: sha256(tmp_path / name) for name in TABLES} == TABLES
+
+
+# An OpenBLAS kernel other than the one the CPU picks, with the CPU flag it
+# needs: forcing a kernel whose instructions the CPU lacks would crash.
+OTHER_KERNELS = {"Sandybridge": "avx", "Haswell": "avx2"}
+
+
+def _cpu_flags() -> set[str]:
+    try:
+        text = Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return set()
+    return {flag for line in text.splitlines() if line.startswith("flags")
+            for flag in line.split(":", 1)[1].split()}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kernel", sorted(OTHER_KERNELS))
+def test_bits_hold_under_another_openblas_kernel(kernel):
+    """The reference-equality tests and the digests above, with OpenBLAS
+    forced onto another kernel: the model's bit-exact rewrites must hold
+    for every kernel it may run on, not only this CPU's.
+    """
+    if platform.machine().lower() not in ("x86_64", "amd64") or blas_corename() is None:
+        pytest.skip("numpy's BLAS is not OpenBLAS on x86-64")
+    if OTHER_KERNELS[kernel] not in _cpu_flags():
+        pytest.skip(f"this CPU lacks {OTHER_KERNELS[kernel]}, which {kernel} kernels need")
+    tests = Path(__file__).resolve().parent
+    package_root = Path(peerfed.__file__).resolve().parents[1]
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": kernel,
+           "PYTHONPATH": str(package_root)}
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         f"{tests / 'test_model.py'}::TestScratchBuffers",
+         f"{tests / 'test_golden.py'}::test_metrics_files_match_recorded_digests",
+         f"{tests / 'test_golden.py'}::test_final_weights_match_recorded_digests"],
+        env=env, capture_output=True, text=True, timeout=600,
+    )
+    # A skip would mean the weight digests went unchecked under this kernel.
+    assert done.returncode == 0 and "skipped" not in done.stdout, done.stdout[-3000:]

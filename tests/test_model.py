@@ -265,12 +265,30 @@ def _weights_and_batch(spec: ModelSpec, n: int, seed: int) -> tuple[ModelWeights
     return ModelWeights(spec.fingerprint(), params), batch
 
 
+# (input_dim, hidden_dims, num_classes) for the reference-equality test.
+REFERENCE_SPECS = [
+    (4, (), 4), (4, (512,), 4), (4, (16, 8, 4), 4), (4, (64, 64), 4),
+    # Each side of the gates on the first layer's bias fold (an even fan_in
+    # of at most 6, a fan_out that is a multiple of 8) and on the transposed
+    # weight gradient (fan_out 4 or 8, a fan_in that is a larger multiple of 8).
+    (3, (12,), 4), (4, (12,), 4), (8, (16,), 4), (6, (8,), 2),
+    (4, (16, 9), 4), (4, (8,), 3), (2, (24, 10), 8),
+]
+
+
 class TestScratchBuffers:
     """forward and loss_and_grad reuse per-thread buffers; results must not show it."""
 
-    @pytest.mark.parametrize("hidden_dims", [(), (512,), (16, 8, 4), (64, 64)])
-    def test_bitwise_equal_to_reference_as_row_counts_change(self, hidden_dims):
-        spec = ModelSpec(4, hidden_dims, 4)
+    # The ids are the ones the first four specs had when hidden_dims was the
+    # only parameter.
+    @pytest.mark.parametrize(
+        "input_dim, hidden_dims, num_classes", REFERENCE_SPECS,
+        ids=[f"hidden_dims{i}" for i in range(len(REFERENCE_SPECS))],
+    )
+    def test_bitwise_equal_to_reference_as_row_counts_change(
+        self, input_dim, hidden_dims, num_classes
+    ):
+        spec = ModelSpec(input_dim, hidden_dims, num_classes)
         earlier = []
         # The last five sit at the row-block edges; BLOCK + 1 and 2 * BLOCK + 1
         # leave a 1-row tail, which must not run as a block of its own, and

@@ -518,6 +518,13 @@ class TestPeerTable:
         with pytest.raises(ValueError):
             parse_peer_table([{"client_index": 0, "endpoint": "no-port"}])
 
+    @pytest.mark.parametrize("endpoint", ["127.0.0.1:\u0661\u0662\u0663", "127.0.0.1:\u00b2"])
+    def test_non_ascii_digit_port_rejected(self, endpoint):
+        # str.isdigit alone takes Arabic-Indic digits (read as port 123) and
+        # superscript two (which int() then refuses with its own message).
+        with pytest.raises(ValueError, match="must be host:port"):
+            parse_peer_table([{"client_index": 0, "endpoint": endpoint}])
+
     def test_bracketed_ipv6_host_loses_its_brackets(self):
         [peer] = parse_peer_table([{"client_index": 0, "endpoint": "[::1]:9000"}])
         assert peer.host_port() == ("::1", 9000)
