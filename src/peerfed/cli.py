@@ -11,8 +11,11 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
+    MODES,
+    SWEEPS,
     ExperimentConfig,
     build_dataset,
+    build_shards,
     check_tcp_peer_inputs,
     manifest_config,
     read_json,
@@ -83,6 +86,8 @@ def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None
                            else manifest_config(args.from_manifest), args)
     if args.experiment:
         sweep_configs(args.experiment, cfg)  # ValueError if the sweep cannot use cfg
+    elif cfg.split.kind == "cohort":
+        build_shards(cfg, build_dataset(cfg)[0])  # ValueError if a bucket draws no image
     if args.peers is None:
         return cfg, None
     peers = parse_peer_table(read_json(args.peers))
@@ -197,13 +202,13 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a training or a full experiment sweep")
     run.add_argument("--config", help="JSON experiment config")
     run.add_argument("--from-manifest", help="take the config a run manifest records")
-    run.add_argument("--mode", choices=("fls", "braintorrent", "pooled", "only_client"))
+    run.add_argument("--mode", choices=MODES)
     run.add_argument("--clients", type=int)
     run.add_argument("--rounds", type=int)
     run.add_argument("--out", help="output directory for metrics and manifest")
     run.add_argument("--peers", help="JSON peer table; with --self-index, run one TCP peer")
     run.add_argument("--self-index", type=int, help="this TCP peer's client index")
-    run.add_argument("--experiment", choices=("exp1", "exp2"),
+    run.add_argument("--experiment", choices=SWEEPS,
                      help="run a full experiment sweep instead of a single config")
     for name in ("data", "init", "shuffle", "initiator"):
         run.add_argument(f"--seed-{name}", type=int, dest=f"seed_{name}")

@@ -10,7 +10,7 @@ so the classifier's learning budget matches the feature magnitudes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,9 +22,6 @@ FEATURE_CHANNELS = 4
 _RADIUS_SWING = 0.3
 _CENTER_JITTER = 0.1
 _OUTER_RADIUS = 0.95
-
-# Seeds generate_dataset_for_cohorts tries before it gives up on exact counts.
-COHORT_MAX_ATTEMPTS = 32
 
 
 @dataclass
@@ -80,7 +77,6 @@ class GenConfig:
     noise_std: float = 0.1
     cohort_shift: float = 1.0
     feature_scale: float = 0.5
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.num_train < 1 or self.num_test < 1:
@@ -97,6 +93,43 @@ class GenConfig:
             raise ValueError(f"cohort_shift must be in [0, 1.9], got {self.cohort_shift}")
         if self.feature_scale <= 0:
             raise ValueError(f"feature_scale must be > 0, got {self.feature_scale}")
+
+
+@dataclass(frozen=True)
+class SplitSpec:
+    """How the training images become client shards.
+
+    ``uniform`` deals them out at random in near-equal shards. ``cohort``
+    gives client i the images of cohort bucket i: bucket 0 is [0, b0] and
+    bucket i is (b[i-1], b[i]] for the boundaries b, which are strictly
+    increasing and strictly inside (0, 100). With counts, the data is drawn
+    so that bucket i holds counts[i] >= 1 training images; without, it is
+    drawn uniformly and every bucket must still catch at least one.
+    """
+
+    kind: str = "uniform"
+    boundaries: tuple[float, ...] | None = None
+    counts: tuple[int, ...] | None = None
+
+    def __post_init__(self) -> None:
+        if self.kind not in ("uniform", "cohort"):
+            raise ValueError(f"unknown split kind {self.kind!r}")
+        if self.kind == "uniform" and (self.boundaries or self.counts):
+            raise ValueError("uniform split takes no boundaries or counts")
+        if self.kind == "cohort":
+            if not self.boundaries:
+                raise ValueError("cohort split requires boundaries")
+            edges = (0.0, *self.boundaries, 100.0)
+            if not all(a < b for a, b in zip(edges, edges[1:])):
+                raise ValueError(f"split boundaries {list(self.boundaries)} must be strictly "
+                                 "increasing and strictly inside (0, 100)")
+            if self.counts is not None and len(self.counts) != len(self.boundaries) + 1:
+                raise ValueError(
+                    f"need {len(self.boundaries) + 1} counts for "
+                    f"{len(self.boundaries)} boundaries"
+                )
+            if self.counts is not None and min(self.counts) < 1:
+                raise ValueError(f"split counts {list(self.counts)} must each be >= 1")
 
 
 def class_intensity(cfg: GenConfig, labels: np.ndarray, cohort: float) -> np.ndarray:
@@ -150,78 +183,48 @@ def _make_image(cfg: GenConfig, cohort: float, rng: np.random.Generator) -> SegI
 
 def _generate(
     cfg: GenConfig,
+    seed: int,
     train_cohorts: np.ndarray,
     test_cohorts: np.ndarray,
 ) -> tuple[list[SegImage], list[SegImage]]:
     images = []
     cohorts = np.concatenate([train_cohorts, test_cohorts])
     for index, cohort in enumerate(cohorts):
-        rng = np.random.default_rng(derive_seed(cfg.seed, "image", index))
+        rng = np.random.default_rng(derive_seed(seed, "image", index))
         images.append(_make_image(cfg, float(cohort), rng))
     return images[: cfg.num_train], images[cfg.num_train :]
 
 
-def generate_dataset(cfg: GenConfig) -> tuple[list[SegImage], list[SegImage]]:
-    """Generate disjoint train/test image lists, deterministic in cfg."""
-    rng = np.random.default_rng(derive_seed(cfg.seed, "cohorts"))
+def generate_dataset(cfg: GenConfig, seed: int) -> tuple[list[SegImage], list[SegImage]]:
+    """Generate disjoint train/test image lists, deterministic in cfg and seed."""
+    rng = np.random.default_rng(derive_seed(seed, "cohorts"))
     cohorts = rng.uniform(0.0, 100.0, size=cfg.num_train + cfg.num_test)
-    return _generate(cfg, cohorts[: cfg.num_train], cohorts[cfg.num_train :])
-
-
-def cohort_bucket_indices(boundaries: list[float], cohorts: np.ndarray) -> np.ndarray:
-    """Bucket index per cohort: bucket 0 is (-inf, b0], bucket i is (b[i-1], b[i]].
-
-    An empty boundary list is the degenerate single-bucket split.
-    """
-    bounds = np.asarray(boundaries, dtype=np.float64).reshape(-1)
-    if np.any(np.diff(bounds) <= 0):
-        raise ValueError(f"boundaries must be strictly increasing, got {boundaries}")
-    return np.searchsorted(bounds, cohorts, side="left")
+    return _generate(cfg, seed, cohorts[: cfg.num_train], cohorts[cfg.num_train :])
 
 
 def generate_dataset_for_cohorts(
     cfg: GenConfig,
-    boundaries: list[float],
-    counts: list[int],
+    split: SplitSpec,
+    seed: int,
 ) -> tuple[list[SegImage], list[SegImage]]:
-    """Generate a dataset whose train cohorts hit exact per-bucket counts.
+    """Generate a dataset with split.counts[i] train images in cohort bucket i.
 
-    Train cohorts are drawn inside their target buckets, then the realized
-    histogram is verified; on a miss the whole generation retries with the
-    seed bumped by one, up to COHORT_MAX_ATTEMPTS times.
+    split is a cohort split with counts. Each bucket's train cohorts are
+    drawn uniformly between its edges, then shuffled together; test cohorts
+    are uniform over [0, 100). A draw lands outside its bucket only if it
+    equals the bucket's lower edge (odds of about 2**-53 for a bucket a few
+    units wide), which split_by_cohort then reports.
     """
-    if len(counts) != len(boundaries) + 1:
-        raise ValueError(
-            f"need {len(boundaries) + 1} counts for {len(boundaries)} boundaries, got {len(counts)}"
-        )
-    if any(c < 1 for c in counts):
-        raise ValueError(f"every cohort bucket needs at least one image, got {counts}")
-    if sum(counts) != cfg.num_train:
-        raise ValueError(f"counts {counts} must sum to num_train={cfg.num_train}")
-
-    edges = [0.0, *boundaries, 100.0]
-    if not all(edges[i] < edges[i + 1] for i in range(len(edges) - 1)):
-        raise ValueError(f"boundaries {boundaries} must lie strictly inside (0, 100)")
-
-    for attempt in range(COHORT_MAX_ATTEMPTS):
-        attempt_cfg = replace(cfg, seed=cfg.seed + attempt)
-        rng = np.random.default_rng(derive_seed(attempt_cfg.seed, "cohorts-targeted"))
-        per_bucket = [
-            rng.uniform(edges[i], edges[i + 1], size=counts[i]) for i in range(len(counts))
-        ]
-        train_cohorts = np.concatenate(per_bucket)
-        rng.shuffle(train_cohorts)
-        test_cohorts = rng.uniform(0.0, 100.0, size=cfg.num_test)
-        train, test = _generate(attempt_cfg, train_cohorts, test_cohorts)
-        realized = np.bincount(
-            cohort_bucket_indices(boundaries, np.array([im.cohort for im in train])),
-            minlength=len(counts),
-        )
-        if list(realized) == list(counts):
-            return train, test
-    raise RuntimeError(
-        f"could not realize cohort counts {counts} within {COHORT_MAX_ATTEMPTS} attempts"
+    if sum(split.counts) != cfg.num_train:
+        raise ValueError(f"counts {list(split.counts)} must sum to num_train={cfg.num_train}")
+    rng = np.random.default_rng(derive_seed(seed, "cohorts-targeted"))
+    edges = (0.0, *split.boundaries, 100.0)
+    train_cohorts = np.concatenate(
+        [rng.uniform(low, high, size=n) for low, high, n in zip(edges, edges[1:], split.counts)]
     )
+    rng.shuffle(train_cohorts)
+    test_cohorts = rng.uniform(0.0, 100.0, size=cfg.num_test)
+    return _generate(cfg, seed, train_cohorts, test_cohorts)
 
 
 def split_uniform(train: list[SegImage], n_clients: int, seed: int) -> list[DatasetShard]:
@@ -249,29 +252,26 @@ def split_uniform(train: list[SegImage], n_clients: int, seed: int) -> list[Data
     return shards
 
 
-def split_by_cohort(
-    train: list[SegImage],
-    boundaries: list[float],
-    expected_counts: list[int] | None = None,
-) -> list[DatasetShard]:
-    """Partition images into cohort-range buckets, one shard per bucket."""
-    buckets = cohort_bucket_indices(boundaries, np.array([im.cohort for im in train]))
-    n_buckets = len(boundaries) + 1
-    groups: list[list[SegImage]] = [[] for _ in range(n_buckets)]
+def split_by_cohort(train: list[SegImage], split: SplitSpec) -> list[DatasetShard]:
+    """One shard per bucket of a cohort split, shard i holding the images in
+    bucket i; ValueError if a bucket holds no image or, where the split has
+    counts, other than counts[i] images.
+    """
+    buckets = np.searchsorted(split.boundaries, [im.cohort for im in train], side="left")
+    groups: list[list[SegImage]] = [[] for _ in range(len(split.boundaries) + 1)]
     for image, bucket in zip(train, buckets):
-        groups[int(bucket)].append(image)
+        groups[bucket].append(image)
 
-    edges = [float("-inf"), *boundaries, float("inf")]
+    edges = [float("-inf"), *split.boundaries, float("inf")]
     for i, group in enumerate(groups):
         if not group:
             raise ValueError(
                 f"cohort bucket {i} ({edges[i]}, {edges[i + 1]}] contains no images"
             )
-    if expected_counts is not None:
+    if split.counts is not None:
         realized = [len(g) for g in groups]
-        if realized != list(expected_counts):
+        if realized != list(split.counts):
             raise ValueError(
-                f"cohort bucket sizes {realized} do not match expected {list(expected_counts)}"
+                f"cohort bucket sizes {realized} do not match expected {list(split.counts)}"
             )
     return [DatasetShard(client_index=i, images=group) for i, group in enumerate(groups)]
-

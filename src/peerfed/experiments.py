@@ -38,6 +38,7 @@ from .data import (
     DatasetShard,
     GenConfig,
     SegImage,
+    SplitSpec,
     generate_dataset,
     generate_dataset_for_cohorts,
     split_by_cohort,
@@ -68,6 +69,7 @@ from .transport import (
 )
 
 MODES = ("fls", "braintorrent", "pooled", "only_client")
+SWEEPS = ("exp1", "exp2")
 EXP1_CLIENT_SWEEP = (5, 7, 10, 20)
 EXP2_BOUNDARIES = (20.0, 30.0, 40.0, 50.0)
 EXP2_COUNTS = (5, 9, 2, 1, 3)
@@ -77,11 +79,8 @@ _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
 def _config_fields(section) -> list:
-    """A config section's keys, in field order: its init fields, except
-    GenConfig.seed (generation uses seeds.data).
-    """
-    return [f for f in fields(section)
-            if f.init and not (isinstance(section, GenConfig) and f.name == "seed")]
+    """A config section's keys, in field order: its init fields."""
+    return [f for f in fields(section) if f.init]
 
 
 def _is(kind: str, value) -> bool:
@@ -101,8 +100,6 @@ def _from_json(default, d, section: str):
     """
     if not isinstance(d, dict):
         raise ValueError(f"{section} must be a JSON object, got {d!r}")
-    if isinstance(default, GenConfig) and "seed" in d:
-        raise ValueError("data.seed is not a config key; generation uses seeds.data")
     kinds = {f.name: f.type for f in _config_fields(default)}
     unknown = set(d) - set(kinds)
     if unknown:
@@ -153,33 +150,6 @@ class Seeds:
         # seed; the others pass through derive_seed first.
         if self.init < 0:
             raise ValueError(f"seeds.init must be >= 0, got {self.init}")
-
-
-@dataclass(frozen=True)
-class SplitSpec:
-    kind: str = "uniform"
-    boundaries: tuple[float, ...] | None = None
-    counts: tuple[int, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("uniform", "cohort"):
-            raise ValueError(f"unknown split kind {self.kind!r}")
-        if self.kind == "uniform" and (self.boundaries or self.counts):
-            raise ValueError("uniform split takes no boundaries or counts")
-        if self.kind == "cohort":
-            if self.boundaries is None:
-                raise ValueError("cohort split requires boundaries")
-            edges = (0.0, *self.boundaries, 100.0)
-            if not all(a < b for a, b in zip(edges, edges[1:])):
-                raise ValueError(f"split boundaries {list(self.boundaries)} must be strictly "
-                                 "increasing and strictly inside (0, 100)")
-            if self.counts is not None and len(self.counts) != len(self.boundaries) + 1:
-                raise ValueError(
-                    f"need {len(self.boundaries) + 1} counts for "
-                    f"{len(self.boundaries)} boundaries"
-                )
-            if self.counts is not None and min(self.counts) < 1:
-                raise ValueError(f"split counts {list(self.counts)} must each be >= 1")
 
 
 @dataclass(frozen=True)
@@ -284,12 +254,9 @@ class RunResult:
 
 
 def build_dataset(cfg: ExperimentConfig) -> tuple[list[SegImage], list[SegImage]]:
-    data = replace(cfg.data, seed=cfg.seeds.data)
     if cfg.split.kind == "cohort" and cfg.split.counts is not None:
-        return generate_dataset_for_cohorts(
-            data, list(cfg.split.boundaries), list(cfg.split.counts)
-        )
-    return generate_dataset(data)
+        return generate_dataset_for_cohorts(cfg.data, cfg.split, cfg.seeds.data)
+    return generate_dataset(cfg.data, cfg.seeds.data)
 
 
 def build_shards(cfg: ExperimentConfig, train: list[SegImage]) -> list[DatasetShard]:
@@ -299,11 +266,7 @@ def build_shards(cfg: ExperimentConfig, train: list[SegImage]) -> list[DatasetSh
         # its shard ordering matches a 1-client split of the same data.
         return split_uniform(train, 1, split_seed)
     if cfg.split.kind == "cohort":
-        return split_by_cohort(
-            train,
-            list(cfg.split.boundaries),
-            list(cfg.split.counts) if cfg.split.counts is not None else None,
-        )
+        return split_by_cohort(train, cfg.split)
     return split_uniform(train, cfg.n_clients, split_seed)
 
 
@@ -643,8 +606,8 @@ def sweep_configs(name: str, base: ExperimentConfig) -> dict[str, ExperimentConf
 
     Every other setting comes from base; its mode and n_clients are unused.
     """
-    if name not in ("exp1", "exp2"):
-        raise ValueError(f"unknown sweep {name!r}; expected exp1 or exp2")
+    if name not in SWEEPS:
+        raise ValueError(f"unknown sweep {name!r}; expected one of {SWEEPS}")
     need = max(EXP1_CLIENT_SWEEP) if name == "exp1" else sum(EXP2_COUNTS)
     if base.data.num_train != need:
         raise ValueError(f"{name} needs num_train={need}, got {base.data.num_train}")

@@ -163,8 +163,8 @@ def test_criterion_3_degenerate_equivalence():
 
 def test_criterion_4_fls_consensus():
     spec = ModelSpec(4, (8,), 4)
-    data = GenConfig(num_train=10, num_test=2, height=8, width=8, num_classes=4, seed=7)
-    train, _ = generate_dataset(data)
+    data = GenConfig(num_train=10, num_test=2, height=8, width=8, num_classes=4)
+    train, _ = generate_dataset(data, 7)
     shards = split_uniform(train, 5, seed=3)
     w0 = init_model(spec, 1)
     clients = [
@@ -185,8 +185,8 @@ def test_criterion_4_fls_consensus():
 def test_criterion_5_protocol_bookkeeping():
     started = time.perf_counter()
     spec = ModelSpec(4, (8,), 4)
-    data = GenConfig(num_train=12, num_test=2, height=8, width=8, num_classes=4, seed=5)
-    train, _ = generate_dataset(data)
+    data = GenConfig(num_train=12, num_test=2, height=8, width=8, num_classes=4)
+    train, _ = generate_dataset(data, 5)
     shards = split_uniform(train, 6, seed=2)
     w0 = init_model(spec, 3)
     nodes = [

@@ -124,6 +124,8 @@ def test_run_requires_config_or_manifest(capsys):
     ("cohort_boundaries_decreasing", "strictly increasing"),
     ("cohort_boundary_past_100_with_counts", "strictly inside (0, 100)"),
     ("cohort_empty_bucket", "counts [3, 3, 0] must each be >= 1"),
+    ("cohort_bucket_draws_no_image", "cohort bucket 0 (-inf, 1.0] contains no images"),
+    ("cohort_draw_misses_a_one_ulp_bucket", "sizes [3, 1, 2] do not match expected [2, 2, 2]"),
 ])
 def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case, message):
     def write(name, text):
@@ -191,6 +193,9 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "cohort_boundaries_decreasing": lambda: cohort(3, [50.0, 40.0]),
         "cohort_boundary_past_100_with_counts": lambda: cohort(3, [50.0, 150.0], [2, 2, 2]),
         "cohort_empty_bucket": lambda: cohort(3, [20.0, 40.0], [3, 3, 0]),
+        "cohort_bucket_draws_no_image": lambda: cohort(3, [1.0, 2.0]),
+        "cohort_draw_misses_a_one_ulp_bucket": lambda: cohort(
+            3, [1.0, 1.0000000000000002], [2, 2, 2]),
     }[case]()
     if argv[:1] == ["run"]:
         argv += ["--out", str(tmp_path / "out")]

@@ -168,7 +168,7 @@ class TestConfig:
     def test_data_seed_key_rejected(self):
         d = small_cfg().to_dict()
         d["data"]["seed"] = 9
-        with pytest.raises(ValueError, match="seeds.data"):
+        with pytest.raises(ValueError, match=r"unknown data keys: \['seed'\]"):
             ExperimentConfig.from_dict(d)
 
     def test_invalid_mode_rejected(self):

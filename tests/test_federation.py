@@ -29,7 +29,7 @@ from peerfed.seeding import derive_seed
 from peerfed.transport import PeerUnreachableError, SimTransport, WeightsResponse
 
 SPEC = ModelSpec(input_dim=4, hidden_dims=(6,), num_classes=3)
-CFG = GenConfig(num_train=8, num_test=2, height=8, width=8, num_classes=3, seed=1)
+CFG = GenConfig(num_train=8, num_test=2, height=8, width=8, num_classes=3)
 PARAMS = RoundParams(spec=SPEC, epochs=2, base_lr=0.001, batch_size=2, shuffle_seed=77)
 
 
@@ -38,7 +38,7 @@ def scalar_weights(value: float) -> ModelWeights:
 
 
 def build_clients(n_clients: int, init_seed: int = 5):
-    train, _ = generate_dataset(CFG)
+    train, _ = generate_dataset(CFG, 1)
     shards = split_uniform(train, n_clients, seed=3)
     w0 = init_model(SPEC, init_seed)
     return [
