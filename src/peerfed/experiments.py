@@ -203,19 +203,13 @@ class ExperimentConfig:
                 f"data num_classes {self.data.num_classes}"
             )
         if self.split.kind == "cohort":
-            if self.split.counts is not None:
-                if self.n_clients != len(self.split.counts):
-                    raise ValueError(
-                        f"cohort split with {len(self.split.counts)} buckets needs "
-                        f"n_clients={len(self.split.counts)}, got {self.n_clients}"
-                    )
-                if sum(self.split.counts) != self.data.num_train:
-                    raise ValueError(
-                        f"cohort counts {self.split.counts} must sum to "
-                        f"num_train={self.data.num_train}"
-                    )
-            elif self.n_clients != len(self.split.boundaries) + 1:
-                raise ValueError("cohort split needs one client per bucket")
+            buckets = len(self.split.boundaries) + 1
+            if self.n_clients != buckets:
+                raise ValueError(f"cohort split with {buckets} buckets needs "
+                                 f"n_clients={buckets}, got {self.n_clients}")
+            if self.split.counts is not None and sum(self.split.counts) != self.data.num_train:
+                raise ValueError(f"cohort counts {self.split.counts} must sum to "
+                                 f"num_train={self.data.num_train}")
         elif self.mode != "pooled" and self.n_clients > self.data.num_train:
             raise ValueError(
                 f"{self.n_clients} clients cannot share {self.data.num_train} images"
@@ -246,7 +240,6 @@ class RunResult:
     final_clients: list[ClientState]
     total_updates: int
     failed_rounds: int
-    trajectory: list[list[np.ndarray]] | None = None
 
     @property
     def final(self) -> MetricsRecord:
@@ -343,7 +336,6 @@ def expected_versions(steps: list[Step], n_clients: int) -> list[int]:
 def run_training(
     cfg: ExperimentConfig,
     out_dir: str | Path | None = None,
-    capture_trajectory: bool = False,
 ) -> RunResult:
     """Execute one run under the simulated transport and optionally persist it.
 
@@ -360,12 +352,10 @@ def run_training(
     shards = build_shards(cfg, train)
     nodes = [ClientNode(c) for c in _initial_clients(cfg, shards)]
     transport = SimTransport(
-        len(nodes),
+        nodes,
         seed=derive_seed(cfg.seeds.initiator, "faults"),
         drop_prob=cfg.sim_drop_prob,
     )
-    for i, node in enumerate(nodes):
-        transport.register(i, node)
     params = _round_params(cfg, shards)
     frame_bytes = weights_frame_bytes(cfg.model.param_count())
 
@@ -373,7 +363,6 @@ def run_training(
     server_bytes = updates = failed_rounds = 0
     evaluated_at = None
     records: list[MetricsRecord] = []
-    trajectory: list[list[np.ndarray]] | None = [] if capture_trajectory else None
     # Test-set Dice by SHA-256 of the parameters. The spec and test set are
     # fixed within this run, so equal parameter bytes score equal Dice.
     scores: dict[bytes, float] = {}
@@ -397,8 +386,6 @@ def run_training(
             bytes_transferred=server_bytes + transport.delivered_bytes(),
             wall_time_ms=int((time.perf_counter() - started) * 1000),
         ))
-        if trajectory is not None:
-            trajectory.append([s.weights.params.copy() for s in states])
 
     for step in schedule(cfg):
         if step == SERVER_ROUND:
@@ -432,7 +419,6 @@ def run_training(
         final_clients=[n.state for n in nodes],
         total_updates=updates,
         failed_rounds=failed_rounds,
-        trajectory=trajectory,
     )
     if out_dir is not None:
         write_run_outputs(result, Path(out_dir), started_at)

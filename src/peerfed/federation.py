@@ -272,7 +272,7 @@ def bt_round(
     params: RoundParams,
     transport,
 ) -> MergeReport:
-    """Run one peer round against the registered nodes; commit on success."""
+    """Run one peer round initiated by nodes[initiator_index]; commit on success."""
     if not 0 <= initiator_index < len(nodes):
         raise ValueError(f"initiator index {initiator_index} out of range")
     node = nodes[initiator_index]

@@ -17,7 +17,8 @@ request path: the same ``ping`` and ``fetch_weights``, one responder
 transport only carries the frames, through its own ``_request``. Over TCP
 each client keeps one open connection to each peer it talks to and sends
 every request to that peer over it, one at a time; each peer's server
-answers all of its connections from one thread.
+answers all of its connections from one thread. Both ends cut frames off
+the stream with one helper, ``take_frame``.
 """
 
 from __future__ import annotations
@@ -249,15 +250,26 @@ _REPLY_TYPES = {PingRequest: PingResponse, WeightsRequest: WeightsResponse}
 
 
 def _checked_reply(request: Message, reply_frame: bytes, peer: int) -> Message:
-    """Decode peer's reply to request; ProtocolError unless it answers request."""
+    """Decode peer's reply to request; ProtocolError naming peer unless it is
+    peer's own answer to request and, for weights, a positive sample count
+    and finite params, so that a round can merge it."""
     reply = decode(reply_frame)
+    if reply.sender != peer:
+        raise ProtocolError(f"client {peer} replied as client {reply.sender}")
     if isinstance(reply, ErrorMessage):
         raise ProtocolError(f"client {peer} refused request: [{reply.code}] {reply.text}")
     if reply.request_id != request.request_id:
-        raise ProtocolError(f"response id {reply.request_id} does not match request")
+        raise ProtocolError(f"client {peer} sent response id {reply.request_id} "
+                            f"to request {request.request_id}")
     expected = _REPLY_TYPES[type(request)]
     if not isinstance(reply, expected):
-        raise ProtocolError(f"expected {expected.__name__}, got {type(reply).__name__}")
+        raise ProtocolError(
+            f"client {peer} sent {type(reply).__name__}, expected {expected.__name__}")
+    if expected is WeightsResponse:
+        if reply.sample_count < 1:
+            raise ProtocolError(f"client {peer} sent weights of {reply.sample_count} samples")
+        if not np.isfinite(reply.params).all():
+            raise ProtocolError(f"client {peer} sent weights that are not all finite")
     return reply
 
 
@@ -285,23 +297,18 @@ class SimTransport:
     call sequence).
     """
 
-    def __init__(self, n_clients: int, seed: int = 0, drop_prob: float = 0.0):
-        if n_clients < 1:
-            raise ValueError(f"n_clients must be >= 1, got {n_clients}")
+    def __init__(self, nodes: list, seed: int = 0, drop_prob: float = 0.0):
+        if not nodes:
+            raise ValueError("SimTransport needs at least one node")
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
-        self.n_clients = n_clients
+        self._nodes = list(nodes)  # client i's node at index i
+        self.n_clients = len(self._nodes)
         self.drop_prob = drop_prob
         self._delivered = 0  # bytes of every frame delivered
         self._rng = np.random.default_rng(seed)
-        self._nodes: dict[int, object] = {}
         self._down: set[int] = set()
         self._request_ids = itertools.count(1)
-
-    def register(self, client_index: int, node) -> None:
-        if not 0 <= client_index < self.n_clients:
-            raise ValueError(f"client index {client_index} out of range")
-        self._nodes[client_index] = node
 
     def set_unreachable(self, client_index: int, down: bool = True) -> None:
         if down:
@@ -322,10 +329,9 @@ class SimTransport:
         """Carry request to peer and its reply back: (checked reply, reply bytes)."""
         frame = encode(request)
         self._deliver(request, peer, frame)
-        node = self._nodes.get(peer)
-        if node is None:
-            raise PeerUnreachableError(f"client {peer} is not registered")
-        reply = reply_to(node, peer, decode(frame))
+        if not 0 <= peer < self.n_clients:
+            raise PeerUnreachableError(f"no client {peer}")
+        reply = reply_to(self._nodes[peer], peer, decode(frame))
         reply_frame = encode(reply)
         self._deliver(reply, request.sender, reply_frame)
         return _checked_reply(request, reply_frame, peer), len(reply_frame)
@@ -337,26 +343,37 @@ class SimTransport:
         return self._delivered
 
 
-def _recv_exact(sock: socket.socket, n: int) -> bytes:
-    chunks = []
-    got = 0
-    while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
-            raise IncompleteFrameError(f"connection closed after {got} of {n} bytes")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
-
-
-def read_frame(sock: socket.socket) -> bytes:
-    """Read one length-prefixed frame off a socket."""
-    prefix = _recv_exact(sock, 4)
-    (length,) = struct.unpack("<I", prefix)
+def take_frame(buffer: bytearray) -> bytes | None:
+    """Cut the first complete frame off the front of buffer, or None while
+    it is incomplete; OversizeFrameError as soon as its length prefix
+    exceeds DEFAULT_MAX_FRAME_BYTES. Both ends of a TCP connection read
+    their frames through it."""
+    if len(buffer) < 4:
+        return None
+    (length,) = struct.unpack_from("<I", buffer)
     if length > DEFAULT_MAX_FRAME_BYTES:
         raise OversizeFrameError(
             f"frame of {length} bytes exceeds cap {DEFAULT_MAX_FRAME_BYTES}")
-    return prefix + _recv_exact(sock, length)
+    end = 4 + length
+    if len(buffer) < end:
+        return None
+    frame = bytes(buffer[:end])
+    del buffer[:end]
+    return frame
+
+
+def read_frame(sock: socket.socket) -> bytes:
+    """Read the one frame a peer sends in reply off sock; ProtocolError if
+    the peer sent more bytes after it."""
+    buffer = bytearray()
+    while (frame := take_frame(buffer)) is None:
+        chunk = sock.recv(_RECV_BYTES)
+        if not chunk:
+            raise IncompleteFrameError(f"connection closed after {len(buffer)} bytes")
+        buffer += chunk
+    if buffer:
+        raise ProtocolError(f"{len(buffer)} bytes after the reply frame")
+    return frame
 
 
 class TcpPeerServer:
@@ -367,8 +384,11 @@ class TcpPeerServer:
     connection is dropped on EOF, on a length prefix above
     DEFAULT_MAX_FRAME_BYTES, after an ErrorMessage reply to an undecodable
     frame, or when a reply cannot be sent within DEFAULT_TIMEOUT_S. An idle
-    or half-sent connection holds only its buffer, never a thread.
-    sent_versions maps each sender to the version its last ping reply carried.
+    or half-sent connection holds only its buffer. Replies are sent with a
+    blocking sendall, though, so a client that stops reading them holds the
+    one thread, and with it every other connection, for up to
+    DEFAULT_TIMEOUT_S per reply. sent_versions maps each sender to the
+    version its last ping reply carried.
 
     The node's snapshot lock makes each read coherent while the owner
     thread trains and commits.
@@ -418,8 +438,8 @@ class TcpPeerServer:
                     continue
                 try:
                     keep = self._answer(conn, key.data)
-                except OSError:  # reset, or the client stopped reading its replies
-                    keep = False
+                except (OSError, OversizeFrameError):  # reset, a client that stopped
+                    keep = False  # reading its replies, or a frame over the cap
                 except Exception:  # a fault answering one client must not stop the rest
                     _log.exception("client %d dropped a connection", self.client_index)
                     keep = False
@@ -442,15 +462,7 @@ class TcpPeerServer:
         if not chunk:
             return False
         buffer += chunk
-        while len(buffer) >= 4:
-            (length,) = struct.unpack_from("<I", buffer)
-            if length > DEFAULT_MAX_FRAME_BYTES:
-                return False
-            end = 4 + length
-            if len(buffer) < end:
-                break
-            frame = bytes(buffer[:end])
-            del buffer[:end]
+        while (frame := take_frame(buffer)) is not None:
             try:
                 message = decode(frame)
             except ProtocolError as exc:
@@ -472,7 +484,9 @@ class TcpTransport:
     Keeps one connection per peer, opened on first use, and sends each
     request only after the previous reply on it was read. Any failure
     closes and forgets that connection, so a late reply can never answer
-    a later request. Call close() when done.
+    a later request. A failed request is not retried here: it raises, and
+    the next request to that peer opens a new connection. Call close()
+    when done.
     """
 
     def __init__(
@@ -493,36 +507,18 @@ class TcpTransport:
         if peer not in self._addresses:
             raise PeerUnreachableError(f"no address for client {peer}")
         frame = encode(request)
-        reused = peer in self._sockets
-        try:
-            reply_frame = self._exchange(peer, frame)
-        except PeerUnreachableError as exc:
-            # A kept connection that the peer closed since its last reply (it
-            # stopped or restarted) fails at once. Ping and fetch are
-            # idempotent reads, so ask once more on a fresh connection. A
-            # timeout is not retried: that peer is slow, not gone.
-            if not reused or isinstance(exc.__cause__, TimeoutError):
-                raise
-            reply_frame = self._exchange(peer, frame)
-        try:
-            return _checked_reply(request, reply_frame, peer), len(reply_frame)
-        except TransportError:
-            self._forget(peer)
-            raise
-
-    def _exchange(self, peer: int, frame: bytes) -> bytes:
-        """Send one request frame to peer and read back one reply frame."""
         sock = self._sockets.get(peer)
         try:
             if sock is None:
                 sock = socket.create_connection(self._addresses[peer], timeout=self.timeout_s)
                 self._sockets[peer] = sock
             sock.sendall(frame)
-            return read_frame(sock)
+            reply_frame = read_frame(sock)
+            return _checked_reply(request, reply_frame, peer), len(reply_frame)
         except (OSError, IncompleteFrameError) as exc:
             self._forget(peer)
             raise PeerUnreachableError(f"client {peer} unreachable: {exc}") from exc
-        except BaseException:  # an oversize reply or an interrupt leaves the stream out of step
+        except BaseException:  # a bad reply or an interrupt leaves the stream out of step
             self._forget(peer)
             raise
 

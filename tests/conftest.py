@@ -1,4 +1,5 @@
-"""Shared helpers: a frame recorder for SimTransport, and loopback TCP peer processes."""
+"""Shared helpers: a stub peer node, recorders for SimTransport frames and
+for run_training's evaluation points, and loopback TCP peer processes."""
 
 from __future__ import annotations
 
@@ -8,7 +9,25 @@ import subprocess
 import sys
 from typing import NamedTuple
 
+import numpy as np
+
+from peerfed import experiments
 from peerfed.transport import PeerUnreachableError
+
+
+class StubNode:
+    """Minimal peer: fixed version and weights payload."""
+
+    def __init__(self, version=0, params=None, sample_count=1):
+        self._version = version
+        self._params = np.zeros(3) if params is None else np.asarray(params, dtype=float)
+        self._count = sample_count
+
+    def version_entry(self):
+        return self._version
+
+    def weights_payload(self):
+        return self._params, self._count
 
 
 class Frame(NamedTuple):
@@ -37,6 +56,31 @@ def record_frames(transport) -> list[Frame]:
 
     transport._deliver = recording
     return frames
+
+
+def record_trajectory(monkeypatch) -> list[list[np.ndarray]]:
+    """Every client's params at each evaluation point of the run_training
+    calls made from now on, one list of client params per point.
+
+    Wraps experiments' ClientNode, to collect the nodes, and MetricsRecord,
+    which run_training builds at each evaluation point; that run's nodes
+    are the last len(per_client_dice) ones made.
+    """
+    nodes, trajectory = [], []
+    node_class, record_class = experiments.ClientNode, experiments.MetricsRecord
+
+    def node(state):
+        nodes.append(node_class(state))
+        return nodes[-1]
+
+    def record(**fields):
+        run_nodes = nodes[-len(fields["per_client_dice"]):]
+        trajectory.append([n.state.weights.params.copy() for n in run_nodes])
+        return record_class(**fields)
+
+    monkeypatch.setattr(experiments, "ClientNode", node)
+    monkeypatch.setattr(experiments, "MetricsRecord", record)
+    return trajectory
 
 
 def free_ports(n: int) -> list[int]:

@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import record_frames, run_tcp_peers
+from conftest import record_frames, record_trajectory, run_tcp_peers
 
 from peerfed.data import GenConfig, generate_dataset, split_uniform
 from peerfed.experiments import (
@@ -135,7 +135,7 @@ def test_criterion_2_gradient_check():
     assert elapsed < 30.0
 
 
-def test_criterion_3_degenerate_equivalence():
+def test_criterion_3_degenerate_equivalence(monkeypatch):
     started = time.perf_counter()
     base = ExperimentConfig(
         mode="fls", n_clients=1, rounds_fls=8,
@@ -143,10 +143,11 @@ def test_criterion_3_degenerate_equivalence():
         data=GenConfig(num_train=4, num_test=2, height=8, width=8, num_classes=4),
         seeds=Seeds(11, 12, 13, 14),
     )
-    trajectories = {
-        mode: run_training(replace(base, mode=mode), capture_trajectory=True).trajectory
-        for mode in ("fls", "braintorrent", "pooled")
-    }
+    trajectories = {}
+    for mode in ("fls", "braintorrent", "pooled"):
+        with monkeypatch.context() as patch:
+            trajectories[mode] = record_trajectory(patch)
+            run_training(replace(base, mode=mode))
     identical = all(
         trajectories["fls"][k][0].tobytes()
         == trajectories["braintorrent"][k][0].tobytes()
@@ -193,9 +194,7 @@ def test_criterion_5_protocol_bookkeeping():
         ClientNode(ClientState(i, w0.copy(), VersionVector.zeros(6), shards[i]))
         for i in range(6)
     ]
-    transport = SimTransport(6, seed=42, drop_prob=0.05)
-    for i, node in enumerate(nodes):
-        transport.register(i, node)
+    transport = SimTransport(nodes, seed=42, drop_prob=0.05)
     frames = record_frames(transport)
     params = RoundParams(spec=spec, shuffle_seed=4, on_unreachable="skip")
 

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import record_frames
+from conftest import record_frames, record_trajectory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +185,8 @@ class TestConfig:
         assert cfg.split.counts == (3, 3, 2)
         with pytest.raises(ValueError, match="n_clients"):
             small_cfg(n_clients=4, split=split)
+        with pytest.raises(ValueError, match="n_clients"):
+            small_cfg(n_clients=4, split=SplitSpec("cohort", (20.0, 40.0)))
         with pytest.raises(ValueError, match="sum"):
             small_cfg(n_clients=3, split=SplitSpec("cohort", (20.0, 40.0), (3, 3, 3)))
 
@@ -390,18 +392,21 @@ class TestEvaluationDedup:
 
     def test_braintorrent_scores_each_distinct_model_once(self, monkeypatch):
         digests = count_evaluations(monkeypatch)
-        res = run_training(small_cfg(mode="braintorrent"), capture_trajectory=True)
+        trajectory = record_trajectory(monkeypatch)
+        res = run_training(small_cfg(mode="braintorrent"))
         assert len(digests) == len(set(digests))
         scored = {hashlib.sha256(p.tobytes()).hexdigest()
-                  for point in res.trajectory for p in point}
+                  for point in trajectory for p in point}
         assert scored <= set(digests)
         assert len(digests) < len(res.records) * (4 + 1)
 
-    def test_memoised_scores_equal_fresh_scores(self):
+    def test_memoised_scores_equal_fresh_scores(self, monkeypatch):
         cfg = small_cfg(mode="braintorrent")
-        res = run_training(cfg, capture_trajectory=True)
+        trajectory = record_trajectory(monkeypatch)
+        res = run_training(cfg)
         _, test = build_dataset(cfg)
-        for rec, point in zip(res.records, res.trajectory):
+        assert len(trajectory) == len(res.records)
+        for rec, point in zip(res.records, trajectory):
             fresh = [evaluate_model(cfg.model, ModelWeights(cfg.model.fingerprint(), p),
                                     test, cfg.data.num_classes)
                      for p in point]

@@ -6,7 +6,7 @@ import copy
 
 import numpy as np
 import pytest
-from conftest import record_frames
+from conftest import StubNode, record_frames
 
 from peerfed.data import DatasetShard, GenConfig, generate_dataset, split_uniform
 from peerfed.federation import (
@@ -26,7 +26,15 @@ from peerfed.federation import (
 )
 from peerfed.model import ModelSpec, ModelWeights, fine_tune, init_model, lr_schedule
 from peerfed.seeding import derive_seed
-from peerfed.transport import PeerUnreachableError, SimTransport, WeightsResponse
+from peerfed.transport import (
+    PeerAddress,
+    PeerUnreachableError,
+    ProtocolError,
+    SimTransport,
+    TcpPeerServer,
+    TcpTransport,
+    WeightsResponse,
+)
 
 SPEC = ModelSpec(input_dim=4, hidden_dims=(6,), num_classes=3)
 CFG = GenConfig(num_train=8, num_test=2, height=8, width=8, num_classes=3)
@@ -54,10 +62,7 @@ def build_clients(n_clients: int, init_seed: int = 5):
 
 def wire_up(clients, drop_prob=0.0, seed=0):
     nodes = [ClientNode(c) for c in clients]
-    transport = SimTransport(len(clients), seed=seed, drop_prob=drop_prob)
-    for i, node in enumerate(nodes):
-        transport.register(i, node)
-    return nodes, transport
+    return nodes, SimTransport(nodes, seed=seed, drop_prob=drop_prob)
 
 
 def expected_fine_tune(state: ClientState, params: RoundParams, start=None):
@@ -317,6 +322,39 @@ class TestBtRound:
         assert after.weights.params.tobytes() == before_bytes
         np.testing.assert_array_equal(after.version.entries, before_version)
         assert after.own_update_count == 0
+
+    @pytest.mark.parametrize("carrier", ["sim", "tcp"])
+    @pytest.mark.parametrize("bad", ["nan_params", "zero_count"])
+    def test_unusable_weights_reply_aborts_atomically(self, carrier, bad):
+        # Peer 1 has moved on, so the round fetches its weights; a reply
+        # the merge cannot use fails the round, naming the peer, before
+        # the merge, and leaves the initiator as it was.
+        initiator = build_clients(2)[0]
+        before_bytes = initiator.weights.params.tobytes()
+        params = initiator.weights.params.copy()
+        if bad == "nan_params":
+            params[len(params) // 2] = np.nan
+        peer = StubNode(version=1, params=params, sample_count=0 if bad == "zero_count" else 3)
+        nodes = [ClientNode(initiator)]
+        server = transport = None
+        try:
+            if carrier == "sim":
+                transport = SimTransport([nodes[0], peer])
+            else:
+                server = TcpPeerServer(peer, 1, "127.0.0.1", 0)
+                server.start()
+                transport = TcpTransport(0, [PeerAddress(0, "127.0.0.1:1"),
+                                             PeerAddress(1, f"127.0.0.1:{server.port}")])
+            with pytest.raises(ProtocolError, match="client 1 sent weights"):
+                bt_round(nodes, 0, PARAMS, transport)
+        finally:
+            if server is not None:
+                transport.close()
+                server.stop()
+        after = nodes[0].state
+        assert after is initiator
+        assert after.weights.params.tobytes() == before_bytes
+        np.testing.assert_array_equal(after.version.entries, [0, 0])
 
     def test_global_merge_norm_shrinks_partial_sets(self):
         params = RoundParams(

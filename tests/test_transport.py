@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from conftest import record_frames
+from conftest import StubNode, record_frames
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -43,21 +43,6 @@ from peerfed.transport import (
     read_frame,
     weights_frame_bytes,
 )
-
-
-class StubNode:
-    """Minimal peer: fixed version and weights payload."""
-
-    def __init__(self, version=0, params=None, sample_count=1):
-        self._version = version
-        self._params = np.zeros(3) if params is None else np.asarray(params, dtype=float)
-        self._count = sample_count
-
-    def version_entry(self):
-        return self._version
-
-    def weights_payload(self):
-        return self._params, self._count
 
 
 def all_message_examples():
@@ -157,6 +142,16 @@ class TestCodec:
             with pytest.raises(OversizeFrameError):
                 read_frame(receiver)
 
+    def test_read_frame_rejects_bytes_after_the_reply(self):
+        # A peer that answers one request with two frames is out of step;
+        # its second frame must not be left to answer the next request.
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            frame = encode(PingResponse(1, 1, 0))
+            sender.sendall(frame + frame)
+            with pytest.raises(ProtocolError, match=f"{len(frame)} bytes after"):
+                read_frame(receiver)
+
     def test_fuzz_smoke_never_crashes(self):
         rng = np.random.default_rng(0)
         for _ in range(20_000):
@@ -188,10 +183,9 @@ class TestCodec:
 
 class TestSimTransport:
     def make(self, versions=(0, 3, 0), drop_prob=0.0, seed=0):
-        transport = SimTransport(len(versions), seed=seed, drop_prob=drop_prob)
-        for i, v in enumerate(versions):
-            transport.register(i, StubNode(version=v, params=np.full(4, float(i)), sample_count=i + 1))
-        return transport
+        nodes = [StubNode(version=v, params=np.full(4, float(i)), sample_count=i + 1)
+                 for i, v in enumerate(versions)]
+        return SimTransport(nodes, seed=seed, drop_prob=drop_prob)
 
     def test_ping_returns_peer_version(self):
         transport = self.make(versions=(0, 3, 7))
@@ -238,11 +232,11 @@ class TestSimTransport:
         assert a_out == b_out and a_trace == b_trace
         assert (a_out, a_trace) != (c_out, c_trace)
 
-    def test_unregistered_peer_unreachable(self):
-        transport = SimTransport(2)
-        transport.register(0, StubNode())
-        with pytest.raises(PeerUnreachableError):
-            transport.ping(0, 1)
+    @pytest.mark.parametrize("peer", [2, -1])
+    def test_out_of_range_peer_unreachable(self, peer):
+        transport = SimTransport([StubNode(), StubNode()])
+        with pytest.raises(PeerUnreachableError, match=f"no client {peer}"):
+            transport.ping(0, peer)
 
 
 @pytest.fixture
@@ -441,6 +435,8 @@ class TestTcpTransport:
                 server.stop()
 
     def test_restarted_peer_answers_on_a_fresh_connection(self, connects):
+        # The request on the connection the old server closed fails and is
+        # not retried underneath the caller; the caller's next one reconnects.
         server = self.start_server(StubNode(version=1))
         port = server.port
         transport = self.transport_for(server)
@@ -448,13 +444,16 @@ class TestTcpTransport:
             assert transport.ping(0, 1) == 1
             server.stop()
             server = self.start_server(StubNode(version=8), port=port)
+            with pytest.raises(PeerUnreachableError, match="client 1"):
+                transport.ping(0, 1)
+            assert connects[0].fileno() == -1
             assert transport.ping(0, 1) == 8
             assert len(connects) == 2
             transport.close()
         finally:
             server.stop()
 
-    @pytest.mark.parametrize("bad_reply", ["error", "wrong_id", "wrong_type"])
+    @pytest.mark.parametrize("bad_reply", ["error", "wrong_id", "wrong_type", "wrong_sender"])
     def test_bad_reply_drops_the_connection(self, connects, bad_reply):
         server = self.start_server(StubNode(version=3))
         try:
@@ -464,8 +463,9 @@ class TestTcpTransport:
                 "error": lambda m: ErrorMessage(1, m.request_id, 2, "no"),
                 "wrong_id": lambda m: PingResponse(1, m.request_id + 1, 3),
                 "wrong_type": lambda m: WeightsResponse(1, m.request_id, 1, np.zeros(2)),
+                "wrong_sender": lambda m: PingResponse(2, m.request_id, 3),
             }[bad_reply]
-            with pytest.raises(ProtocolError):
+            with pytest.raises(ProtocolError, match="client 1"):
                 transport.ping(0, 1)
             del server.respond
             assert transport.ping(0, 1) == 3
