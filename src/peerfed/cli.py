@@ -26,7 +26,7 @@ from .experiments import (
     sweep_configs,
     write_table,
 )
-from .transport import parse_peer_table
+from .transport import TransportError, parse_peer_table
 
 
 def _load_config(path: str) -> ExperimentConfig:
@@ -115,6 +115,9 @@ def cmd_run(args: argparse.Namespace) -> int:
             path = run_tcp_peer(cfg, args.self_index, peers, out)
         except ValueError as exc:  # e.g. its own endpoint cannot be bound
             return _error(exc)
+        except TransportError as exc:  # a wait for the other peers ran out
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
         print(f"client {args.self_index} final weights: {path}")
         return 0
 

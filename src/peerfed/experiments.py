@@ -277,8 +277,15 @@ def evaluate_model(
     return float(np.mean(scores))
 
 
-def _round_params(cfg: ExperimentConfig, shards: list[DatasetShard]) -> RoundParams:
-    return RoundParams(
+def _start(cfg: ExperimentConfig) -> tuple[list[ClientState], RoundParams, list[SegImage]]:
+    """Each client's initial state, whose version vector lists the run's
+    clients, the round params and the test images: every run starts here."""
+    train, test = build_dataset(cfg)
+    shards = build_shards(cfg, train)
+    w0 = init_model(cfg.model, cfg.seeds.init)
+    clients = [ClientState(i, w0.copy(), VersionVector.zeros(len(shards)), shard)
+               for i, shard in enumerate(shards)]
+    params = RoundParams(
         spec=cfg.model,
         epochs=cfg.epochs_per_round,
         base_lr=cfg.base_lr,
@@ -287,19 +294,7 @@ def _round_params(cfg: ExperimentConfig, shards: list[DatasetShard]) -> RoundPar
         merge_norm=cfg.merge_norm,
         total_samples=sum(s.sample_count for s in shards),
     )
-
-
-def _initial_clients(cfg: ExperimentConfig, shards: list[DatasetShard]) -> list[ClientState]:
-    w0 = init_model(cfg.model, cfg.seeds.init)
-    return [
-        ClientState(
-            client_index=i,
-            weights=w0.copy(),
-            version=VersionVector.zeros(len(shards)),
-            shard=shards[i],
-        )
-        for i in range(len(shards))
-    ]
+    return clients, params, test
 
 
 def bt_total_rounds(cfg: ExperimentConfig) -> int:
@@ -348,15 +343,13 @@ def run_training(
     started = time.perf_counter()
     started_at = datetime.now(timezone.utc).isoformat()
 
-    train, test = build_dataset(cfg)
-    shards = build_shards(cfg, train)
-    nodes = [ClientNode(c) for c in _initial_clients(cfg, shards)]
+    clients, params, test = _start(cfg)
+    nodes = [ClientNode(c) for c in clients]
     transport = SimTransport(
         nodes,
         seed=derive_seed(cfg.seeds.initiator, "faults"),
         drop_prob=cfg.sim_drop_prob,
     )
-    params = _round_params(cfg, shards)
     frame_bytes = weights_frame_bytes(cfg.model.param_count())
 
     server: ModelWeights | None = None  # the last server round's aggregate
@@ -544,11 +537,22 @@ def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> None
     (out_dir / "report.txt").write_text("\n".join(run_summary(result)) + "\n")
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object's dict; ValueError naming a key it repeats."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ValueError(f"repeated key {key!r}")
+        out[key] = value
+    return out
+
+
 def read_json(path: str | Path):
     """The JSON value a file holds; ValueError naming the file if it is not
-    JSON or nests too deeply to parse, OSError if it cannot be read."""
+    JSON, repeats a key in an object or nests too deeply to parse, OSError
+    if it cannot be read."""
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -674,17 +678,18 @@ POLL_S = 0.05  # a TCP peer's pause between two checks of what it waits for
 
 def _wait_until(ready, what: str) -> None:
     """Call ready() every POLL_S until it returns true, a TransportError
-    counting as not yet; RuntimeError after ROUND_DEADLINE_S."""
+    counting as not yet; after ROUND_DEADLINE_S, a TransportError naming
+    what was waited for and the last fault."""
     deadline = time.monotonic() + ROUND_DEADLINE_S
-    error = None
+    fault = ""
     while True:
         try:
             if ready():
                 return
         except TransportError as exc:
-            error = exc
+            fault = f"; last fault: {exc}"
         if time.monotonic() > deadline:
-            raise RuntimeError(f"no {what} within {ROUND_DEADLINE_S:g} s") from error
+            raise TransportError(f"no {what} within {ROUND_DEADLINE_S:g} s{fault}")
         time.sleep(POLL_S)
 
 
@@ -716,7 +721,8 @@ def run_tcp_peer(
     show every peer at the versions of the steps before it, so the final
     weights match a simulated run bit for bit. The peer stops once every
     other peer has reached its final version and been sent this peer's
-    final version in a ping reply. Each wait ends at ROUND_DEADLINE_S.
+    final version in a ping reply. A wait that outlasts ROUND_DEADLINE_S
+    ends the run with a TransportError.
     """
     check_tcp_peer_inputs(cfg, self_index, peers)
     address = next(p for p in peers if p.client_index == self_index)
@@ -728,10 +734,9 @@ def run_tcp_peer(
     transport = TcpTransport(self_index, peers)
     try:
         Path(out_dir).mkdir(parents=True, exist_ok=True)
-        train, _ = build_dataset(cfg)
-        shards = build_shards(cfg, train)
-        node.commit(_initial_clients(cfg, shards)[self_index])
-        params = replace(_round_params(cfg, shards), on_unreachable="abort")
+        clients, params, _ = _start(cfg)
+        node.commit(clients[self_index])
+        params = replace(params, on_unreachable="abort")
         server.start()
         others = [j for j in range(cfg.n_clients) if j != self_index]
         seen = [-1] * cfg.n_clients  # the highest version each peer answered a ping with

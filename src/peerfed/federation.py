@@ -30,7 +30,7 @@ from .model import (
     lr_schedule,
 )
 from .seeding import derive_seed
-from .transport import PeerUnreachableError
+from .transport import PeerUnreachableError, ProtocolError
 
 
 @dataclass
@@ -199,13 +199,13 @@ def ping_request(
     transport,
     on_unreachable: str,
 ) -> VersionVector:
-    """Collect every peer's current own-version into a fresh vector.
+    """Collect the own-version of each other client the initiator's vector lists.
 
     With on_unreachable="skip", a peer that cannot be reached keeps the
     initiator's last-known entry, so it will not be selected as stale.
     """
     v_new = initiator.version.entries.copy()
-    for peer in range(transport.n_clients):
+    for peer in range(len(v_new)):
         if peer == initiator.client_index:
             continue
         try:
@@ -244,10 +244,8 @@ def run_initiator_round(
     for peer in stale:
         payload, sample_count, nbytes = transport.fetch_weights(state.client_index, peer)
         if payload.shape != state.weights.params.shape:
-            raise ValueError(
-                f"peer {peer} sent {payload.shape[0]} params, expected "
-                f"{state.weights.params.shape[0]}"
-            )
+            raise ProtocolError(f"client {peer} sent weights of {payload.shape[0]} params, "
+                                f"expected {state.weights.params.shape[0]}")
         entries[peer] = (ModelWeights(state.weights.spec_fingerprint, payload), sample_count)
         bytes_received += nbytes
     merged = _merge([entries[i] for i in sorted(entries)], params)

@@ -23,6 +23,7 @@ the stream with one helper, ``take_frame``.
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import logging
 import selectors
@@ -36,7 +37,7 @@ import numpy as np
 PROTOCOL_VERSION = 1
 HEADER_BYTES = 12  # version + sender + request_id + tag
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
-DEFAULT_TIMEOUT_S = 10.0
+DEFAULT_TIMEOUT_S = 10.0  # how long a client waits to connect or for a reply
 _RECV_BYTES = 64 * 1024
 
 _log = logging.getLogger(__name__)
@@ -303,7 +304,6 @@ class SimTransport:
         if not 0.0 <= drop_prob < 1.0:
             raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
         self._nodes = list(nodes)  # client i's node at index i
-        self.n_clients = len(self._nodes)
         self.drop_prob = drop_prob
         self._delivered = 0  # bytes of every frame delivered
         self._rng = np.random.default_rng(seed)
@@ -329,7 +329,7 @@ class SimTransport:
         """Carry request to peer and its reply back: (checked reply, reply bytes)."""
         frame = encode(request)
         self._deliver(request, peer, frame)
-        if not 0 <= peer < self.n_clients:
+        if not 0 <= peer < len(self._nodes):
             raise PeerUnreachableError(f"no client {peer}")
         reply = reply_to(self._nodes[peer], peer, decode(frame))
         reply_frame = encode(reply)
@@ -379,16 +379,16 @@ def read_frame(sock: socket.socket) -> bytes:
 class TcpPeerServer:
     """Serves ping and weight reads for one client over TCP.
 
-    One thread serves every connection through a selector: it buffers what
-    each connection sent and answers each complete frame in order. A
-    connection is dropped on EOF, on a length prefix above
-    DEFAULT_MAX_FRAME_BYTES, after an ErrorMessage reply to an undecodable
-    frame, or when a reply cannot be sent within DEFAULT_TIMEOUT_S. An idle
-    or half-sent connection holds only its buffer. Replies are sent with a
-    blocking sendall, though, so a client that stops reading them holds the
-    one thread, and with it every other connection, for up to
-    DEFAULT_TIMEOUT_S per reply. sent_versions maps each sender to the
-    version its last ping reply carried.
+    One thread serves every connection through a selector and never blocks
+    on one. A connection carries one request at a time, in one buffer; the
+    event it is registered for says whether it is reading a request or
+    sending the reply. A reply goes out with a non-blocking send, and the
+    connection is not read until the rest has gone out. So a connection
+    that is idle, half-sent or not reading its replies holds only its
+    buffer. A connection is dropped on EOF, on a length prefix above
+    DEFAULT_MAX_FRAME_BYTES, on bytes after its one request, or after an
+    ErrorMessage reply to an undecodable frame. sent_versions maps each
+    sender to the version of its last ping reply that went out whole.
 
     The node's snapshot lock makes each read coherent while the owner
     thread trains and commits.
@@ -436,10 +436,11 @@ class TcpPeerServer:
                 if conn is self._listener:
                     self._accept()
                     continue
+                step = self._answer if key.events == selectors.EVENT_READ else self._send
                 try:
-                    keep = self._answer(conn, key.data)
-                except (OSError, OversizeFrameError):  # reset, a client that stopped
-                    keep = False  # reading its replies, or a frame over the cap
+                    keep = step(conn, key.data)
+                except (OSError, OversizeFrameError):  # reset, or a frame over the cap
+                    keep = False
                 except Exception:  # a fault answering one client must not stop the rest
                     _log.exception("client %d dropped a connection", self.client_index)
                     keep = False
@@ -452,26 +453,42 @@ class TcpPeerServer:
             conn, _ = self._listener.accept()
         except OSError:  # the client gave up before it was accepted
             return
-        conn.settimeout(DEFAULT_TIMEOUT_S)  # bounds each sendall of a reply
+        conn.setblocking(False)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._selector.register(conn, selectors.EVENT_READ, bytearray())
 
     def _answer(self, conn: socket.socket, buffer: bytearray) -> bool:
-        """Take what conn sent and reply to each complete frame; False drops conn."""
+        """Read conn's request into buffer; once it is whole, send the
+        reply. False drops conn."""
         chunk = conn.recv(_RECV_BYTES)
         if not chunk:
             return False
         buffer += chunk
-        while (frame := take_frame(buffer)) is not None:
-            try:
-                message = decode(frame)
-            except ProtocolError as exc:
-                conn.sendall(encode(reply_to(self.node, self.client_index, exc)))
-                return False
-            reply = self.respond(message)
-            conn.sendall(encode(reply))
-            if type(reply) is PingResponse:
-                self.sent_versions[message.sender] = reply.own_version
+        if (frame := take_frame(buffer)) is None:
+            return True
+        if buffer:  # a second request before the first was answered
+            return False
+        try:
+            message = decode(frame)
+        except ProtocolError as exc:
+            conn.send(encode(reply_to(self.node, self.client_index, exc)))
+            return False
+        reply = self.respond(message)
+        buffer += encode(reply)
+        sent = {message.sender: reply.own_version} if type(reply) is PingResponse else {}
+        return self._send(conn, (buffer, sent))
+
+    def _send(self, conn: socket.socket, pending: tuple[bytearray, dict[int, int]]) -> bool:
+        """Send what is left of conn's reply without blocking; once it is
+        all out, record it in sent_versions and read conn's next request."""
+        buffer, sent = pending
+        with contextlib.suppress(BlockingIOError):  # no room for a byte yet
+            del buffer[:conn.send(buffer)]
+        if buffer:
+            self._selector.modify(conn, selectors.EVENT_WRITE, pending)
+        else:
+            self.sent_versions.update(sent)
+            self._selector.modify(conn, selectors.EVENT_READ, buffer)
         return True
 
     def respond(self, message: Message) -> Message:
@@ -489,16 +506,9 @@ class TcpTransport:
     when done.
     """
 
-    def __init__(
-        self,
-        self_index: int,
-        peers: list[PeerAddress],
-        timeout_s: float = DEFAULT_TIMEOUT_S,
-    ):
+    def __init__(self, self_index: int, peers: list[PeerAddress]):
         self.self_index = self_index
-        self.timeout_s = timeout_s
         self._addresses = {p.client_index: p.host_port() for p in peers}
-        self.n_clients = len(self._addresses)
         self._request_ids = itertools.count(1)
         self._sockets: dict[int, socket.socket] = {}
 
@@ -510,7 +520,7 @@ class TcpTransport:
         sock = self._sockets.get(peer)
         try:
             if sock is None:
-                sock = socket.create_connection(self._addresses[peer], timeout=self.timeout_s)
+                sock = socket.create_connection(self._addresses[peer], timeout=DEFAULT_TIMEOUT_S)
                 self._sockets[peer] = sock
             sock.sendall(frame)
             reply_frame = read_frame(sock)
@@ -541,7 +551,6 @@ def parse_peer_table(entries: list) -> list[PeerAddress]:
     if not isinstance(entries, list):
         raise ValueError(f"peer table must be a JSON list, got {entries!r}")
     peers = []
-    seen = set()
     for entry in entries:
         if not isinstance(entry, dict):
             raise ValueError(f"peer table entry must be a JSON object, got {entry!r}")
@@ -554,8 +563,5 @@ def parse_peer_table(entries: list) -> list[PeerAddress]:
                              f"host:port endpoint string, got {entry!r}")
         address = PeerAddress(index, endpoint)
         address.host_port()  # validate eagerly
-        if address.client_index in seen:
-            raise ValueError(f"duplicate client index {address.client_index} in peer table")
-        seen.add(address.client_index)
         peers.append(address)
     return peers

@@ -1,0 +1,37 @@
+"""The benchmark times a run by wrapping program functions by name, so a
+run must still pass through the names it wraps."""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+from pathlib import Path
+
+import pytest
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
+
+from peerfed.experiments import ExperimentConfig, run_training  # noqa: E402
+
+from workloads import run_sim  # noqa: E402
+
+CONFIG = {
+    "n_clients": 3,
+    "rounds_fls": 3,
+    "model": {"input_dim": 4, "hidden_dims": [8], "num_classes": 4},
+    "data": {"num_train": 6, "num_test": 2, "height": 8, "width": 8, "num_classes": 4},
+    "seeds": {"data": 91, "init": 92, "shuffle": 93, "initiator": 94},
+}
+
+
+# run_sim wraps experiments.fls_round or experiments.bt_round: one span per
+# server round, or per peer round after the warm-up (3 x 3 updates - 3).
+@pytest.mark.parametrize("mode, rounds", [("fls", 3), ("braintorrent", 6)])
+def test_run_sim_times_each_round_and_digests_run_trainings_metrics(tmp_path, mode, rounds):
+    cfg = ExperimentConfig.from_dict({**CONFIG, "mode": mode})
+    result = run_sim(cfg, tmp_path / "bench")
+    assert len(result.rounds_ms) == rounds
+    run_training(cfg, out_dir=tmp_path / "plain")
+    metrics = (tmp_path / "plain" / "metrics.csv").read_bytes()
+    assert result.digest == hashlib.sha256(metrics).hexdigest()

@@ -6,6 +6,7 @@ import json
 import socket
 
 import pytest
+from conftest import free_ports
 
 from peerfed import cli, experiments
 from peerfed.cli import main
@@ -126,6 +127,9 @@ def test_run_requires_config_or_manifest(capsys):
     ("cohort_empty_bucket", "counts [3, 3, 0] must each be >= 1"),
     ("cohort_bucket_draws_no_image", "cohort bucket 0 (-inf, 1.0] contains no images"),
     ("cohort_draw_misses_a_one_ulp_bucket", "sizes [3, 1, 2] do not match expected [2, 2, 2]"),
+    ("config_repeats_a_key", "c.json: repeated key 'mode'"),
+    ("manifest_repeats_a_key", "m.json: repeated key 'config'"),
+    ("peer_entry_repeats_a_key", "p.json: repeated key 'client_index'"),
 ])
 def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case, message):
     def write(name, text):
@@ -196,6 +200,13 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "cohort_bucket_draws_no_image": lambda: cohort(3, [1.0, 2.0]),
         "cohort_draw_misses_a_one_ulp_bucket": lambda: cohort(
             3, [1.0, 1.0000000000000002], [2, 2, 2]),
+        "config_repeats_a_key": lambda: ["run", "--config", write(
+            "c.json", json.dumps(cfg)[:-1] + ', "mode": "braintorrent"}')],
+        "manifest_repeats_a_key": lambda: ["run", "--from-manifest", write(
+            "m.json", f'{{"config": {json.dumps(cfg)}, "config": {{}}}}')],
+        "peer_entry_repeats_a_key": lambda: [*bt_run, "--self-index", "0", "--peers", write(
+            "p.json", json.dumps(peers).replace('"client_index": 0', '"client_index": 0, '
+                                                '"client_index": 1'))],
     }[case]()
     if argv[:1] == ["run"]:
         argv += ["--out", str(tmp_path / "out")]
@@ -228,6 +239,25 @@ def test_tcp_peer_whose_port_is_taken_is_a_one_line_error(tmp_path, config_path,
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot listen on {endpoint}: ")
     assert captured.err.count("\n") == 1
+
+
+def test_tcp_peer_that_gives_up_is_a_one_line_error(tmp_path, config_path, capsys,
+                                                    monkeypatch):
+    # Client 1 never starts, so client 0's first wait for it runs out.
+    monkeypatch.setattr(experiments, "ROUND_DEADLINE_S", 0.5)
+    cfg = {**json.loads(config_path.read_text()), "mode": "braintorrent", "n_clients": 2}
+    (tmp_path / "bt.json").write_text(json.dumps(cfg))
+    peers = [{"client_index": i, "endpoint": f"127.0.0.1:{port}"}
+             for i, port in enumerate(free_ports(2))]
+    (tmp_path / "peers.json").write_text(json.dumps(peers))
+    status = main(["run", "--config", str(tmp_path / "bt.json"), "--peers",
+                   str(tmp_path / "peers.json"), "--self-index", "0",
+                   "--out", str(tmp_path / "out")])
+    assert status == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: no ") and captured.err.count("\n") == 1
+    assert " within 0.5 s; last fault: client 1 unreachable: " in captured.err
 
 
 def test_run_experiment2_prints_its_tables(tmp_path, config_path, capsys):

@@ -304,8 +304,6 @@ class TestBtRound:
         nodes, transport = wire_up(clients)
 
         class PingOnlyTransport:
-            n_clients = transport.n_clients
-
             def ping(self, sender, peer):
                 return transport.ping(sender, peer)
 
@@ -324,7 +322,7 @@ class TestBtRound:
         assert after.own_update_count == 0
 
     @pytest.mark.parametrize("carrier", ["sim", "tcp"])
-    @pytest.mark.parametrize("bad", ["nan_params", "zero_count"])
+    @pytest.mark.parametrize("bad", ["nan_params", "zero_count", "wrong_length"])
     def test_unusable_weights_reply_aborts_atomically(self, carrier, bad):
         # Peer 1 has moved on, so the round fetches its weights; a reply
         # the merge cannot use fails the round, naming the peer, before
@@ -334,6 +332,8 @@ class TestBtRound:
         params = initiator.weights.params.copy()
         if bad == "nan_params":
             params[len(params) // 2] = np.nan
+        elif bad == "wrong_length":
+            params = params[:-1]
         peer = StubNode(version=1, params=params, sample_count=0 if bad == "zero_count" else 3)
         nodes = [ClientNode(initiator)]
         server = transport = None

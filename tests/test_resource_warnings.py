@@ -22,7 +22,8 @@ def test_tcp_tests_leave_no_socket_unclosed():
     proc = subprocess.run(
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest",
          "-q", "-p", "no:cacheprovider",
-         "tests/test_transport.py", "tests/test_tcp_integration.py"],
+         "tests/test_transport.py", "tests/test_tcp_integration.py",
+         "tests/test_federation.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     output = proc.stdout + proc.stderr

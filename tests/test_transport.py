@@ -13,6 +13,7 @@ from conftest import StubNode, record_frames
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from peerfed import transport as transport_module
 from peerfed.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     ERR_VERSION_MISMATCH,
@@ -287,12 +288,12 @@ class TestTcpTransport:
         server.start()
         return server
 
-    def transport_for(self, server, timeout_s=5.0):
+    def transport_for(self, server):
         peers = [
             PeerAddress(0, "127.0.0.1:1"),  # self entry, never dialed here
             PeerAddress(1, f"127.0.0.1:{server.port}"),
         ]
-        return TcpTransport(0, peers, timeout_s=timeout_s)
+        return TcpTransport(0, peers)
 
     def test_ping_and_fetch_round_trip(self):
         node = StubNode(version=5, params=np.array([1.5, -2.5]), sample_count=9)
@@ -315,7 +316,7 @@ class TestTcpTransport:
         server.start()
         try:
             peers = [PeerAddress(0, "[::1]:1"), PeerAddress(1, f"[::1]:{server.port}")]
-            transport = TcpTransport(0, peers, timeout_s=5.0)
+            transport = TcpTransport(0, peers)
             assert transport.ping(0, 1) == 4
             transport.close()
         finally:
@@ -343,12 +344,13 @@ class TestTcpTransport:
         finally:
             server.stop()
 
-    def test_dead_peer_unreachable_within_timeout(self):
+    def test_dead_peer_unreachable_within_timeout(self, monkeypatch):
         server = self.start_server(StubNode())
         port = server.port
         server.stop()
+        monkeypatch.setattr(transport_module, "DEFAULT_TIMEOUT_S", 0.5)
         peers = [PeerAddress(0, "127.0.0.1:1"), PeerAddress(1, f"127.0.0.1:{port}")]
-        transport = TcpTransport(0, peers, timeout_s=0.5)
+        transport = TcpTransport(0, peers)
         start = time.monotonic()
         with pytest.raises(PeerUnreachableError):
             transport.ping(0, 1)
@@ -384,6 +386,56 @@ class TestTcpTransport:
             for sock in (idle, half, oversize):
                 if sock is not None:
                     sock.close()
+            server.stop()
+
+    def test_a_burst_of_unread_requests_does_not_block_a_ping(self):
+        # 399 weights requests for a 4,612-parameter node ask for 14.7 MB of
+        # replies, far more than the socket buffers hold for a client that
+        # reads none of them.
+        server = self.start_server(StubNode(version=4, params=np.zeros(4612)))
+        greedy = raw_connection(server)
+        try:
+            greedy.sendall(b"".join(encode(WeightsRequest(0, i)) for i in range(1, 400)))
+            transport = self.transport_for(server)
+            start = time.monotonic()
+            assert transport.ping(0, 1) == 4
+            assert time.monotonic() - start < 1.0
+            transport.close()
+        finally:
+            greedy.close()
+            server.stop()
+
+    def test_a_client_that_stops_reading_does_not_block_a_ping(self):
+        # One weights request every 5 ms, and no reply read: the replies soon
+        # fill the socket buffers, while each request alone is well-formed.
+        server = self.start_server(StubNode(version=4, params=np.zeros(4612)))
+        stalled = raw_connection(server)
+        stalled.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        transport = self.transport_for(server)
+        try:
+            for i in range(1, 400):
+                stalled.sendall(encode(WeightsRequest(0, i)))
+                start = time.monotonic()
+                assert transport.ping(0, 1) == 4
+                assert time.monotonic() - start < 1.0, f"ping after request {i}"
+                time.sleep(0.005)
+        finally:
+            transport.close()
+            stalled.close()
+            server.stop()
+
+    def test_a_second_request_before_the_reply_drops_the_connection(self):
+        server = self.start_server(StubNode(version=4))
+        pipelining = raw_connection(server)
+        try:
+            pipelining.sendall(encode(PingRequest(0, 1)) + encode(PingRequest(0, 2)))
+            pipelining.settimeout(1.0)
+            assert pipelining.recv(64) == b""  # closed unanswered
+            transport = self.transport_for(server)
+            assert transport.ping(0, 1) == 4
+            transport.close()
+        finally:
+            pipelining.close()
             server.stop()
 
     def test_server_runs_one_thread_for_all_connections(self):
@@ -422,7 +474,7 @@ class TestTcpTransport:
             peers = [PeerAddress(0, "127.0.0.1:1")] + [
                 PeerAddress(i, f"127.0.0.1:{s.port}") for i, s in zip((1, 2), servers)
             ]
-            transport = TcpTransport(0, peers, timeout_s=5.0)
+            transport = TcpTransport(0, peers)
             assert [transport.ping(0, 1), transport.ping(0, 2)] == [1, 2]
             transport.close()
             assert len(connects) == 2
@@ -500,15 +552,6 @@ class TestPeerTable:
             ]
         )
         assert peers[1].host_port() == ("127.0.0.1", 9001)
-
-    def test_duplicate_index_rejected(self):
-        with pytest.raises(ValueError, match="duplicate"):
-            parse_peer_table(
-                [
-                    {"client_index": 0, "endpoint": "a:1"},
-                    {"client_index": 0, "endpoint": "b:2"},
-                ]
-            )
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown"):
