@@ -162,8 +162,9 @@ def weighted_average(entries: list[tuple[ModelWeights, int]]) -> ModelWeights:
 def _weighted_sum(entries: list[tuple[ModelWeights, int]], total: int) -> ModelWeights:
     """Sum of count / total x params over entries, accumulated left to right."""
     acc = np.zeros(entries[0][0].params.shape[0], dtype=np.float64)
+    term = np.empty_like(acc)
     for weights, count in entries:
-        acc += (count / total) * weights.params
+        acc += np.multiply(weights.params, count / total, out=term)
     return ModelWeights(entries[0][0].spec_fingerprint, acc)
 
 

@@ -312,7 +312,8 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
         raise ValueError(
             f"batch pixels must have {spec.input_dim} features, got {batch.pixels.shape[1]}"
         )
-    if np.any(batch.labels < 0) or np.any(batch.labels >= spec.num_classes):
+    labels = batch.labels
+    if labels.min() < 0 or labels.max() >= spec.num_classes:
         raise ValueError("labels out of range for spec num_classes")
 
     layers = unflatten(spec, weights.params)
@@ -320,32 +321,25 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
 
     activations = _activations(weights.params, layers, batch.pixels)
     w, b = layers[-1]
-    logits = activations[-1] @ w + b
-
-    shift = logits - logits.max(axis=1, keepdims=True)
-    delta = np.exp(shift)
-    norm = delta.sum(axis=1)
-    rows = np.arange(n)
-    loss = float(np.mean(np.log(norm) - shift[rows, batch.labels]))
-
-    delta /= norm[:, None]
-    delta[rows, batch.labels] -= 1.0
-    delta /= n
+    loss, delta = _softmax_loss_delta(activations[-1] @ w + b, labels)
 
     # Each hidden layer's ReLU passed exactly the units whose output is > 0,
     # so that output gives the mask; its buffer then takes the new delta,
     # block by block once the whole-row sums have read it. Multiply by the
     # bool mask, not select with np.where: inf * 0 must stay nan, so a delta
     # that overflowed at a dead unit is still rejected.
+    grad = np.empty_like(weights.params)
+    grad_layers = unflatten(spec, grad)
     masks = _scratch_rows("mask", [h.shape[1] for h in activations[1:]], n, bool)
-    grad_chunks: list[np.ndarray] = []
     for i in range(len(layers) - 1, -1, -1):
         w_i, _ = layers[i]
+        grad_w, grad_b = grad_layers[i]
         a = activations[i]
-        grad_w = (delta.T @ a).T if _transposes_grad(*w_i.shape) else a.T @ delta
-        grad_b = delta.sum(axis=0)
-        grad_chunks.append(grad_b)
-        grad_chunks.append(grad_w.ravel())
+        if _transposes_grad(*w_i.shape):
+            grad_w[...] = (delta.T @ a).T
+        else:
+            np.matmul(a.T, delta, out=grad_w)
+        np.sum(delta, axis=0, out=grad_b)
         if i > 0:
             w_t, mask = w_i.T, masks[i - 1]
             for block in _row_blocks(n, w_t.shape[0]):
@@ -353,11 +347,39 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
                 np.matmul(delta[block], w_t, out=a[block])
                 a[block] *= mask[block]
             delta = a
-    grad = np.concatenate(grad_chunks[::-1])
 
-    if not np.isfinite(loss) or not np.all(np.isfinite(grad)):
+    if not (np.isfinite(loss) and _all_finite(grad)):
         raise ValueError("non-finite loss or gradient")
     return loss, grad
+
+
+def _softmax_loss_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of the logits rows against labels, and its
+    gradient with respect to the logits, which it overwrites."""
+    n = logits.shape[0]
+    # The row max as a running maximum over the class columns: a max is
+    # exact in any order, and numpy's max over a short axis is slow.
+    top = logits[:, 0].copy()
+    for c in range(1, logits.shape[1]):
+        np.maximum(top, logits[:, c], out=top)
+    shift = np.subtract(logits, top[:, None], out=logits)
+    rows = np.arange(n)
+    picked = shift[rows, labels]
+    delta = np.exp(shift, out=shift)
+    norm = delta.sum(axis=1)
+    loss = float((np.log(norm) - picked).sum() / n)  # np.mean's sum and division
+
+    delta /= norm[:, None]
+    delta[rows, labels] -= 1.0
+    delta /= n
+    return loss, delta
+
+
+def _all_finite(x: np.ndarray) -> bool:
+    """np.isfinite(x).all(), at the cost of one sum when it holds: any inf
+    or nan makes the sum non-finite, and a finite x whose sum overflows is
+    settled by the elementwise test."""
+    return bool(np.isfinite(x.sum()) or np.isfinite(x).all())
 
 
 def adam_step(
@@ -366,22 +388,33 @@ def adam_step(
     state: OptimizerState,
     lr: float,
 ) -> tuple[ModelWeights, OptimizerState]:
-    """One bias-corrected Adam update; returns new weights and state."""
+    """One bias-corrected Adam update; returns new weights and state. Each
+    textbook expression keeps its order of operations, worked in place in
+    two scratch vectors besides the m, v and params it returns."""
     grad = np.asarray(grad, dtype=np.float64)
     if grad.shape != weights.params.shape:
         raise ValueError(f"grad shape {grad.shape} does not match params {weights.params.shape}")
     if lr <= 0.0:
         raise ValueError(f"lr must be > 0, got {lr}")
-    if not np.all(np.isfinite(grad)):
+    if not _all_finite(grad):
         raise ValueError("non-finite gradient")
 
     step = state.step_count + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
-    m_hat = m / (1.0 - ADAM_BETA1**step)
-    v_hat = v / (1.0 - ADAM_BETA2**step)
-    new_params = weights.params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    if not np.all(np.isfinite(new_params)):
+    term = np.multiply(grad, 1.0 - ADAM_BETA1)
+    m = np.multiply(state.first_moment, ADAM_BETA1)
+    m += term  # m = beta1 * m + (1 - beta1) * grad
+    np.multiply(grad, 1.0 - ADAM_BETA2, out=term)
+    term *= grad
+    v = np.multiply(state.second_moment, ADAM_BETA2)
+    v += term  # v = beta2 * v + (1 - beta2) * grad * grad
+    update = np.divide(m, 1.0 - ADAM_BETA1**step)  # m_hat
+    update *= lr
+    np.divide(v, 1.0 - ADAM_BETA2**step, out=term)  # v_hat
+    np.sqrt(term, out=term)
+    term += ADAM_EPS
+    update /= term  # lr * m_hat / (sqrt(v_hat) + eps)
+    new_params = np.subtract(weights.params, update)
+    if not _all_finite(new_params):
         raise ValueError("non-finite weights after update")
     return (
         ModelWeights(weights.spec_fingerprint, new_params),

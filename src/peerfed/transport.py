@@ -19,6 +19,11 @@ each client keeps one open connection to each peer it talks to and sends
 every request to that peer over it, one at a time; each peer's server
 answers all of its connections from one thread. Both ends cut frames off
 the stream with one helper, ``take_frame``.
+
+A frame is copied once per side in user space: ``encode`` joins the
+header and the payload into the frame, which the server sends as it is,
+and the client decodes a reply that arrives in one ``recv`` straight from
+that chunk, copying the params out of it once.
 """
 
 from __future__ import annotations
@@ -149,24 +154,26 @@ _TAGS = {
 
 
 def encode(msg: Message) -> bytes:
-    """Serialize a message into one complete frame."""
+    """Serialize a message into one complete frame; the header and the
+    payload, weights included, are copied once, into the frame."""
     tag = _TAGS.get(type(msg))
     if tag is None:
         raise ValueError(f"cannot encode {type(msg).__name__}")
+    params = b""
     if isinstance(msg, (PingRequest, WeightsRequest)):
         payload = b""
     elif isinstance(msg, PingResponse):
         payload = struct.pack("<Q", msg.own_version)
     elif isinstance(msg, WeightsResponse):
         params = np.ascontiguousarray(msg.params, dtype="<f8")
-        payload = struct.pack("<II", msg.sample_count, params.shape[0]) + params.tobytes()
+        payload = struct.pack("<II", msg.sample_count, params.shape[0])
+        params = params.view(np.uint8)
     else:
         text = msg.text.encode("utf-8")
         payload = struct.pack("<HI", msg.code, len(text)) + text
-    body = (
-        struct.pack("<BHQB", PROTOCOL_VERSION, msg.sender, msg.request_id, tag) + payload
-    )
-    return struct.pack("<I", len(body)) + body
+    length = HEADER_BYTES + len(payload) + len(params)
+    header = struct.pack("<IBHQB", length, PROTOCOL_VERSION, msg.sender, msg.request_id, tag)
+    return b"".join((header, payload, params))
 
 
 def decode(data: bytes) -> Message:
@@ -188,38 +195,38 @@ def decode(data: bytes) -> Message:
         raise VersionMismatchError(
             f"protocol version {version} does not match {PROTOCOL_VERSION}"
         )
-    payload = data[4 + HEADER_BYTES :]
+    start, size = 4 + HEADER_BYTES, length - HEADER_BYTES  # the payload's offset and size
 
     if tag == TAG_PING_REQUEST or tag == TAG_WEIGHTS_REQUEST:
-        if payload:
-            raise ProtocolError(f"unexpected {len(payload)}-byte payload on request")
+        if size:
+            raise ProtocolError(f"unexpected {size}-byte payload on request")
         cls = PingRequest if tag == TAG_PING_REQUEST else WeightsRequest
         return cls(sender=sender, request_id=request_id)
     if tag == TAG_PING_RESPONSE:
-        if len(payload) != 8:
-            raise ProtocolError(f"ping response payload must be 8 bytes, got {len(payload)}")
-        (own_version,) = struct.unpack("<Q", payload)
+        if size != 8:
+            raise ProtocolError(f"ping response payload must be 8 bytes, got {size}")
+        (own_version,) = struct.unpack_from("<Q", data, start)
         return PingResponse(sender=sender, request_id=request_id, own_version=own_version)
     if tag == TAG_WEIGHTS_RESPONSE:
-        if len(payload) < 8:
-            raise ProtocolError(f"weights response payload too short: {len(payload)}")
-        sample_count, n_params = struct.unpack_from("<II", payload, 0)
-        if len(payload) != 8 + 8 * n_params:
+        if size < 8:
+            raise ProtocolError(f"weights response payload too short: {size}")
+        sample_count, n_params = struct.unpack_from("<II", data, start)
+        if size != 8 + 8 * n_params:
             raise ProtocolError(
-                f"weights payload of {len(payload)} bytes does not match {n_params} params"
+                f"weights payload of {size} bytes does not match {n_params} params"
             )
-        params = np.frombuffer(payload, dtype="<f8", count=n_params, offset=8).copy()
+        params = np.frombuffer(data, dtype="<f8", count=n_params, offset=start + 8).copy()
         return WeightsResponse(
             sender=sender, request_id=request_id, sample_count=sample_count, params=params
         )
     if tag == TAG_ERROR:
-        if len(payload) < 6:
-            raise ProtocolError(f"error payload too short: {len(payload)}")
-        code, text_len = struct.unpack_from("<HI", payload, 0)
-        if len(payload) != 6 + text_len:
+        if size < 6:
+            raise ProtocolError(f"error payload too short: {size}")
+        code, text_len = struct.unpack_from("<HI", data, start)
+        if size != 6 + text_len:
             raise ProtocolError("error payload length mismatch")
         try:
-            text = payload[6:].decode("utf-8")
+            text = data[start + 6 :].decode("utf-8")
         except UnicodeDecodeError as exc:
             raise ProtocolError(f"error text is not valid UTF-8: {exc}") from exc
         return ErrorMessage(sender=sender, request_id=request_id, code=code, text=text)
@@ -269,7 +276,9 @@ def _checked_reply(request: Message, reply_frame: bytes, peer: int) -> Message:
     if expected is WeightsResponse:
         if reply.sample_count < 1:
             raise ProtocolError(f"client {peer} sent weights of {reply.sample_count} samples")
-        if not np.isfinite(reply.params).all():
+        # Any inf or nan makes the sum non-finite; finite params whose sum
+        # overflows are settled by the elementwise test.
+        if not (np.isfinite(reply.params.sum()) or np.isfinite(reply.params).all()):
             raise ProtocolError(f"client {peer} sent weights that are not all finite")
     return reply
 
@@ -327,10 +336,10 @@ class SimTransport:
 
     def _request(self, peer: int, request: Message) -> tuple[Message, int]:
         """Carry request to peer and its reply back: (checked reply, reply bytes)."""
-        frame = encode(request)
-        self._deliver(request, peer, frame)
         if not 0 <= peer < len(self._nodes):
             raise PeerUnreachableError(f"no client {peer}")
+        frame = encode(request)
+        self._deliver(request, peer, frame)
         reply = reply_to(self._nodes[peer], peer, decode(frame))
         reply_frame = encode(reply)
         self._deliver(reply, request.sender, reply_frame)
@@ -343,37 +352,43 @@ class SimTransport:
         return self._delivered
 
 
-def take_frame(buffer: bytearray) -> bytes | None:
-    """Cut the first complete frame off the front of buffer, or None while
-    it is incomplete; OversizeFrameError as soon as its length prefix
-    exceeds DEFAULT_MAX_FRAME_BYTES. Both ends of a TCP connection read
-    their frames through it."""
-    if len(buffer) < 4:
-        return None
-    (length,) = struct.unpack_from("<I", buffer)
-    if length > DEFAULT_MAX_FRAME_BYTES:
-        raise OversizeFrameError(
-            f"frame of {length} bytes exceeds cap {DEFAULT_MAX_FRAME_BYTES}")
-    end = 4 + length
-    if len(buffer) < end:
-        return None
-    frame = bytes(buffer[:end])
-    del buffer[:end]
-    return frame
+def take_frame(buffer: bytearray, chunk: bytes) -> bytes | None:
+    """The frame that buffer's bytes followed by chunk make up, or None
+    while it is incomplete, with chunk then added to buffer. A frame that
+    arrives in one chunk is that chunk, not a copy. OversizeFrameError as
+    soon as the length prefix exceeds DEFAULT_MAX_FRAME_BYTES, and
+    ProtocolError for bytes after the frame: each end sends one frame and
+    waits for the other's. Both ends of a TCP connection read their frames
+    through it."""
+    data = chunk
+    if buffer:  # the frame began in an earlier chunk
+        buffer += chunk
+        data = buffer
+    if len(data) >= 4:
+        (length,) = struct.unpack_from("<I", data)
+        if length > DEFAULT_MAX_FRAME_BYTES:
+            raise OversizeFrameError(
+                f"frame of {length} bytes exceeds cap {DEFAULT_MAX_FRAME_BYTES}")
+        if len(data) > 4 + length:
+            raise ProtocolError(f"{len(data) - 4 - length} bytes after the frame")
+        if len(data) == 4 + length:
+            frame = bytes(data)  # chunk itself, or a copy of buffer
+            buffer.clear()
+            return frame
+    if data is chunk:
+        buffer += chunk
+    return None
 
 
 def read_frame(sock: socket.socket) -> bytes:
-    """Read the one frame a peer sends in reply off sock; ProtocolError if
-    the peer sent more bytes after it."""
+    """Read the one frame a peer sends in reply off sock."""
     buffer = bytearray()
-    while (frame := take_frame(buffer)) is None:
+    while True:
         chunk = sock.recv(_RECV_BYTES)
         if not chunk:
             raise IncompleteFrameError(f"connection closed after {len(buffer)} bytes")
-        buffer += chunk
-    if buffer:
-        raise ProtocolError(f"{len(buffer)} bytes after the reply frame")
-    return frame
+        if (frame := take_frame(buffer, chunk)) is not None:
+            return frame
 
 
 class TcpPeerServer:
@@ -439,7 +454,7 @@ class TcpPeerServer:
                 step = self._answer if key.events == selectors.EVENT_READ else self._send
                 try:
                     keep = step(conn, key.data)
-                except (OSError, OversizeFrameError):  # reset, or a frame over the cap
+                except (OSError, TransportError):  # reset, a frame over the cap or out of step
                     keep = False
                 except Exception:  # a fault answering one client must not stop the rest
                     _log.exception("client %d dropped a connection", self.client_index)
@@ -459,24 +474,30 @@ class TcpPeerServer:
 
     def _answer(self, conn: socket.socket, buffer: bytearray) -> bool:
         """Read conn's request into buffer; once it is whole, send the
-        reply. False drops conn."""
+        reply, keeping in buffer only what did not go out. False drops conn."""
         chunk = conn.recv(_RECV_BYTES)
         if not chunk:
             return False
-        buffer += chunk
-        if (frame := take_frame(buffer)) is None:
+        if (frame := take_frame(buffer, chunk)) is None:
             return True
-        if buffer:  # a second request before the first was answered
-            return False
         try:
             message = decode(frame)
         except ProtocolError as exc:
             conn.send(encode(reply_to(self.node, self.client_index, exc)))
             return False
         reply = self.respond(message)
-        buffer += encode(reply)
+        frame = encode(reply)
+        try:
+            done = conn.send(frame)
+        except BlockingIOError:  # no room for a byte yet
+            done = 0
         sent = {message.sender: reply.own_version} if type(reply) is PingResponse else {}
-        return self._send(conn, (buffer, sent))
+        if done == len(frame):
+            self.sent_versions.update(sent)
+        else:
+            buffer += memoryview(frame)[done:]
+            self._selector.modify(conn, selectors.EVENT_WRITE, (buffer, sent))
+        return True
 
     def _send(self, conn: socket.socket, pending: tuple[bytearray, dict[int, int]]) -> bool:
         """Send what is left of conn's reply without blocking; once it is
@@ -484,9 +505,7 @@ class TcpPeerServer:
         buffer, sent = pending
         with contextlib.suppress(BlockingIOError):  # no room for a byte yet
             del buffer[:conn.send(buffer)]
-        if buffer:
-            self._selector.modify(conn, selectors.EVENT_WRITE, pending)
-        else:
+        if not buffer:
             self.sent_versions.update(sent)
             self._selector.modify(conn, selectors.EVENT_READ, buffer)
         return True

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import hashlib
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,8 @@ sys.path[:0] = [str(BENCH.parent / "src"), str(BENCH)]
 
 from peerfed.experiments import ExperimentConfig, run_training  # noqa: E402
 
-from workloads import run_sim  # noqa: E402
+from tracing import Tracer, install  # noqa: E402
+from workloads import Swarm, run_sim  # noqa: E402
 
 CONFIG = {
     "n_clients": 3,
@@ -35,3 +37,20 @@ def test_run_sim_times_each_round_and_digests_run_trainings_metrics(tmp_path, mo
     run_training(cfg, out_dir=tmp_path / "plain")
     metrics = (tmp_path / "plain" / "metrics.csv").read_bytes()
     assert result.digest == hashlib.sha256(metrics).hexdigest()
+
+
+def test_traced_swarm_has_a_span_per_request_on_each_side():
+    """The bench's fetch_ratio and stale_per_round count these spans: one
+    per ping and per fetch on the client side, one per request answered."""
+    cfg = ExperimentConfig.from_dict({**CONFIG, "mode": "braintorrent"})
+    with Tracer() as tracer:
+        install(tracer)
+        with Swarm(cfg) as swarm:
+            swarm.run()
+            for transport in swarm.transports:
+                transport.close()
+    spans = Counter(span.name for span in tracer.spans)
+    pings, fetches = spans["transport.tcp.ping"], spans["transport.tcp.fetch_weights"]
+    assert pings == 12  # 6 peer rounds after the warm-up x 2 peers
+    assert 0 < fetches <= pings
+    assert spans["transport.tcp.respond"] == pings + fetches

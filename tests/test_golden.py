@@ -170,6 +170,7 @@ def test_bits_hold_under_another_openblas_kernel(kernel):
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{tests / 'test_model.py'}::TestScratchBuffers",
+         f"{tests / 'test_model.py'}::TestRewrittenStep",
          f"{tests / 'test_golden.py'}::test_metrics_files_match_recorded_digests",
          f"{tests / 'test_golden.py'}::test_final_weights_match_recorded_digests"],
         env=env, capture_output=True, text=True, timeout=600,

@@ -18,6 +18,9 @@ from hypothesis import strategies as st
 import peerfed
 from peerfed.model import _BLOCK_ROWS as BLOCK
 from peerfed.model import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPS,
     Batch,
     ModelSpec,
     ModelWeights,
@@ -30,6 +33,7 @@ from peerfed.model import (
     loss_and_grad,
     lr_schedule,
     predict,
+    _softmax_loss_delta,
     unflatten,
 )
 
@@ -371,6 +375,138 @@ class TestScratchBuffers:
         )
         # The allocating version took about 1,650 faults per loss_and_grad call.
         assert int(done.stdout) < 2000
+
+
+def reference_softmax_loss_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, np.ndarray]:
+    """loss_and_grad's softmax block before it worked in place; the
+    rewritten one must match it bit for bit."""
+    n = logits.shape[0]
+    shift = logits - logits.max(axis=1, keepdims=True)
+    delta = np.exp(shift)
+    norm = delta.sum(axis=1)
+    rows = np.arange(n)
+    loss = float(np.mean(np.log(norm) - shift[rows, labels]))
+
+    delta /= norm[:, None]
+    delta[rows, labels] -= 1.0
+    delta /= n
+    return loss, delta
+
+
+def reference_adam_step(
+    weights: ModelWeights, grad: np.ndarray, state: OptimizerState, lr: float
+) -> tuple[ModelWeights, OptimizerState]:
+    """adam_step before it worked in two scratch vectors, checks left out;
+    the rewritten one must match it bit for bit."""
+    step = state.step_count + 1
+    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    m_hat = m / (1.0 - ADAM_BETA1**step)
+    v_hat = v / (1.0 - ADAM_BETA2**step)
+    new_params = weights.params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+    return ModelWeights(weights.spec_fingerprint, new_params), OptimizerState(m, v, step)
+
+
+class TestRewrittenStep:
+    """The in-place softmax and Adam update against their allocating originals."""
+
+    @pytest.mark.parametrize(
+        "input_dim, hidden_dims, num_classes", REFERENCE_SPECS,
+        ids=[f"spec{i}" for i in range(len(REFERENCE_SPECS))],
+    )
+    def test_softmax_equals_reference(self, input_dim, hidden_dims, num_classes):
+        spec = ModelSpec(input_dim, hidden_dims, num_classes)
+        for step, n in enumerate([1, 64, BLOCK + 1, 1024]):
+            w, batch = _weights_and_batch(spec, n, seed=step)
+            logits = forward(spec, w, batch.pixels)
+            rng = np.random.default_rng(step)
+            # Model logits, then ties and signed zeros, then large spreads.
+            for case in (logits, np.round(logits) * rng.choice([-0.0, 0.0, 1.0], size=logits.shape),
+                         logits * 300.0):
+                loss, delta = _softmax_loss_delta(case.copy(), batch.labels)
+                want_loss, want_delta = reference_softmax_loss_delta(case, batch.labels)
+                assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+                assert delta.tobytes() == want_delta.tobytes()
+
+    @pytest.mark.parametrize(
+        "input_dim, hidden_dims, num_classes", REFERENCE_SPECS,
+        ids=[f"spec{i}" for i in range(len(REFERENCE_SPECS))],
+    )
+    def test_adam_step_equals_reference(self, input_dim, hidden_dims, num_classes):
+        spec = ModelSpec(input_dim, hidden_dims, num_classes)
+        size = spec.param_count()
+        rng = np.random.default_rng(size)
+        for step_count in (0, 1, 9, 10_000):
+            for lr in (1e-5, 1e-3, 0.5):
+                w = ModelWeights(spec.fingerprint(), rng.normal(size=size))
+                state = OptimizerState(rng.normal(scale=0.1, size=size),
+                                       rng.exponential(scale=0.01, size=size), step_count)
+                grad = rng.normal(size=size)
+                got_w, got_state = adam_step(w, grad, state, lr)
+                want_w, want_state = reference_adam_step(w, grad, state, lr)
+                assert got_w.params.tobytes() == want_w.params.tobytes()
+                assert got_state.first_moment.tobytes() == want_state.first_moment.tobytes()
+                assert got_state.second_moment.tobytes() == want_state.second_moment.tobytes()
+                assert got_state.step_count == want_state.step_count == step_count + 1
+
+
+# Values whose sum overflows to inf, and vectors with an inf or a nan. Each
+# finiteness check tests the sum first; only its elementwise test may
+# settle the first case.
+HUGE = np.full(64, 1e308)
+NON_FINITE = {
+    "inf_first": np.r_[np.inf, np.zeros(63)],
+    "inf_last": np.r_[np.zeros(63), np.inf],
+    "nan": np.r_[np.zeros(20), np.nan, np.zeros(43)],
+    "inf_minus_inf": np.r_[np.zeros(31), np.inf, -np.inf, np.zeros(31)],
+}
+
+
+class TestFiniteChecks:
+    # One input, two hidden units that both fire and two classes, one
+    # pixel of class 1: params are W1, b1, W2 (row per unit), b2.
+    SPEC = ModelSpec(1, (2,), 2)
+    BATCH = Batch(np.ones((1, 1)), [1])
+
+    def test_loss_and_grad_accepts_a_gradient_whose_sum_overflows(self):
+        # Tiny activations keep the logits at +-1e8; each unit's delta is
+        # 2 * 5e307, so W1's and b1's gradients are 1e308 each.
+        params = np.array([1e-300, 1e-300, 0.0, 0.0, 5e307, -5e307, 5e307, -5e307, 0.0, 0.0])
+        w = ModelWeights(self.SPEC.fingerprint(), params)
+        with np.errstate(over="ignore"):
+            loss, grad = loss_and_grad(self.SPEC, w, self.BATCH)
+            assert np.isinf(grad.sum())
+        assert loss == 2e8 and np.all(grad[:4] == 1e308)
+
+    def test_loss_and_grad_rejects_an_inf_and_minus_inf_gradient(self):
+        # The units' rows of W2 cancel in the logits (50 and -50), but their
+        # deltas overflow to +inf and -inf.
+        params = np.array([1.0, 1.0, 0.0, 0.0, 1e308, -1e308, -1e308, 1e308, 50.0, -50.0])
+        w = ModelWeights(self.SPEC.fingerprint(), params)
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, want = reference_loss_and_grad(self.SPEC, w, self.BATCH)
+            assert loss == 100.0 and list(want[:2]) == [np.inf, -np.inf]
+            with pytest.raises(ValueError, match="non-finite loss or gradient"):
+                loss_and_grad(self.SPEC, w, self.BATCH)
+
+    def test_adam_step_accepts_a_gradient_and_weights_whose_sums_overflow(self):
+        w = ModelWeights("x", HUGE.copy())
+        with np.errstate(over="ignore"):
+            new_w, _ = adam_step(w, HUGE, OptimizerState.zeros(HUGE.size), 0.001)
+        # v overflows to inf, so the step is 0 and the weights stay 1e308.
+        assert new_w.params.tobytes() == HUGE.tobytes()
+
+    @pytest.mark.parametrize("case", NON_FINITE)
+    def test_adam_step_rejects_a_gradient_with_an_inf_or_nan(self, case):
+        grad = NON_FINITE[case]
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite gradient"):
+            adam_step(ModelWeights("x", np.zeros(grad.size)), grad,
+                      OptimizerState.zeros(grad.size), 0.001)
+
+    def test_adam_step_rejects_weights_that_overflow(self):
+        w = ModelWeights("x", np.r_[np.zeros(63), -1e308])
+        with np.errstate(over="ignore"), pytest.raises(ValueError, match="after update"):
+            adam_step(w, np.ones(64), OptimizerState.zeros(64), 1e308)
 
 
 class TestAdam:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import socket
 import struct
 import threading
@@ -83,6 +84,32 @@ class TestCodec:
         params = np.array([1e-300, -0.0, np.pi, 2**53 + 1.0])
         out = decode(encode(WeightsResponse(0, 1, 1, params)))
         assert out.params.tobytes() == params.tobytes()
+
+    # SHA-256 of each frame as an earlier codec encoded it: a faster
+    # encoder must not change a byte on the wire.
+    PINNED_FRAMES = {
+        "ping_request": (PingRequest(3, 42), "c0fbf8d06a36ec5e1ed6cd0a766ea4c5"
+                         "dd41f019189a27795c532ed1038ff569"),
+        "ping_response": (PingResponse(1, 42, 17), "095feb566f17aaf7c30e3b4d571b905a"
+                          "dd26c7b801fcf18144204daef48bddbd"),
+        "error": (ErrorMessage(4, 9, 2, "nope — bad frame"), "1f4e926a51b48fcbd5b8bf6b58733164"
+                  "3fb15180f4f50ae59c261434376db394"),
+        "weights": (WeightsResponse(2, 7, 5, np.random.default_rng(19).normal(size=4612)),
+                    "4909d410b4761c1846b5b2bb17e68762c06b73641fdf5556367d7a004b899deb"),
+    }
+
+    @pytest.mark.parametrize("name", PINNED_FRAMES)
+    def test_frame_bytes_are_pinned(self, name):
+        msg, digest = self.PINNED_FRAMES[name]
+        assert hashlib.sha256(encode(msg)).hexdigest() == digest
+
+    def test_decoded_params_are_a_writable_copy(self):
+        frame = encode(self.PINNED_FRAMES["weights"][0])
+        params = decode(frame).params
+        assert params.flags.writeable and params.flags.owndata
+        assert not np.shares_memory(params, np.frombuffer(frame, dtype=np.uint8))
+        params[0] = 1.0  # the frame stays as it was
+        assert hashlib.sha256(frame).hexdigest() == self.PINNED_FRAMES["weights"][1]
 
     def test_empty_input_incomplete(self):
         with pytest.raises(IncompleteFrameError):
@@ -235,9 +262,45 @@ class TestSimTransport:
 
     @pytest.mark.parametrize("peer", [2, -1])
     def test_out_of_range_peer_unreachable(self, peer):
-        transport = SimTransport([StubNode(), StubNode()])
+        def outcomes(transport):  # which of 20 pings to client 1 get through
+            results = []
+            for _ in range(20):
+                try:
+                    results.append(transport.ping(0, 1))
+                except PeerUnreachableError:
+                    results.append(None)
+            return results
+
+        transport = SimTransport([StubNode(), StubNode()], seed=5, drop_prob=0.5)
         with pytest.raises(PeerUnreachableError, match=f"no client {peer}"):
             transport.ping(0, peer)
+        # Nothing was carried and no drop was drawn for it.
+        assert transport.delivered_bytes() == 0
+        fresh = SimTransport([StubNode(), StubNode()], seed=5, drop_prob=0.5)
+        assert outcomes(transport) == outcomes(fresh)
+
+    # Values whose sum overflows to inf, and vectors with an inf or a nan.
+    # The reply check tests the sum first; only the elementwise test may
+    # settle the first case.
+    HUGE = np.full(64, 1e308)
+    NON_FINITE = {
+        "inf_first": np.r_[np.inf, np.zeros(63)],
+        "inf_last": np.r_[np.zeros(63), np.inf],
+        "nan": np.r_[np.zeros(20), np.nan, np.zeros(43)],
+        "inf_minus_inf": np.r_[np.zeros(31), np.inf, -np.inf, np.zeros(31)],
+    }
+
+    def test_weights_whose_sum_overflows_are_accepted(self):
+        transport = SimTransport([StubNode(), StubNode(params=self.HUGE)])
+        with np.errstate(over="ignore"):
+            params, _, _ = transport.fetch_weights(0, 1)
+        assert params.tobytes() == self.HUGE.tobytes()
+
+    @pytest.mark.parametrize("case", NON_FINITE)
+    def test_weights_with_an_inf_or_nan_are_refused(self, case):
+        transport = SimTransport([StubNode(), StubNode(params=self.NON_FINITE[case])])
+        with np.errstate(invalid="ignore"), pytest.raises(ProtocolError, match="not all finite"):
+            transport.fetch_weights(0, 1)
 
 
 @pytest.fixture
@@ -526,6 +589,74 @@ class TestTcpTransport:
             transport.close()
         finally:
             server.stop()
+
+    def test_a_request_sent_one_byte_at_a_time_is_answered(self):
+        server = self.start_server(StubNode(version=6))
+        slow = raw_connection(server)
+        slow.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        try:
+            for byte in encode(PingRequest(0, 1)):
+                slow.sendall(bytes([byte]))
+                time.sleep(0.002)
+            assert decode(read_frame(slow)) == PingResponse(1, 1, 6)
+            assert server.sent_versions == {0: 6}
+            transport = self.transport_for(server)
+            assert transport.ping(0, 1) == 6
+            transport.close()
+        finally:
+            slow.close()
+            server.stop()
+
+    def scripted_peer(self, answer):
+        """A peer on loopback that takes one connection, reads one request
+        and sends the byte strings answer(request) gives, pausing before
+        each; returns a transport to it and the thread serving it."""
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(5)
+
+        def serve():
+            with listener:
+                conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(5)
+                request = decode(read_frame(conn))
+                for part in answer(request):
+                    time.sleep(0.05)
+                    conn.sendall(part)
+                conn.recv(1)  # until the client closes
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        peers = [PeerAddress(1, f"127.0.0.1:{listener.getsockname()[1]}")]
+        return TcpTransport(0, peers), thread
+
+    def test_a_weights_reply_in_two_pieces_is_read_whole(self):
+        params = np.random.default_rng(4).normal(size=4612)
+
+        def answer(request):
+            frame = encode(WeightsResponse(1, request.request_id, 3, params))
+            return [frame[:1000], frame[1000:]]
+
+        transport, thread = self.scripted_peer(answer)
+        try:
+            got, count, nbytes = transport.fetch_weights(0, 1)
+        finally:
+            transport.close()
+            thread.join(timeout=5)
+        assert got.tobytes() == params.tobytes() and count == 3
+        assert nbytes == weights_frame_bytes(4612)
+
+    def test_a_reply_with_bytes_after_it_is_refused(self):
+        def answer(request):
+            return [encode(PingResponse(1, request.request_id, 2)) + b"\0"]
+
+        transport, thread = self.scripted_peer(answer)
+        try:
+            with pytest.raises(ProtocolError, match="1 bytes after the frame"):
+                transport.ping(0, 1)
+        finally:
+            transport.close()
+            thread.join(timeout=5)
 
     def test_stop_with_open_connections_is_prompt(self):
         before = set(threading.enumerate())
