@@ -527,11 +527,6 @@ def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> None
         "failed_rounds": result.failed_rounds,
         "shard_sizes": [c.shard.sample_count for c in result.final_clients],
         "environment": run_environment(),
-        "outputs": {
-            "metrics_csv": "metrics.csv",
-            "metrics_json": "metrics.json",
-            "report": "report.txt",
-        },
     }
     (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n")
     (out_dir / "report.txt").write_text("\n".join(run_summary(result)) + "\n")

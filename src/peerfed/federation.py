@@ -143,14 +143,12 @@ def weighted_average(entries: list[tuple[ModelWeights, int]]) -> ModelWeights:
     """
     if not entries:
         raise ValueError("cannot average an empty entry list")
-    fingerprint = entries[0][0].spec_fingerprint
+    spec = entries[0][0].spec
     length = entries[0][0].params.shape[0]
     total = 0
     for weights, count in entries:
-        if weights.spec_fingerprint != fingerprint:
-            raise ValueError(
-                f"fingerprint mismatch: {weights.spec_fingerprint} vs {fingerprint}"
-            )
+        if weights.spec is not spec and weights.spec != spec:
+            raise ValueError(f"spec mismatch: {weights.spec} vs {spec}")
         if weights.params.shape[0] != length:
             raise ValueError("parameter length mismatch between entries")
         if count < 1:
@@ -165,7 +163,7 @@ def _weighted_sum(entries: list[tuple[ModelWeights, int]], total: int) -> ModelW
     term = np.empty_like(acc)
     for weights, count in entries:
         acc += np.multiply(weights.params, count / total, out=term)
-    return ModelWeights(entries[0][0].spec_fingerprint, acc)
+    return ModelWeights(entries[0][0].spec, acc)
 
 
 def _merge(
@@ -247,7 +245,7 @@ def run_initiator_round(
         if payload.shape != state.weights.params.shape:
             raise ProtocolError(f"client {peer} sent weights of {payload.shape[0]} params, "
                                 f"expected {state.weights.params.shape[0]}")
-        entries[peer] = (ModelWeights(state.weights.spec_fingerprint, payload), sample_count)
+        entries[peer] = (ModelWeights(state.weights.spec, payload), sample_count)
         bytes_received += nbytes
     merged = _merge([entries[i] for i in sorted(entries)], params)
 
@@ -287,7 +285,7 @@ def local_update(state: ClientState, params: RoundParams) -> ClientState:
     never communicate, after the merge in a peer round, and before the
     average in a server round.
     """
-    weights, _ = fine_tune(
+    weights = fine_tune(
         params.spec,
         state.weights,
         state.shard,

@@ -29,19 +29,18 @@ hold a layer's W and then its b, so the first layer's, read as one
 (fan_in + 1, fan_out) matrix, are already [[W], [b]]: the first hidden
 layer multiplies its input with a column of ones appended (a per-thread
 scratch) by that view, and the broadcast `+= b` pass goes. And a weight
-gradient with a narrow delta is taken as `(delta.T @ h).T`, which
-OpenBLAS runs faster than `h.T @ delta`. Either keeps the bits only for
-some shapes, which `_folds_bias` and `_transposes_grad` admit. Their
+gradient with a narrow delta and many rows is taken as `(delta.T @ h).T`,
+which OpenBLAS runs faster than `h.T @ delta`. Either keeps the bits only
+for some shapes, which `_folds_bias` and `_transposes_grad` admit. Their
 gates were measured on OpenBLAS 0.3.31 under its SkylakeX, Haswell and
 Sandybridge kernels, each with 1 to 8 BLAS threads; the paper's [512]
-model takes both (4 -> 512 folded, 512 -> 4 transposed).
+model takes both (4 -> 512 folded, 512 -> 4 transposed from 489 rows).
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -62,9 +61,6 @@ class ModelSpec:
     input_dim: int
     hidden_dims: tuple[int, ...] = ()
     num_classes: int = 4
-    # Cached at construction: forward, loss_and_grad and fine_tune check it
-    # on every call. Left out of equality and hashing.
-    _fingerprint: str = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "hidden_dims", tuple(self.hidden_dims))
@@ -81,13 +77,6 @@ class ModelSpec:
             raise ValueError(f"hidden dims must all be >= 1, got {self.hidden_dims}")
         if self.num_classes < 2:
             raise ValueError(f"num_classes must be >= 2, got {self.num_classes}")
-        text = (
-            f"mlp;in={self.input_dim};hidden={','.join(map(str, self.hidden_dims))};"
-            f"classes={self.num_classes};act=relu"
-        )
-        object.__setattr__(
-            self, "_fingerprint", hashlib.sha256(text.encode("ascii")).hexdigest()[:16]
-        )
 
     def layer_dims(self) -> list[tuple[int, int]]:
         dims = [self.input_dim, *self.hidden_dims, self.num_classes]
@@ -96,15 +85,12 @@ class ModelSpec:
     def param_count(self) -> int:
         return sum((fan_in + 1) * fan_out for fan_in, fan_out in self.layer_dims())
 
-    def fingerprint(self) -> str:
-        return self._fingerprint
-
 
 @dataclass
 class ModelWeights:
-    """Flat parameter vector bound to the hash of the spec that shaped it."""
+    """Flat parameter vector bound to the spec that shaped it."""
 
-    spec_fingerprint: str
+    spec: ModelSpec
     params: np.ndarray
 
     def __post_init__(self) -> None:
@@ -113,7 +99,7 @@ class ModelWeights:
             raise ValueError(f"params must be a flat vector, got shape {self.params.shape}")
 
     def copy(self) -> "ModelWeights":
-        return ModelWeights(self.spec_fingerprint, self.params.copy())
+        return ModelWeights(self.spec, self.params.copy())
 
 
 @dataclass
@@ -152,11 +138,8 @@ class Batch:
 
 
 def _check_spec_match(spec: ModelSpec, weights: ModelWeights) -> None:
-    if weights.spec_fingerprint != spec.fingerprint():
-        raise ValueError(
-            f"weights fingerprint {weights.spec_fingerprint} does not match spec "
-            f"fingerprint {spec.fingerprint()}"
-        )
+    if weights.spec is not spec and weights.spec != spec:
+        raise ValueError(f"weights of {weights.spec} do not match {spec}")
     if weights.params.shape[0] != spec.param_count():
         raise ValueError(
             f"params length {weights.params.shape[0]} does not match spec "
@@ -187,7 +170,7 @@ def init_model(spec: ModelSpec, seed: int) -> ModelWeights:
         bound = np.sqrt(6.0 / (fan_in + fan_out))
         chunks.append(rng.uniform(-bound, bound, size=fan_in * fan_out))
         chunks.append(np.zeros(fan_out, dtype=np.float64))
-    return ModelWeights(spec.fingerprint(), np.concatenate(chunks))
+    return ModelWeights(spec, np.concatenate(chunks))
 
 
 def forward(spec: ModelSpec, weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
@@ -226,7 +209,11 @@ def _folds_bias(fan_in: int, fan_out: int) -> bool:
     return fan_in % 2 == 0 and fan_in <= 6 and fan_out % 8 == 0
 
 
-def _transposes_grad(fan_in: int, fan_out: int) -> bool:
+# Fewest rows for which `_transposes_grad` admits the transposed form.
+_TRANSPOSE_MIN_ROWS = 489
+
+
+def _transposes_grad(rows: int, fan_in: int, fan_out: int) -> bool:
     """Whether a layer's weight gradient is taken as `(delta.T @ a).T`
     (module docstring). Measured: a fan_out of 4 or 8 and a fan_in that is
     a larger multiple of 8 (up to 1,024) kept the bits at every row count
@@ -235,8 +222,16 @@ def _transposes_grad(fan_in: int, fan_out: int) -> bool:
     every product with an even fan_out; with two threads or more, fan_out 2
     from 64 inputs and fan_in 20 or 100 changed products of 1,000 rows or
     more.
+
+    Below _TRANSPOSE_MIN_ROWS rows the plain `a.T @ delta` is the faster
+    form. Measured for the [512] model's 512 -> 4 gradient on an Intel Xeon
+    VM (OpenBLAS 0.3.31, SkylakeX kernel, one thread, one pinned CPU; best
+    of 7): 20 against 10 us at 64 rows, about 170 against 109 us at 488,
+    then about 213 against 356 us at 489, where the plain form steps up,
+    and 481 against 871 us at 1,024.
     """
-    return fan_out in (4, 8) and fan_in % 8 == 0 and fan_in > fan_out
+    return (rows >= _TRANSPOSE_MIN_ROWS and fan_out in (4, 8) and fan_in % 8 == 0
+            and fan_in > fan_out)
 
 
 def _row_blocks(n: int, terms: int) -> list[slice]:
@@ -335,7 +330,7 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
         w_i, _ = layers[i]
         grad_w, grad_b = grad_layers[i]
         a = activations[i]
-        if _transposes_grad(*w_i.shape):
+        if _transposes_grad(n, *w_i.shape):
             grad_w[...] = (delta.T @ a).T
         else:
             np.matmul(a.T, delta, out=grad_w)
@@ -417,7 +412,7 @@ def adam_step(
     if not _all_finite(new_params):
         raise ValueError("non-finite weights after update")
     return (
-        ModelWeights(weights.spec_fingerprint, new_params),
+        ModelWeights(weights.spec, new_params),
         OptimizerState(m, v, step),
     )
 
@@ -430,12 +425,12 @@ def fine_tune(
     lr: float,
     seed: int,
     batch_size: int = DEFAULT_BATCH_SIZE,
-) -> tuple[ModelWeights, OptimizerState]:
+) -> ModelWeights:
     """Train for full passes over a shard in seeded-shuffled image mini-batches.
 
-    Optimizer state starts fresh each call: merged-in weights would make
-    stale moments meaningless. One adam step per mini-batch; a trailing
-    partial batch still counts as a step.
+    Optimizer state starts fresh each call and is dropped at its end:
+    merged-in weights would make stale moments meaningless. One adam step
+    per mini-batch; a trailing partial batch still counts as a step.
     """
     _check_spec_match(spec, weights)
     if epochs < 1:
@@ -459,7 +454,7 @@ def fine_tune(
             )
             _, grad = loss_and_grad(spec, w, batch)
             w, state = adam_step(w, grad, state, lr)
-    return w, state
+    return w
 
 
 def lr_schedule(update_round: int, base_lr: float) -> float:

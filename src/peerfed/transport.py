@@ -433,11 +433,15 @@ class TcpPeerServer:
         self._thread.start()
 
     def stop(self) -> None:
-        """Wake and join the serving thread, then close every socket it held."""
+        """Wake and join the serving thread, then close every socket it held.
+        A second call does nothing."""
         if self._thread.is_alive():
             self._wake_w.send(b"\0")
             self._thread.join()
-        for key in list(self._selector.get_map().values()):
+        keys = self._selector.get_map()
+        if keys is None:  # closed by an earlier stop()
+            return
+        for key in list(keys.values()):
             key.fileobj.close()
         self._selector.close()
         self._wake_w.close()

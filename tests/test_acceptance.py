@@ -104,8 +104,7 @@ def test_criterion_2_gradient_check():
             )
             if spec.param_count() <= 200:
                 break
-        weights = ModelWeights(spec.fingerprint(),
-                               0.5 * rng.normal(size=spec.param_count()))
+        weights = ModelWeights(spec, 0.5 * rng.normal(size=spec.param_count()))
         batch = Batch(
             rng.normal(size=(8, spec.input_dim)),
             rng.integers(0, spec.num_classes, size=8),
@@ -117,8 +116,8 @@ def test_criterion_2_gradient_check():
             up[i] += h
             down = weights.params.copy()
             down[i] -= h
-            lu, _ = loss_and_grad(spec, ModelWeights(weights.spec_fingerprint, up), batch)
-            ld, _ = loss_and_grad(spec, ModelWeights(weights.spec_fingerprint, down), batch)
+            lu, _ = loss_and_grad(spec, ModelWeights(weights.spec, up), batch)
+            ld, _ = loss_and_grad(spec, ModelWeights(weights.spec, down), batch)
             fd[i] = (lu - ld) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum.reduce(
             [np.abs(grad), np.abs(fd), np.full_like(fd, 1e-8)]

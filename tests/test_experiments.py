@@ -407,7 +407,7 @@ class TestEvaluationDedup:
         _, test = build_dataset(cfg)
         assert len(trajectory) == len(res.records)
         for rec, point in zip(res.records, trajectory):
-            fresh = [evaluate_model(cfg.model, ModelWeights(cfg.model.fingerprint(), p),
+            fresh = [evaluate_model(cfg.model, ModelWeights(cfg.model, p),
                                     test, cfg.data.num_classes)
                      for p in point]
             assert rec.per_client_dice == fresh
@@ -478,6 +478,8 @@ class TestManifest:
     def test_manifest_records_resolved_config_and_shards(self, tmp_path):
         run_training(small_cfg(), out_dir=tmp_path / "run")
         manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+        assert set(manifest) == {"config", "code_version", "started_at", "finished_at",
+                                 "total_updates", "failed_rounds", "shard_sizes", "environment"}
         assert manifest["config"]["n_clients"] == 4
         assert manifest["shard_sizes"] == [2, 2, 2, 2]
         assert manifest["total_updates"] == 12

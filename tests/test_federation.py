@@ -42,7 +42,7 @@ PARAMS = RoundParams(spec=SPEC, epochs=2, base_lr=0.001, batch_size=2, shuffle_s
 
 
 def scalar_weights(value: float) -> ModelWeights:
-    return ModelWeights("scalar", np.array([float(value)]))
+    return ModelWeights(SPEC, np.array([float(value)]))
 
 
 def build_clients(n_clients: int, init_seed: int = 5):
@@ -67,7 +67,7 @@ def wire_up(clients, drop_prob=0.0, seed=0):
 
 def expected_fine_tune(state: ClientState, params: RoundParams, start=None):
     """Recompute what a round's local pass must produce, independently."""
-    weights, _ = fine_tune(
+    return fine_tune(
         params.spec,
         start if start is not None else state.weights,
         state.shard,
@@ -76,7 +76,6 @@ def expected_fine_tune(state: ClientState, params: RoundParams, start=None):
         derive_seed(params.shuffle_seed, "tune", state.client_index, state.own_update_count),
         params.batch_size,
     )
-    return weights
 
 
 class TestWeightedAverage:
@@ -87,8 +86,8 @@ class TestWeightedAverage:
 
     def test_identical_vectors_any_counts(self):
         params = np.array([1.0, -2.0, 0.5])
-        a = ModelWeights("f", params.copy())
-        b = ModelWeights("f", params.copy())
+        a = ModelWeights(SPEC, params.copy())
+        b = ModelWeights(SPEC, params.copy())
         out = weighted_average([(a, 1), (b, 7)])
         np.testing.assert_allclose(out.params, params, rtol=1e-15)
 
@@ -103,7 +102,7 @@ class TestWeightedAverage:
             n_entries = int(rng.integers(1, 9))
             n_params = int(rng.integers(1, 65))
             entries = [
-                (ModelWeights("f", rng.normal(size=n_params)), int(rng.integers(1, 20)))
+                (ModelWeights(SPEC, rng.normal(size=n_params)), int(rng.integers(1, 20)))
                 for _ in range(n_entries)
             ]
             total = sum(count for _, count in entries)
@@ -116,10 +115,12 @@ class TestWeightedAverage:
             out = weighted_average(entries)
             assert out.params.tobytes() == naive.tobytes()
 
-    def test_fingerprint_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="fingerprint"):
-            weighted_average([(ModelWeights("a", np.zeros(2)), 1),
-                              (ModelWeights("b", np.zeros(2)), 1)])
+    def test_spec_mismatch_rejected(self):
+        other = ModelSpec(input_dim=4, hidden_dims=(7,), num_classes=3)
+        with pytest.raises(ValueError, match=r"spec mismatch: .*hidden_dims=\(7,\).* vs "
+                                             r".*hidden_dims=\(6,\)"):
+            weighted_average([(ModelWeights(SPEC, np.zeros(2)), 1),
+                              (ModelWeights(other, np.zeros(2)), 1)])
 
     def test_empty_list_rejected(self):
         with pytest.raises(ValueError):
@@ -366,7 +367,7 @@ class TestBtRound:
         nodes, transport = wire_up(clients)
         initiator = nodes[0].state
         acc = (2 / 8) * initiator.weights.params + (2 / 8) * clients[1].weights.params
-        merged = ModelWeights(initiator.weights.spec_fingerprint, acc)
+        merged = ModelWeights(initiator.weights.spec, acc)
         expected = expected_fine_tune(initiator, params, start=merged)
         bt_round(nodes, 0, params, transport)
         assert nodes[0].state.weights.params.tobytes() == expected.params.tobytes()

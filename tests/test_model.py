@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 import peerfed
 from peerfed.model import _BLOCK_ROWS as BLOCK
+from peerfed.model import _TRANSPOSE_MIN_ROWS as TRANSPOSE_ROWS
 from peerfed.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -109,7 +110,7 @@ class TestInit:
         a = init_model(SPEC, seed=7)
         b = init_model(SPEC, seed=7)
         assert a.params.tobytes() == b.params.tobytes()
-        assert a.spec_fingerprint == b.spec_fingerprint
+        assert a.spec is b.spec is SPEC
 
     def test_different_seeds_differ(self):
         a = init_model(SPEC, seed=1)
@@ -154,7 +155,7 @@ class TestInit:
 
 class TestForward:
     def test_zero_weights_zero_logits(self):
-        w = ModelWeights(SPEC.fingerprint(), np.zeros(SPEC.param_count()))
+        w = ModelWeights(SPEC, np.zeros(SPEC.param_count()))
         logits = forward(SPEC, w, np.random.default_rng(0).normal(size=(9, 3)))
         assert np.all(logits == 0.0)
 
@@ -163,7 +164,7 @@ class TestForward:
         # on paper: logits_j = sum_i x_i W[i, j] + b_j.
         spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=3)
         params = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5, -0.5, 0.25])
-        w = ModelWeights(spec.fingerprint(), params)
+        w = ModelWeights(spec, params)
         logits = forward(spec, w, np.array([[2.0, -1.0]]))
         expected = np.array([[2 * 1 - 4 + 0.5, 2 * 2 - 5 - 0.5, 2 * 3 - 6 + 0.25]])
         np.testing.assert_array_equal(logits, expected)
@@ -184,26 +185,22 @@ class TestForward:
         with pytest.raises(ValueError):
             forward(SPEC, w, np.zeros((4, 2)))
 
-    def test_default_spec_fingerprint_is_pinned(self):
-        # Fixed strings, the first for the default 4-channel [512] spec:
-        # computing the fingerprint once at construction must not change it.
-        assert ModelSpec(4, (512,), 4).fingerprint() == "a1ff7831733daf7d"
-        assert SPEC.fingerprint() == "d6da020075c61e57"
-
-    def test_fingerprint_stays_out_of_equality_and_hash(self):
-        again = ModelSpec(input_dim=3, hidden_dims=[5], num_classes=4)
-        assert again == SPEC and hash(again) == hash(SPEC)
-        assert "_fingerprint" not in repr(SPEC)
-
-    def test_fingerprint_mismatch_rejected(self):
+    def test_spec_mismatch_rejected(self):
         other = ModelSpec(input_dim=3, hidden_dims=(6,), num_classes=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"weights of .*hidden_dims=\(6,\).* do not "
+                                             r"match .*hidden_dims=\(5,\)"):
             forward(SPEC, init_model(other, 0), np.zeros((1, 3)))
+
+    def test_equal_spec_accepted(self):
+        again = ModelSpec(input_dim=3, hidden_dims=[5], num_classes=4)
+        assert again is not SPEC
+        np.testing.assert_array_equal(forward(again, init_model(SPEC, 0), np.ones((2, 3))),
+                                      forward(SPEC, init_model(SPEC, 0), np.ones((2, 3))))
 
 
 class TestLossAndGrad:
     def test_uniform_logits_loss_is_log_classes(self):
-        w = ModelWeights(SPEC.fingerprint(), np.zeros(SPEC.param_count()))
+        w = ModelWeights(SPEC, np.zeros(SPEC.param_count()))
         batch = Batch(np.random.default_rng(0).normal(size=(11, 3)), np.zeros(11, dtype=int))
         loss, _ = loss_and_grad(SPEC, w, batch)
         assert loss == pytest.approx(math.log(4), rel=1e-12)
@@ -212,7 +209,7 @@ class TestLossAndGrad:
         spec = ModelSpec(input_dim=1, hidden_dims=(), num_classes=3)
         params = np.zeros(spec.param_count())
         params[3] = 100.0  # bias of class 0
-        w = ModelWeights(spec.fingerprint(), params)
+        w = ModelWeights(spec, params)
         loss, _ = loss_and_grad(spec, w, Batch(np.ones((5, 1)), np.zeros(5, dtype=int)))
         assert 0.0 <= loss < 1e-8
 
@@ -236,8 +233,8 @@ class TestLossAndGrad:
             up[i] += h
             down = w.params.copy()
             down[i] -= h
-            loss_up, _ = loss_and_grad(spec, ModelWeights(w.spec_fingerprint, up), batch)
-            loss_down, _ = loss_and_grad(spec, ModelWeights(w.spec_fingerprint, down), batch)
+            loss_up, _ = loss_and_grad(spec, ModelWeights(w.spec, up), batch)
+            loss_down, _ = loss_and_grad(spec, ModelWeights(w.spec, down), batch)
             fd[i] = (loss_up - loss_down) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum.reduce([np.abs(grad), np.abs(fd), np.full_like(fd, 1e-8)])
         assert np.mean(rel < 1e-4) >= 0.99
@@ -266,7 +263,7 @@ def _weights_and_batch(spec: ModelSpec, n: int, seed: int) -> tuple[ModelWeights
     rng = np.random.default_rng(seed)
     params = init_model(spec, seed).params + rng.normal(scale=0.2, size=spec.param_count())
     batch = Batch(rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, size=n))
-    return ModelWeights(spec.fingerprint(), params), batch
+    return ModelWeights(spec, params), batch
 
 
 # (input_dim, hidden_dims, num_classes) for the reference-equality test.
@@ -298,7 +295,9 @@ class TestScratchBuffers:
         # leave a 1-row tail, which must not run as a block of its own, and
         # BLOCK + 2 a 2-row tail, which changes the bits of a 64-term product.
         block_edges = [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1]
-        for step, n in enumerate([1024, 64, 1, 1024, 2048, *block_edges]):
+        # From TRANSPOSE_ROWS rows on, a narrow weight gradient is transposed.
+        transpose_edges = [TRANSPOSE_ROWS - 1, TRANSPOSE_ROWS, TRANSPOSE_ROWS + 1]
+        for step, n in enumerate([1024, 64, 1, 1024, 2048, *block_edges, *transpose_edges]):
             w, batch = _weights_and_batch(spec, n, seed=step)
             loss, grad = loss_and_grad(spec, w, batch)
             logits = forward(spec, w, batch.pixels)
@@ -317,7 +316,7 @@ class TestScratchBuffers:
         # rejected; selecting 0.0 instead would hand back a finite one.
         spec = ModelSpec(1, (2,), 2)
         params = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 5.0, 1.5e308, -1.5e308, 0.0, 0.0])
-        w = ModelWeights(spec.fingerprint(), params)
+        w = ModelWeights(spec, params)
         batch = Batch(np.ones((1, 1)), [0])
         with np.errstate(over="ignore", invalid="ignore"):
             _, want = reference_loss_and_grad(spec, w, batch)
@@ -329,9 +328,9 @@ class TestScratchBuffers:
         spec = ModelSpec(4, (16, 8), 4)
         shard = toy_shard(5, 7, spec, seed=3)
         w0 = init_model(spec, 2)
-        got, _ = fine_tune(spec, w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
+        got = fine_tune(spec, w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
         monkeypatch.setattr("peerfed.model.loss_and_grad", reference_loss_and_grad)
-        want, _ = fine_tune(spec, w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
+        want = fine_tune(spec, w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
         assert got.params.tobytes() == want.params.tobytes()
 
     def test_concurrent_fine_tunes_equal_sequential_ones(self):
@@ -340,12 +339,12 @@ class TestScratchBuffers:
             (toy_shard(6, 200, spec, seed=10), init_model(spec, 1), 11),
             (toy_shard(4, 90, spec, seed=20), init_model(spec, 2), 21),
         ]
-        sequential = [fine_tune(spec, w, shard, 3, 0.01, seed)[0] for shard, w, seed in jobs]
+        sequential = [fine_tune(spec, w, shard, 3, 0.01, seed) for shard, w, seed in jobs]
         concurrent: list = [None, None]
 
         def run(k: int) -> None:
             shard, w, seed = jobs[k]
-            concurrent[k] = fine_tune(spec, w, shard, 3, 0.01, seed)[0]
+            concurrent[k] = fine_tune(spec, w, shard, 3, 0.01, seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -404,7 +403,7 @@ def reference_adam_step(
     m_hat = m / (1.0 - ADAM_BETA1**step)
     v_hat = v / (1.0 - ADAM_BETA2**step)
     new_params = weights.params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return ModelWeights(weights.spec_fingerprint, new_params), OptimizerState(m, v, step)
+    return ModelWeights(weights.spec, new_params), OptimizerState(m, v, step)
 
 
 class TestRewrittenStep:
@@ -438,7 +437,7 @@ class TestRewrittenStep:
         rng = np.random.default_rng(size)
         for step_count in (0, 1, 9, 10_000):
             for lr in (1e-5, 1e-3, 0.5):
-                w = ModelWeights(spec.fingerprint(), rng.normal(size=size))
+                w = ModelWeights(spec, rng.normal(size=size))
                 state = OptimizerState(rng.normal(scale=0.1, size=size),
                                        rng.exponential(scale=0.01, size=size), step_count)
                 grad = rng.normal(size=size)
@@ -472,7 +471,7 @@ class TestFiniteChecks:
         # Tiny activations keep the logits at +-1e8; each unit's delta is
         # 2 * 5e307, so W1's and b1's gradients are 1e308 each.
         params = np.array([1e-300, 1e-300, 0.0, 0.0, 5e307, -5e307, 5e307, -5e307, 0.0, 0.0])
-        w = ModelWeights(self.SPEC.fingerprint(), params)
+        w = ModelWeights(self.SPEC, params)
         with np.errstate(over="ignore"):
             loss, grad = loss_and_grad(self.SPEC, w, self.BATCH)
             assert np.isinf(grad.sum())
@@ -482,7 +481,7 @@ class TestFiniteChecks:
         # The units' rows of W2 cancel in the logits (50 and -50), but their
         # deltas overflow to +inf and -inf.
         params = np.array([1.0, 1.0, 0.0, 0.0, 1e308, -1e308, -1e308, 1e308, 50.0, -50.0])
-        w = ModelWeights(self.SPEC.fingerprint(), params)
+        w = ModelWeights(self.SPEC, params)
         with np.errstate(over="ignore", invalid="ignore"):
             loss, want = reference_loss_and_grad(self.SPEC, w, self.BATCH)
             assert loss == 100.0 and list(want[:2]) == [np.inf, -np.inf]
@@ -555,15 +554,22 @@ class TestAdam:
 
 
 class TestFineTune:
-    def test_step_count_three_images_batch_one(self):
+    def test_step_count_three_images_batch_one(self, monkeypatch):
+        steps = []
+
+        def counted(weights, grad, state, lr):
+            steps.append(state.step_count)
+            return adam_step(weights, grad, state, lr)
+
+        monkeypatch.setattr("peerfed.model.adam_step", counted)
         shard = toy_shard(3, 4, SPEC, seed=0)
-        _, st = fine_tune(SPEC, init_model(SPEC, 0), shard, epochs=2, lr=0.01, seed=1, batch_size=1)
-        assert st.step_count == 6
+        fine_tune(SPEC, init_model(SPEC, 0), shard, epochs=2, lr=0.01, seed=1, batch_size=1)
+        assert steps == [0, 1, 2, 3, 4, 5]
 
     def test_deterministic(self):
         shard = toy_shard(3, 4, SPEC, seed=0)
-        a, _ = fine_tune(SPEC, init_model(SPEC, 0), shard, 2, 0.01, seed=9)
-        b, _ = fine_tune(SPEC, init_model(SPEC, 0), shard, 2, 0.01, seed=9)
+        a = fine_tune(SPEC, init_model(SPEC, 0), shard, 2, 0.01, seed=9)
+        b = fine_tune(SPEC, init_model(SPEC, 0), shard, 2, 0.01, seed=9)
         assert a.params.tobytes() == b.params.tobytes()
 
     def test_training_reduces_loss_on_separable_shard(self):
@@ -580,7 +586,7 @@ class TestFineTune:
 
         w0 = init_model(spec, 0)
         before, _ = loss_and_grad(spec, w0, Batch(pixels, labels))
-        w1, _ = fine_tune(spec, w0, shard, epochs=2, lr=0.05, seed=4, batch_size=1)
+        w1 = fine_tune(spec, w0, shard, epochs=2, lr=0.05, seed=4, batch_size=1)
         after, _ = loss_and_grad(spec, w1, Batch(pixels, labels))
         assert after < before
 

@@ -1,4 +1,5 @@
-"""The transport and TCP peer tests close every socket they open."""
+"""The transport, TCP peer and benchmark-guard tests close every socket
+they open; the guard drives the benchmark's in-process TCP swarm."""
 
 from __future__ import annotations
 
@@ -23,7 +24,7 @@ def test_tcp_tests_leave_no_socket_unclosed():
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest",
          "-q", "-p", "no:cacheprovider",
          "tests/test_transport.py", "tests/test_tcp_integration.py",
-         "tests/test_federation.py"],
+         "tests/test_federation.py", "tests/test_bench_guard.py"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     output = proc.stdout + proc.stderr

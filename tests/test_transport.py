@@ -419,6 +419,46 @@ class TestTcpTransport:
             transport.ping(0, 1)
         assert time.monotonic() - start < 1.5
 
+    def test_silent_peer_unreachable_within_timeout(self, monkeypatch):
+        # A listener that never accepts: the kernel completes the handshake
+        # and takes the request in, but no reply ever comes.
+        monkeypatch.setattr(transport_module, "DEFAULT_TIMEOUT_S", 0.5)
+        with socket.create_server(("127.0.0.1", 0)) as listener:
+            listener.settimeout(1.0)
+            port = listener.getsockname()[1]
+            transport = TcpTransport(0, [PeerAddress(0, "127.0.0.1:1"),
+                                         PeerAddress(1, f"127.0.0.1:{port}")])
+            outcome = {}
+
+            def ping() -> None:
+                start = time.monotonic()
+                try:
+                    transport.ping(0, 1)
+                except Exception as exc:
+                    outcome["error"] = exc
+                outcome["elapsed"] = time.monotonic() - start
+
+            thread = threading.Thread(target=ping, daemon=True)
+            thread.start()
+            thread.join(timeout=5.0)
+            assert not thread.is_alive(), "ping did not time out"
+            assert isinstance(outcome.get("error"), PeerUnreachableError)
+            assert 0.4 <= outcome["elapsed"] < 1.5
+
+            conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(1.0)
+                received = b""
+                while chunk := conn.recv(4096):  # ends at the client's close
+                    received += chunk
+            assert received == encode(PingRequest(sender=0, request_id=1))
+            transport.close()
+
+    def test_stop_twice(self):
+        server = self.start_server(StubNode())
+        server.stop()
+        server.stop()
+
     def test_unknown_peer_index_unreachable(self):
         transport = TcpTransport(0, [PeerAddress(0, "127.0.0.1:1")])
         with pytest.raises(PeerUnreachableError):
