@@ -269,9 +269,12 @@ def evaluate_model(
     images: list[SegImage],
     num_classes: int,
 ) -> float:
-    """Mean over images of the per-image mean Dice across present classes."""
+    """Mean over images of the per-image mean Dice across present classes;
+    ValueError unless weights are of spec."""
+    if weights.spec != spec:
+        raise ValueError(f"weights of {weights.spec} do not match {spec}")
     scores = [
-        dice_score(predict(spec, weights, im.features), im.labels, num_classes)[1]
+        dice_score(predict(weights, im.features), im.labels, num_classes)[1]
         for im in images
     ]
     return float(np.mean(scores))

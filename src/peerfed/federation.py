@@ -41,8 +41,6 @@ class VersionVector:
 
     def __post_init__(self) -> None:
         self.entries = np.asarray(self.entries, dtype=np.int64)
-        if self.entries.ndim != 1:
-            raise ValueError(f"entries must be 1-D, got shape {self.entries.shape}")
         if np.any(self.entries < 0):
             raise ValueError("version entries must be non-negative")
 
@@ -82,9 +80,10 @@ class MergeReport:
 
 @dataclass(frozen=True)
 class RoundParams:
-    """Per-round training knobs shared by both protocols."""
+    """Per-round training knobs shared by both protocols, set by code from
+    a checked config."""
 
-    spec: ModelSpec
+    spec: ModelSpec  # unread: the weights carry their spec; bench/ still sets it
     epochs: int = 2
     base_lr: float = 0.001
     batch_size: int = DEFAULT_BATCH_SIZE
@@ -92,12 +91,6 @@ class RoundParams:
     merge_norm: str = "participants"  # or "global"
     on_unreachable: str = "skip"  # or "abort"
     total_samples: int = 0  # denominator for merge_norm="global"
-
-    def __post_init__(self) -> None:
-        if self.merge_norm not in ("participants", "global"):
-            raise ValueError(f"unknown merge_norm {self.merge_norm!r}")
-        if self.on_unreachable not in ("skip", "abort"):
-            raise ValueError(f"unknown on_unreachable policy {self.on_unreachable!r}")
 
 
 class ClientNode:
@@ -139,22 +132,14 @@ def weighted_average(entries: list[tuple[ModelWeights, int]]) -> ModelWeights:
 
     Accumulates left to right over the given entry order; callers pass
     entries in ascending client index so results are reproducible
-    bit-for-bit.
+    bit-for-bit. Callers pass weights of one spec, which the result takes.
     """
     if not entries:
         raise ValueError("cannot average an empty entry list")
-    spec = entries[0][0].spec
-    length = entries[0][0].params.shape[0]
-    total = 0
-    for weights, count in entries:
-        if weights.spec is not spec and weights.spec != spec:
-            raise ValueError(f"spec mismatch: {weights.spec} vs {spec}")
-        if weights.params.shape[0] != length:
-            raise ValueError("parameter length mismatch between entries")
+    for _, count in entries:
         if count < 1:
             raise ValueError(f"sample counts must be positive, got {count}")
-        total += count
-    return _weighted_sum(entries, total)
+    return _weighted_sum(entries, sum(count for _, count in entries))
 
 
 def _weighted_sum(entries: list[tuple[ModelWeights, int]], total: int) -> ModelWeights:
@@ -175,8 +160,6 @@ def _merge(
     # Literal global normalization: coefficients a_k / total over *all*
     # clients, so a partial participant set sums to < 1 and shrinks the
     # merge toward zero. Kept for study; "participants" is the default.
-    if params.total_samples < 1:
-        raise ValueError("merge_norm='global' requires total_samples")
     return _weighted_sum(entries, params.total_samples)
 
 
@@ -186,8 +169,6 @@ def fls_round(
 ) -> tuple[list[ClientState], ModelWeights]:
     """One server round: a local update of every client, then the weighted
     average of the tuned models replaces every client's weights."""
-    if not clients:
-        raise ValueError("need at least one client")
     tuned = [local_update(client, params) for client in clients]
     aggregate = weighted_average([(c.weights, c.shard.sample_count) for c in tuned])
     return [replace(c, weights=aggregate.copy()) for c in tuned], aggregate
@@ -270,8 +251,6 @@ def bt_round(
     transport,
 ) -> MergeReport:
     """Run one peer round initiated by nodes[initiator_index]; commit on success."""
-    if not 0 <= initiator_index < len(nodes):
-        raise ValueError(f"initiator index {initiator_index} out of range")
     node = nodes[initiator_index]
     new_state, report = run_initiator_round(node.state, transport, params)
     node.commit(new_state)
@@ -286,7 +265,6 @@ def local_update(state: ClientState, params: RoundParams) -> ClientState:
     average in a server round.
     """
     weights = fine_tune(
-        params.spec,
         state.weights,
         state.shard,
         params.epochs,
@@ -301,8 +279,6 @@ def local_update(state: ClientState, params: RoundParams) -> ClientState:
 
 def pick_initiator(round_index: int, n_clients: int, rng_seed: int) -> int:
     """Seeded uniform choice of the next initiator."""
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be >= 1, got {n_clients}")
     rng = np.random.default_rng(derive_seed(rng_seed, "initiator", round_index))
     return int(rng.integers(0, n_clients))
 
@@ -312,8 +288,6 @@ def aggregate_all_clients(
     weighted: bool = True,
 ) -> ModelWeights:
     """Single model averaged from every client, for handing to a newcomer."""
-    if not clients:
-        raise ValueError("need at least one client")
     ordered = sorted(clients, key=lambda c: c.client_index)
     return weighted_average(
         [(c.weights, c.shard.sample_count if weighted else 1) for c in ordered]

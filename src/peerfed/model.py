@@ -88,15 +88,18 @@ class ModelSpec:
 
 @dataclass
 class ModelWeights:
-    """Flat parameter vector bound to the spec that shaped it."""
+    """Flat parameter vector bound to the spec that shaped it. This is the
+    one check that a vector fits its spec: the functions that take weights
+    read their shape from weights.spec and trust the length."""
 
     spec: ModelSpec
     params: np.ndarray
 
     def __post_init__(self) -> None:
         self.params = np.asarray(self.params, dtype=np.float64)
-        if self.params.ndim != 1:
-            raise ValueError(f"params must be a flat vector, got shape {self.params.shape}")
+        if self.params.shape != (self.spec.param_count(),):
+            raise ValueError(f"params of shape {self.params.shape} do not fit {self.spec} "
+                             f"of {self.spec.param_count()} params")
 
     def copy(self) -> "ModelWeights":
         return ModelWeights(self.spec, self.params.copy())
@@ -129,26 +132,11 @@ class Batch:
     def __post_init__(self) -> None:
         self.pixels = np.asarray(self.pixels, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=np.int64)
-        if self.pixels.ndim != 2:
-            raise ValueError(f"pixels must be 2-D, got shape {self.pixels.shape}")
-        if self.labels.ndim != 1 or self.labels.shape[0] != self.pixels.shape[0]:
-            raise ValueError(
-                f"labels length {self.labels.shape} does not match pixels rows {self.pixels.shape[0]}"
-            )
-
-
-def _check_spec_match(spec: ModelSpec, weights: ModelWeights) -> None:
-    if weights.spec is not spec and weights.spec != spec:
-        raise ValueError(f"weights of {weights.spec} do not match {spec}")
-    if weights.params.shape[0] != spec.param_count():
-        raise ValueError(
-            f"params length {weights.params.shape[0]} does not match spec "
-            f"parameter count {spec.param_count()}"
-        )
 
 
 def unflatten(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Split the flat vector into per-layer (W, b) views, W row-major (fan_in, fan_out)."""
+    """Split a flat vector of spec's param_count() into per-layer (W, b)
+    views, W row-major (fan_in, fan_out)."""
     layers = []
     offset = 0
     for fan_in, fan_out in spec.layer_dims():
@@ -157,8 +145,6 @@ def unflatten(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.
         b = params[offset : offset + fan_out]
         offset += fan_out
         layers.append((w, b))
-    if offset != params.shape[0]:
-        raise ValueError(f"params length {params.shape[0]} does not match spec layout {offset}")
     return layers
 
 
@@ -173,15 +159,10 @@ def init_model(spec: ModelSpec, seed: int) -> ModelWeights:
     return ModelWeights(spec, np.concatenate(chunks))
 
 
-def forward(spec: ModelSpec, weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
+def forward(weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
     """Logits for each pixel row; shape (n_pixels, num_classes)."""
-    _check_spec_match(spec, weights)
     x = np.asarray(pixels, dtype=np.float64)
-    if x.ndim != 2 or x.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"pixels must have shape (n, {spec.input_dim}), got {x.shape}"
-        )
-    layers = unflatten(spec, weights.params)
+    layers = unflatten(weights.spec, weights.params)
     w, b = layers[-1]
     return _activations(weights.params, layers, x)[-1] @ w + b
 
@@ -271,7 +252,12 @@ def _activations(
     row blocks `_row_blocks` gives for its product (see the module
     docstring); the output layer is left to the caller, whole. `params` is
     the flat vector that `layers` views, read whole for a folded first layer.
+    ValueError unless x has one column per input: a folded first layer
+    would copy a one-column x into every input column.
     """
+    fan_in = layers[0][0].shape[0]
+    if x.ndim != 2 or x.shape[1] != fan_in:
+        raise ValueError(f"pixels must have shape (n, {fan_in}), got {x.shape}")
     n = x.shape[0]
     hidden = _scratch_rows("hidden", [w.shape[1] for w, _ in layers[:-1]], n, np.float64)
     activations = [x]
@@ -293,21 +279,18 @@ def _activations(
     return activations
 
 
-def predict(spec: ModelSpec, weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
+def predict(weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
     """Argmax class per pixel (ties resolved to the lowest class index)."""
-    return np.argmax(forward(spec, weights, pixels), axis=1)
+    return np.argmax(forward(weights, pixels), axis=1)
 
 
-def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple[float, np.ndarray]:
+def loss_and_grad(weights: ModelWeights, batch: Batch) -> tuple[float, np.ndarray]:
     """Mean softmax cross-entropy over the batch and its gradient (flat, params-aligned)."""
-    _check_spec_match(spec, weights)
+    spec = weights.spec
     if batch.pixels.shape[0] == 0:
         raise ValueError("batch is empty")
-    if batch.pixels.shape[1] != spec.input_dim:
-        raise ValueError(
-            f"batch pixels must have {spec.input_dim} features, got {batch.pixels.shape[1]}"
-        )
     labels = batch.labels
+    # A negative label would wrap around in the softmax's row lookup.
     if labels.min() < 0 or labels.max() >= spec.num_classes:
         raise ValueError("labels out of range for spec num_classes")
 
@@ -343,7 +326,7 @@ def loss_and_grad(spec: ModelSpec, weights: ModelWeights, batch: Batch) -> tuple
                 a[block] *= mask[block]
             delta = a
 
-    if not (np.isfinite(loss) and _all_finite(grad)):
+    if not (np.isfinite(loss) and np.isfinite(grad).all()):
         raise ValueError("non-finite loss or gradient")
     return loss, grad
 
@@ -370,13 +353,6 @@ def _softmax_loss_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
     return loss, delta
 
 
-def _all_finite(x: np.ndarray) -> bool:
-    """np.isfinite(x).all(), at the cost of one sum when it holds: any inf
-    or nan makes the sum non-finite, and a finite x whose sum overflows is
-    settled by the elementwise test."""
-    return bool(np.isfinite(x.sum()) or np.isfinite(x).all())
-
-
 def adam_step(
     weights: ModelWeights,
     grad: np.ndarray,
@@ -386,12 +362,7 @@ def adam_step(
     """One bias-corrected Adam update; returns new weights and state. Each
     textbook expression keeps its order of operations, worked in place in
     two scratch vectors besides the m, v and params it returns."""
-    grad = np.asarray(grad, dtype=np.float64)
-    if grad.shape != weights.params.shape:
-        raise ValueError(f"grad shape {grad.shape} does not match params {weights.params.shape}")
-    if lr <= 0.0:
-        raise ValueError(f"lr must be > 0, got {lr}")
-    if not _all_finite(grad):
+    if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
 
     step = state.step_count + 1
@@ -409,7 +380,7 @@ def adam_step(
     term += ADAM_EPS
     update /= term  # lr * m_hat / (sqrt(v_hat) + eps)
     new_params = np.subtract(weights.params, update)
-    if not _all_finite(new_params):
+    if not np.isfinite(new_params).all():
         raise ValueError("non-finite weights after update")
     return (
         ModelWeights(weights.spec, new_params),
@@ -418,7 +389,6 @@ def adam_step(
 
 
 def fine_tune(
-    spec: ModelSpec,
     weights: ModelWeights,
     shard,
     epochs: int,
@@ -432,7 +402,6 @@ def fine_tune(
     merged-in weights would make stale moments meaningless. One adam step
     per mini-batch; a trailing partial batch still counts as a step.
     """
-    _check_spec_match(spec, weights)
     if epochs < 1:
         raise ValueError(f"epochs must be >= 1, got {epochs}")
     if batch_size < 1:
@@ -443,7 +412,7 @@ def fine_tune(
 
     rng = np.random.default_rng(seed)
     w = weights
-    state = OptimizerState.zeros(spec.param_count())
+    state = OptimizerState.zeros(weights.params.shape[0])
     for _ in range(epochs):
         order = rng.permutation(len(images))
         for start in range(0, len(images), batch_size):
@@ -452,7 +421,7 @@ def fine_tune(
                 pixels=np.concatenate([images[i].features for i in chosen], axis=0),
                 labels=np.concatenate([images[i].labels for i in chosen], axis=0),
             )
-            _, grad = loss_and_grad(spec, w, batch)
+            _, grad = loss_and_grad(w, batch)
             w, state = adam_step(w, grad, state, lr)
     return w
 

@@ -156,9 +156,7 @@ _TAGS = {
 def encode(msg: Message) -> bytes:
     """Serialize a message into one complete frame; the header and the
     payload, weights included, are copied once, into the frame."""
-    tag = _TAGS.get(type(msg))
-    if tag is None:
-        raise ValueError(f"cannot encode {type(msg).__name__}")
+    tag = _TAGS[type(msg)]
     params = b""
     if isinstance(msg, (PingRequest, WeightsRequest)):
         payload = b""
@@ -276,9 +274,7 @@ def _checked_reply(request: Message, reply_frame: bytes, peer: int) -> Message:
     if expected is WeightsResponse:
         if reply.sample_count < 1:
             raise ProtocolError(f"client {peer} sent weights of {reply.sample_count} samples")
-        # Any inf or nan makes the sum non-finite; finite params whose sum
-        # overflows are settled by the elementwise test.
-        if not (np.isfinite(reply.params.sum()) or np.isfinite(reply.params).all()):
+        if not np.isfinite(reply.params).all():
             raise ProtocolError(f"client {peer} sent weights that are not all finite")
     return reply
 
@@ -308,10 +304,6 @@ class SimTransport:
     """
 
     def __init__(self, nodes: list, seed: int = 0, drop_prob: float = 0.0):
-        if not nodes:
-            raise ValueError("SimTransport needs at least one node")
-        if not 0.0 <= drop_prob < 1.0:
-            raise ValueError(f"drop_prob must be in [0, 1), got {drop_prob}")
         self._nodes = list(nodes)  # client i's node at index i
         self.drop_prob = drop_prob
         self._delivered = 0  # bytes of every frame delivered

@@ -1,8 +1,10 @@
-"""Shared helpers: a stub peer node, recorders for SimTransport frames and
-for run_training's evaluation points, and loopback TCP peer processes."""
+"""Shared helpers: a stub peer node, a spec for each small parameter count,
+recorders for SimTransport frames and for run_training's evaluation points,
+and loopback TCP peer processes."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import socket
 import subprocess
@@ -12,6 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from peerfed import experiments
+from peerfed.model import ModelSpec
 from peerfed.transport import PeerUnreachableError
 
 
@@ -28,6 +31,19 @@ class StubNode:
 
     def weights_payload(self):
         return self._params, self._count
+
+
+def specs_by_param_count(max_params: int) -> dict[int, ModelSpec]:
+    """One spec for every parameter count up to max_params that a spec can
+    have: 4, then 6 on (no spec has fewer than 4 params, none has 5)."""
+    specs: dict[int, ModelSpec] = {}
+    for d, h, c in itertools.product(range(1, 9), range(9), range(2, 9)):
+        spec = ModelSpec(d, (h,) if h else (), c)
+        if spec.param_count() <= max_params:
+            specs.setdefault(spec.param_count(), spec)
+    missing = set(range(6, max_params + 1)) - specs.keys()
+    assert not missing, f"no spec of {sorted(missing)} params"
+    return specs
 
 
 class Frame(NamedTuple):

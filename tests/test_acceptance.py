@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from conftest import record_frames, record_trajectory, run_tcp_peers
+from conftest import record_frames, record_trajectory, run_tcp_peers, specs_by_param_count
 
 from peerfed.data import GenConfig, generate_dataset, split_uniform
 from peerfed.experiments import (
@@ -60,12 +60,15 @@ def report(number: int, name: str, passed: bool, detail: str) -> None:
 def test_criterion_1_weighted_average_oracle():
     started = time.perf_counter()
     rng = np.random.default_rng(1001)
+    specs = specs_by_param_count(64)  # every length from 4 to 64 but 5
+    lengths = sorted(specs)
     mismatches = 0
     for _ in range(200):
         n_entries = int(rng.integers(1, 9))
-        n_params = int(rng.integers(1, 65))
+        n_params = int(rng.choice(lengths))
+        spec = specs[n_params]
         entries = [
-            (ModelWeights("fp", rng.normal(size=n_params)), int(rng.integers(1, 50)))
+            (ModelWeights(spec, rng.normal(size=n_params)), int(rng.integers(1, 50)))
             for _ in range(n_entries)
         ]
         total = sum(count for _, count in entries)
@@ -109,15 +112,15 @@ def test_criterion_2_gradient_check():
             rng.normal(size=(8, spec.input_dim)),
             rng.integers(0, spec.num_classes, size=8),
         )
-        _, grad = loss_and_grad(spec, weights, batch)
+        _, grad = loss_and_grad(weights, batch)
         fd = np.zeros_like(grad)
         for i in range(grad.shape[0]):
             up = weights.params.copy()
             up[i] += h
             down = weights.params.copy()
             down[i] -= h
-            lu, _ = loss_and_grad(spec, ModelWeights(weights.spec, up), batch)
-            ld, _ = loss_and_grad(spec, ModelWeights(weights.spec, down), batch)
+            lu, _ = loss_and_grad(ModelWeights(weights.spec, up), batch)
+            ld, _ = loss_and_grad(ModelWeights(weights.spec, down), batch)
             fd[i] = (lu - ld) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum.reduce(
             [np.abs(grad), np.abs(fd), np.full_like(fd, 1e-8)]

@@ -108,6 +108,13 @@ class TestSplitUniform:
         with pytest.raises(ValueError):
             split_uniform(train, 21, seed=0)
 
+    @pytest.mark.parametrize("n_clients", [0, -1])
+    def test_no_clients_rejected(self, n_clients):
+        # -1 would otherwise split into no shards at all.
+        train, _ = generate_dataset(CFG, SEED)
+        with pytest.raises(ValueError, match="n_clients must be >= 1"):
+            split_uniform(train, n_clients, seed=0)
+
     def test_seeded_permutation(self):
         train, _ = generate_dataset(CFG, SEED)
         a = split_uniform(train, 5, seed=1)
@@ -208,6 +215,17 @@ class TestTypes:
         with pytest.raises(ValueError):
             SegImage(height=2, width=2, features=np.zeros((3, FEATURE_CHANNELS)),
                      labels=np.zeros(4, dtype=int), cohort=10.0)
+
+    @pytest.mark.parametrize("labels, cohort, match", [
+        (np.zeros(3, dtype=int), 10.0, "labels shape"),
+        (np.zeros((2, 2), dtype=int), 10.0, "labels shape"),
+        (np.zeros(4, dtype=int), 100.5, "cohort must be in"),
+        (np.zeros(4, dtype=int), -1.0, "cohort must be in"),
+    ])
+    def test_image_labels_and_cohort_validation(self, labels, cohort, match):
+        with pytest.raises(ValueError, match=match):
+            SegImage(height=2, width=2, features=np.zeros((4, FEATURE_CHANNELS)),
+                     labels=labels, cohort=cohort)
 
     def test_gen_config_validation(self):
         with pytest.raises(ValueError):

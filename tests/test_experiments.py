@@ -7,6 +7,7 @@ import json
 import os
 import platform
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import record_frames, record_trajectory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import peerfed
 from peerfed import experiments
 from peerfed.data import FEATURE_CHANNELS, GenConfig
 from peerfed.experiments import (
@@ -41,7 +43,7 @@ from peerfed.experiments import (
     sweep_configs,
 )
 from peerfed.federation import pick_initiator
-from peerfed.model import ModelSpec, ModelWeights
+from peerfed.model import ModelSpec, ModelWeights, init_model
 from peerfed.transport import PeerAddress, ProtocolError, SimTransport, TransportError
 
 SMALL_MODEL = ModelSpec(FEATURE_CHANNELS, (8,), 4)
@@ -223,6 +225,26 @@ class TestConfig:
         *section, key = path.split(".")
         (d[section[0]] if section else d)[key] = value
         with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_dict(d)
+
+    @pytest.mark.parametrize("path, value, match", [
+        ("base_lr", 0.0, "base_lr must be > 0"),
+        ("base_lr", -0.5, "base_lr must be > 0"),
+        ("epochs_per_round", 0, "epochs_per_round and batch_size"),
+        ("batch_size", 0, "epochs_per_round and batch_size"),
+        ("eval_every", 0, "eval_every must be >= 1"),
+        ("sim_drop_prob", 1.0, r"sim_drop_prob must be in \[0, 1\)"),
+        ("sim_drop_prob", -0.1, r"sim_drop_prob must be in \[0, 1\)"),
+        ("model.input_dim", 3, "input_dim must equal"),
+        ("data.height", 3, "image size"),
+        ("data.cohort_shift", 2.0, "cohort_shift"),
+        ("data.feature_scale", 0.0, "feature_scale"),
+    ])
+    def test_out_of_range_value_rejected(self, path, value, match):
+        d = small_cfg().to_dict()
+        *section, key = path.split(".")
+        (d[section[0]] if section else d)[key] = value
+        with pytest.raises(ValueError, match=match):
             ExperimentConfig.from_dict(d)
 
     def test_negative_init_seed_rejected_at_load(self):
@@ -413,6 +435,24 @@ class TestEvaluationDedup:
             assert rec.per_client_dice == fresh
 
 
+class TestEvaluateModel:
+    def test_weights_of_another_spec_rejected(self):
+        cfg = small_cfg()
+        _, test = build_dataset(cfg)
+        other = ModelSpec(FEATURE_CHANNELS, (6,), 4)
+        with pytest.raises(ValueError, match=r"weights of .*hidden_dims=\(6,\).* do not "
+                                             r"match .*hidden_dims=\(8,\)"):
+            evaluate_model(cfg.model, init_model(other, 0), test, 4)
+
+    def test_weights_of_an_equal_spec_accepted(self):
+        cfg = small_cfg()
+        _, test = build_dataset(cfg)
+        again = ModelSpec(FEATURE_CHANNELS, [8], 4)
+        assert again is not cfg.model
+        w = init_model(cfg.model, 0)
+        assert evaluate_model(again, w, test, 4) == evaluate_model(cfg.model, w, test, 4)
+
+
 class TestShards:
     def test_pooled_uses_single_shard(self):
         cfg = small_cfg(mode="pooled")
@@ -474,6 +514,14 @@ class TestManifest:
         run_training(manifest_config(tmp_path / "a" / "manifest.json"), out_dir=tmp_path / "b")
         for name in ("metrics.csv", "metrics.json"):
             assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes()
+
+    def test_code_version_is_the_pyproject_version(self):
+        # The manifest's code_version is peerfed.__version__; the package's
+        # metadata declares the version a second time.
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+        with open(Path(__file__).resolve().parents[1] / "pyproject.toml", "rb") as fh:
+            declared = tomllib.load(fh)["project"]["version"]
+        assert peerfed.__version__ == declared
 
     def test_manifest_records_resolved_config_and_shards(self, tmp_path):
         run_training(small_cfg(), out_dir=tmp_path / "run")
@@ -610,6 +658,11 @@ class TestScheduleHelpers:
         peers = [PeerAddress(i, f"127.0.0.1:{9000 + k}") for k, i in enumerate(indices)]
         with pytest.raises(ValueError, match=match):
             run_tcp_peer(cfg, self_index, peers, tmp_path)
+
+    def test_tcp_peer_rejects_a_server_round_config(self, tmp_path):
+        peers = [PeerAddress(i, f"127.0.0.1:{9000 + i}") for i in range(4)]
+        with pytest.raises(ValueError, match="peer-to-peer protocol only"):
+            run_tcp_peer(small_cfg(mode="fls"), 0, peers, tmp_path)
 
     def test_wait_until_retries_after_protocol_error(self, monkeypatch):
         monkeypatch.setattr(experiments, "POLL_S", 0.0)

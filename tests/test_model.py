@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import threading
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -54,21 +55,19 @@ def toy_shard(n_images: int, pixels_per_image: int, spec: ModelSpec, seed: int):
     return SimpleNamespace(images=images)
 
 
-def reference_forward(spec: ModelSpec, weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
+def reference_forward(weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
     """The allocating forward pass the scratch-buffer version must match bit for bit."""
     x = np.asarray(pixels, dtype=np.float64)
-    layers = unflatten(spec, weights.params)
+    layers = unflatten(weights.spec, weights.params)
     for w, b in layers[:-1]:
         x = np.maximum(x @ w + b, 0.0)
     w, b = layers[-1]
     return x @ w + b
 
 
-def reference_loss_and_grad(
-    spec: ModelSpec, weights: ModelWeights, batch: Batch
-) -> tuple[float, np.ndarray]:
+def reference_loss_and_grad(weights: ModelWeights, batch: Batch) -> tuple[float, np.ndarray]:
     """The allocating loss_and_grad the scratch-buffer version must match bit for bit."""
-    layers = unflatten(spec, weights.params)
+    layers = unflatten(weights.spec, weights.params)
     n = batch.pixels.shape[0]
 
     activations = [batch.pixels]
@@ -156,7 +155,7 @@ class TestInit:
 class TestForward:
     def test_zero_weights_zero_logits(self):
         w = ModelWeights(SPEC, np.zeros(SPEC.param_count()))
-        logits = forward(SPEC, w, np.random.default_rng(0).normal(size=(9, 3)))
+        logits = forward(w, np.random.default_rng(0).normal(size=(9, 3)))
         assert np.all(logits == 0.0)
 
     def test_single_affine_layer_hand_computed(self):
@@ -165,7 +164,7 @@ class TestForward:
         spec = ModelSpec(input_dim=2, hidden_dims=(), num_classes=3)
         params = np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 0.5, -0.5, 0.25])
         w = ModelWeights(spec, params)
-        logits = forward(spec, w, np.array([[2.0, -1.0]]))
+        logits = forward(w, np.array([[2.0, -1.0]]))
         expected = np.array([[2 * 1 - 4 + 0.5, 2 * 2 - 5 - 0.5, 2 * 3 - 6 + 0.25]])
         np.testing.assert_array_equal(logits, expected)
 
@@ -174,35 +173,44 @@ class TestForward:
         # BLAS kernel-shape rounding in the last ulp.
         w = init_model(SPEC, 3)
         pixels = np.random.default_rng(1).normal(size=(7, 3))
-        full = forward(SPEC, w, pixels)
+        full = forward(w, pixels)
         for i in range(7):
             np.testing.assert_allclose(
-                full[i], forward(SPEC, w, pixels[i : i + 1])[0], rtol=1e-12, atol=1e-15
+                full[i], forward(w, pixels[i : i + 1])[0], rtol=1e-12, atol=1e-15
             )
 
     def test_shape_mismatch_rejected(self):
         w = init_model(SPEC, 0)
         with pytest.raises(ValueError):
-            forward(SPEC, w, np.zeros((4, 2)))
+            forward(w, np.zeros((4, 2)))
 
-    def test_spec_mismatch_rejected(self):
-        other = ModelSpec(input_dim=3, hidden_dims=(6,), num_classes=4)
-        with pytest.raises(ValueError, match=r"weights of .*hidden_dims=\(6,\).* do not "
-                                             r"match .*hidden_dims=\(5,\)"):
-            forward(SPEC, init_model(other, 0), np.zeros((1, 3)))
+    def test_one_column_pixels_rejected_by_a_folded_first_layer(self):
+        # The [8] layer over 4 inputs runs as [x, 1] @ [[W], [b]], whose copy
+        # of x into the 4 input columns would broadcast a single column.
+        spec = ModelSpec(input_dim=4, hidden_dims=(8,), num_classes=4)
+        with pytest.raises(ValueError, match=r"pixels must have shape \(n, 4\), got \(5, 1\)"):
+            forward(init_model(spec, 0), np.ones((5, 1)))
 
-    def test_equal_spec_accepted(self):
-        again = ModelSpec(input_dim=3, hidden_dims=[5], num_classes=4)
-        assert again is not SPEC
-        np.testing.assert_array_equal(forward(again, init_model(SPEC, 0), np.ones((2, 3))),
-                                      forward(SPEC, init_model(SPEC, 0), np.ones((2, 3))))
+
+class TestModelWeights:
+    @pytest.mark.parametrize("shape", [(SPEC.param_count() - 1,), (SPEC.param_count() + 1,),
+                                       (1, SPEC.param_count()), ()])
+    def test_params_that_do_not_fit_the_spec_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"params of shape .* do not fit .*hidden_dims=\(5,\)"
+                                             rf".* of {SPEC.param_count()} params"):
+            ModelWeights(SPEC, np.zeros(shape))
+
+    def test_params_become_a_float64_vector(self):
+        w = ModelWeights(SPEC, [0] * SPEC.param_count())
+        assert w.params.dtype == np.float64 and w.params.shape == (SPEC.param_count(),)
+        assert w.copy().spec is SPEC
 
 
 class TestLossAndGrad:
     def test_uniform_logits_loss_is_log_classes(self):
         w = ModelWeights(SPEC, np.zeros(SPEC.param_count()))
         batch = Batch(np.random.default_rng(0).normal(size=(11, 3)), np.zeros(11, dtype=int))
-        loss, _ = loss_and_grad(SPEC, w, batch)
+        loss, _ = loss_and_grad(w, batch)
         assert loss == pytest.approx(math.log(4), rel=1e-12)
 
     def test_confident_correct_logits_loss_near_zero(self):
@@ -210,13 +218,20 @@ class TestLossAndGrad:
         params = np.zeros(spec.param_count())
         params[3] = 100.0  # bias of class 0
         w = ModelWeights(spec, params)
-        loss, _ = loss_and_grad(spec, w, Batch(np.ones((5, 1)), np.zeros(5, dtype=int)))
+        loss, _ = loss_and_grad(w, Batch(np.ones((5, 1)), np.zeros(5, dtype=int)))
         assert 0.0 <= loss < 1e-8
 
     def test_empty_batch_rejected(self):
         w = init_model(SPEC, 0)
         with pytest.raises(ValueError):
-            loss_and_grad(SPEC, w, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+            loss_and_grad(w, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+
+    @pytest.mark.parametrize("bad_label", [-1, 4])
+    def test_labels_out_of_range_rejected(self, bad_label):
+        # -1 would otherwise pick the last class's logit.
+        batch = Batch(np.zeros((3, 3)), [0, bad_label, 2])
+        with pytest.raises(ValueError, match="labels out of range"):
+            loss_and_grad(init_model(SPEC, 0), batch)
 
     def test_gradient_matches_central_differences(self):
         # Independent oracle: central finite differences at h=1e-5.
@@ -224,7 +239,7 @@ class TestLossAndGrad:
         rng = np.random.default_rng(42)
         w = init_model(spec, 5)
         batch = Batch(rng.normal(size=(12, 4)), rng.integers(0, 3, size=12))
-        _, grad = loss_and_grad(spec, w, batch)
+        _, grad = loss_and_grad(w, batch)
 
         h = 1e-5
         fd = np.zeros_like(grad)
@@ -233,8 +248,8 @@ class TestLossAndGrad:
             up[i] += h
             down = w.params.copy()
             down[i] -= h
-            loss_up, _ = loss_and_grad(spec, ModelWeights(w.spec, up), batch)
-            loss_down, _ = loss_and_grad(spec, ModelWeights(w.spec, down), batch)
+            loss_up, _ = loss_and_grad(ModelWeights(w.spec, up), batch)
+            loss_down, _ = loss_and_grad(ModelWeights(w.spec, down), batch)
             fd[i] = (loss_up - loss_down) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum.reduce([np.abs(grad), np.abs(fd), np.full_like(fd, 1e-8)])
         assert np.mean(rel < 1e-4) >= 0.99
@@ -248,13 +263,13 @@ spec = ModelSpec(4, (512,), 4)
 rng = np.random.default_rng(0)
 w = init_model(spec, 0)
 batch = Batch(rng.normal(size=(1024, 4)), rng.integers(0, 4, size=1024))
-loss_and_grad(spec, w, batch)
-forward(spec, w, batch.pixels)
+loss_and_grad(w, batch)
+forward(w, batch.pixels)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    loss_and_grad(spec, w, batch)
+    loss_and_grad(w, batch)
 for _ in range(20):
-    forward(spec, w, batch.pixels)
+    forward(w, batch.pixels)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
@@ -299,12 +314,12 @@ class TestScratchBuffers:
         transpose_edges = [TRANSPOSE_ROWS - 1, TRANSPOSE_ROWS, TRANSPOSE_ROWS + 1]
         for step, n in enumerate([1024, 64, 1, 1024, 2048, *block_edges, *transpose_edges]):
             w, batch = _weights_and_batch(spec, n, seed=step)
-            loss, grad = loss_and_grad(spec, w, batch)
-            logits = forward(spec, w, batch.pixels)
-            ref_loss, ref_grad = reference_loss_and_grad(spec, w, batch)
+            loss, grad = loss_and_grad(w, batch)
+            logits = forward(w, batch.pixels)
+            ref_loss, ref_grad = reference_loss_and_grad(w, batch)
             assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
             assert grad.tobytes() == ref_grad.tobytes()
-            assert logits.tobytes() == reference_forward(spec, w, batch.pixels).tobytes()
+            assert logits.tobytes() == reference_forward(w, batch.pixels).tobytes()
             earlier.append((grad, grad.tobytes(), logits, logits.tobytes()))
         # Later calls must leave every array an earlier call returned as it was.
         for grad, grad_bytes, logits, logits_bytes in earlier:
@@ -319,18 +334,18 @@ class TestScratchBuffers:
         w = ModelWeights(spec, params)
         batch = Batch(np.ones((1, 1)), [0])
         with np.errstate(over="ignore", invalid="ignore"):
-            _, want = reference_loss_and_grad(spec, w, batch)
+            _, want = reference_loss_and_grad(w, batch)
             assert not np.all(np.isfinite(want))
             with pytest.raises(ValueError, match="non-finite"):
-                loss_and_grad(spec, w, batch)
+                loss_and_grad(w, batch)
 
     def test_fine_tune_with_trailing_partial_batch_matches_reference(self, monkeypatch):
         spec = ModelSpec(4, (16, 8), 4)
         shard = toy_shard(5, 7, spec, seed=3)
         w0 = init_model(spec, 2)
-        got = fine_tune(spec, w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
+        got = fine_tune(w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
         monkeypatch.setattr("peerfed.model.loss_and_grad", reference_loss_and_grad)
-        want = fine_tune(spec, w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
+        want = fine_tune(w0, shard, epochs=2, lr=0.01, seed=5, batch_size=3)
         assert got.params.tobytes() == want.params.tobytes()
 
     def test_concurrent_fine_tunes_equal_sequential_ones(self):
@@ -339,12 +354,12 @@ class TestScratchBuffers:
             (toy_shard(6, 200, spec, seed=10), init_model(spec, 1), 11),
             (toy_shard(4, 90, spec, seed=20), init_model(spec, 2), 21),
         ]
-        sequential = [fine_tune(spec, w, shard, 3, 0.01, seed) for shard, w, seed in jobs]
+        sequential = [fine_tune(w, shard, 3, 0.01, seed) for shard, w, seed in jobs]
         concurrent: list = [None, None]
 
         def run(k: int) -> None:
             shard, w, seed = jobs[k]
-            concurrent[k] = fine_tune(spec, w, shard, 3, 0.01, seed)
+            concurrent[k] = fine_tune(w, shard, 3, 0.01, seed)
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -417,7 +432,7 @@ class TestRewrittenStep:
         spec = ModelSpec(input_dim, hidden_dims, num_classes)
         for step, n in enumerate([1, 64, BLOCK + 1, 1024]):
             w, batch = _weights_and_batch(spec, n, seed=step)
-            logits = forward(spec, w, batch.pixels)
+            logits = forward(w, batch.pixels)
             rng = np.random.default_rng(step)
             # Model logits, then ties and signed zeros, then large spreads.
             for case in (logits, np.round(logits) * rng.choice([-0.0, 0.0, 1.0], size=logits.shape),
@@ -449,10 +464,11 @@ class TestRewrittenStep:
                 assert got_state.step_count == want_state.step_count == step_count + 1
 
 
-# Values whose sum overflows to inf, and vectors with an inf or a nan. Each
-# finiteness check tests the sum first; only its elementwise test may
-# settle the first case.
+# Values whose sum overflows to inf, and vectors with an inf or a nan. A
+# finiteness check must accept the first, with no overflow warning, and
+# refuse the others.
 HUGE = np.full(64, 1e308)
+SPEC_64 = ModelSpec(1, (), 32)  # 64 params
 NON_FINITE = {
     "inf_first": np.r_[np.inf, np.zeros(63)],
     "inf_last": np.r_[np.zeros(63), np.inf],
@@ -472,8 +488,10 @@ class TestFiniteChecks:
         # 2 * 5e307, so W1's and b1's gradients are 1e308 each.
         params = np.array([1e-300, 1e-300, 0.0, 0.0, 5e307, -5e307, 5e307, -5e307, 0.0, 0.0])
         w = ModelWeights(self.SPEC, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, grad = loss_and_grad(w, self.BATCH)
         with np.errstate(over="ignore"):
-            loss, grad = loss_and_grad(self.SPEC, w, self.BATCH)
             assert np.isinf(grad.sum())
         assert loss == 2e8 and np.all(grad[:4] == 1e308)
 
@@ -483,27 +501,36 @@ class TestFiniteChecks:
         params = np.array([1.0, 1.0, 0.0, 0.0, 1e308, -1e308, -1e308, 1e308, 50.0, -50.0])
         w = ModelWeights(self.SPEC, params)
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, want = reference_loss_and_grad(self.SPEC, w, self.BATCH)
+            loss, want = reference_loss_and_grad(w, self.BATCH)
             assert loss == 100.0 and list(want[:2]) == [np.inf, -np.inf]
             with pytest.raises(ValueError, match="non-finite loss or gradient"):
-                loss_and_grad(self.SPEC, w, self.BATCH)
+                loss_and_grad(w, self.BATCH)
 
     def test_adam_step_accepts_a_gradient_and_weights_whose_sums_overflow(self):
-        w = ModelWeights("x", HUGE.copy())
+        w = ModelWeights(SPEC_64, HUGE.copy())
+        # Squaring this gradient overflows in the update itself, which is
+        # not the check under test.
         with np.errstate(over="ignore"):
             new_w, _ = adam_step(w, HUGE, OptimizerState.zeros(HUGE.size), 0.001)
         # v overflows to inf, so the step is 0 and the weights stay 1e308.
+        assert new_w.params.tobytes() == HUGE.tobytes()
+
+    def test_adam_step_accepts_weights_whose_sum_overflows_without_a_warning(self):
+        w = ModelWeights(SPEC_64, HUGE.copy())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            new_w, _ = adam_step(w, np.zeros(64), OptimizerState.zeros(64), 0.001)
         assert new_w.params.tobytes() == HUGE.tobytes()
 
     @pytest.mark.parametrize("case", NON_FINITE)
     def test_adam_step_rejects_a_gradient_with_an_inf_or_nan(self, case):
         grad = NON_FINITE[case]
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite gradient"):
-            adam_step(ModelWeights("x", np.zeros(grad.size)), grad,
+            adam_step(ModelWeights(SPEC_64, np.zeros(grad.size)), grad,
                       OptimizerState.zeros(grad.size), 0.001)
 
     def test_adam_step_rejects_weights_that_overflow(self):
-        w = ModelWeights("x", np.r_[np.zeros(63), -1e308])
+        w = ModelWeights(SPEC_64, np.r_[np.zeros(63), -1e308])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="after update"):
             adam_step(w, np.ones(64), OptimizerState.zeros(64), 1e308)
 
@@ -528,10 +555,9 @@ class TestAdam:
         # Oracle: iterate the update rule itself on one parameter and
         # measure per-step displacement; bias correction drives it to lr.
         lr = 0.01
-        spec_fp = "x"
-        w = ModelWeights(spec_fp, np.array([0.0]))
-        st = OptimizerState.zeros(1)
-        grad = np.array([2.5])
+        w = ModelWeights(ModelSpec(1, (), 2), np.zeros(4))
+        st = OptimizerState.zeros(4)
+        grad = np.full(4, 2.5)
         displacements = []
         for _ in range(50):
             new_w, st = adam_step(w, grad, st, lr)
@@ -563,13 +589,13 @@ class TestFineTune:
 
         monkeypatch.setattr("peerfed.model.adam_step", counted)
         shard = toy_shard(3, 4, SPEC, seed=0)
-        fine_tune(SPEC, init_model(SPEC, 0), shard, epochs=2, lr=0.01, seed=1, batch_size=1)
+        fine_tune(init_model(SPEC, 0), shard, epochs=2, lr=0.01, seed=1, batch_size=1)
         assert steps == [0, 1, 2, 3, 4, 5]
 
     def test_deterministic(self):
         shard = toy_shard(3, 4, SPEC, seed=0)
-        a = fine_tune(SPEC, init_model(SPEC, 0), shard, 2, 0.01, seed=9)
-        b = fine_tune(SPEC, init_model(SPEC, 0), shard, 2, 0.01, seed=9)
+        a = fine_tune(init_model(SPEC, 0), shard, 2, 0.01, seed=9)
+        b = fine_tune(init_model(SPEC, 0), shard, 2, 0.01, seed=9)
         assert a.params.tobytes() == b.params.tobytes()
 
     def test_training_reduces_loss_on_separable_shard(self):
@@ -585,14 +611,23 @@ class TestFineTune:
         labels = np.concatenate([im.labels for im in images])
 
         w0 = init_model(spec, 0)
-        before, _ = loss_and_grad(spec, w0, Batch(pixels, labels))
-        w1 = fine_tune(spec, w0, shard, epochs=2, lr=0.05, seed=4, batch_size=1)
-        after, _ = loss_and_grad(spec, w1, Batch(pixels, labels))
+        before, _ = loss_and_grad(w0, Batch(pixels, labels))
+        w1 = fine_tune(w0, shard, epochs=2, lr=0.05, seed=4, batch_size=1)
+        after, _ = loss_and_grad(w1, Batch(pixels, labels))
         assert after < before
 
     def test_empty_shard_rejected(self):
         with pytest.raises(ValueError):
-            fine_tune(SPEC, init_model(SPEC, 0), SimpleNamespace(images=[]), 2, 0.01, 0)
+            fine_tune(init_model(SPEC, 0), SimpleNamespace(images=[]), 2, 0.01, 0)
+
+    @pytest.mark.parametrize("epochs, batch_size, match", [
+        (0, 1, "epochs must be >= 1, got 0"),
+        (1, 0, "batch_size must be >= 1, got 0"),
+    ])
+    def test_no_pass_or_empty_batches_rejected(self, epochs, batch_size, match):
+        shard = toy_shard(2, 4, SPEC, seed=0)
+        with pytest.raises(ValueError, match=match):
+            fine_tune(init_model(SPEC, 0), shard, epochs, 0.01, 0, batch_size)
 
 
 class TestLrSchedule:
@@ -669,5 +704,5 @@ class TestPredict:
         w = init_model(SPEC, 11)
         pixels = np.random.default_rng(5).normal(size=(20, 3))
         np.testing.assert_array_equal(
-            predict(SPEC, w, pixels), np.argmax(forward(SPEC, w, pixels), axis=1)
+            predict(w, pixels), np.argmax(forward(w, pixels), axis=1)
         )

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import hashlib
+import logging
 import socket
 import struct
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -280,8 +282,8 @@ class TestSimTransport:
         assert outcomes(transport) == outcomes(fresh)
 
     # Values whose sum overflows to inf, and vectors with an inf or a nan.
-    # The reply check tests the sum first; only the elementwise test may
-    # settle the first case.
+    # The reply check must accept the first, with no overflow warning, and
+    # refuse the others.
     HUGE = np.full(64, 1e308)
     NON_FINITE = {
         "inf_first": np.r_[np.inf, np.zeros(63)],
@@ -292,7 +294,8 @@ class TestSimTransport:
 
     def test_weights_whose_sum_overflows_are_accepted(self):
         transport = SimTransport([StubNode(), StubNode(params=self.HUGE)])
-        with np.errstate(over="ignore"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             params, _, _ = transport.fetch_weights(0, 1)
         assert params.tobytes() == self.HUGE.tobytes()
 
@@ -645,6 +648,64 @@ class TestTcpTransport:
             transport.close()
         finally:
             slow.close()
+            server.stop()
+
+    def test_a_slow_reader_that_resumes_is_served_again(self):
+        # A 4 MB weights reply outgrows the socket buffers while its client
+        # pauses with a small receive buffer, so the server sends it in
+        # parts; once it is all out, the connection's next request is read.
+        params = np.random.default_rng(5).normal(size=500_000)
+        server = TcpPeerServer(StubNode(version=4, params=params, sample_count=2),
+                               1, "127.0.0.1", 0)
+        resumed = []  # bytes of the reply still to send at each resumed send
+        send = server._send
+
+        def counted(conn, pending):
+            resumed.append(len(pending[0]))
+            return send(conn, pending)
+
+        server._send = counted
+        server.start()
+        slow = socket.socket()
+        slow.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        slow.settimeout(5)
+        try:
+            slow.connect(("127.0.0.1", server.port))
+            slow.sendall(encode(WeightsRequest(0, 1)))
+            time.sleep(0.2)
+            assert read_frame(slow) == encode(WeightsResponse(1, 1, 2, params))
+            assert resumed and server.sent_versions == {}
+            slow.sendall(encode(PingRequest(0, 2)))
+            assert decode(read_frame(slow)) == PingResponse(1, 2, 4)
+            deadline = time.monotonic() + 1.0  # the server records it after its send returns
+            while not server.sent_versions and time.monotonic() < deadline:
+                time.sleep(0.005)
+            assert server.sent_versions == {0: 4}
+        finally:
+            slow.close()
+            server.stop()
+
+    def test_a_fault_answering_one_client_drops_only_its_connection(self, caplog):
+        class FaultyOnce(StubNode):
+            faults = 1
+
+            def weights_payload(self):
+                if self.faults:
+                    self.faults -= 1
+                    raise RuntimeError("weights lost")
+                return super().weights_payload()
+
+        server = self.start_server(FaultyOnce(version=5))
+        first, second = self.transport_for(server), self.transport_for(server)
+        try:
+            with caplog.at_level(logging.ERROR, logger="peerfed.transport"):
+                with pytest.raises(PeerUnreachableError, match="client 1"):
+                    first.fetch_weights(0, 1)
+            assert second.ping(0, 1) == 5
+            assert [r.getMessage() for r in caplog.records] == ["client 1 dropped a connection"]
+        finally:
+            first.close()
+            second.close()
             server.stop()
 
     def scripted_peer(self, answer):
