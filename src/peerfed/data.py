@@ -6,6 +6,11 @@ cohort value (0..100), so partitioning a dataset by cohort range yields
 clients with genuinely shifted distributions. Per-pixel features are
 (noisy intensity, x, y, distractor noise), all scaled by a single factor
 so the classifier's learning budget matches the feature magnitudes.
+
+A dataset is drawn in one batch. Each image draws its center jitter and
+noise from its own seeded stream, then the pixel arithmetic runs once
+over all images, element by element as for a single image, so the bytes
+are those of the per-image generator of version 0.6.0.
 """
 
 from __future__ import annotations
@@ -132,10 +137,10 @@ class SplitSpec:
                 raise ValueError(f"split counts {list(self.counts)} must each be >= 1")
 
 
-def class_intensity(cfg: GenConfig, labels: np.ndarray, cohort: float) -> np.ndarray:
-    """Noise-free centered intensity for each label at a given cohort."""
+def class_intensity(cfg: GenConfig, labels: np.ndarray, cohorts: np.ndarray) -> np.ndarray:
+    """Noise-free centered intensity for each label; cohorts is a column, one row per image."""
     k = cfg.num_classes
-    return (labels + 0.5 * cfg.cohort_shift * (cohort / 100.0)) / k - 0.5
+    return (labels + 0.5 * cfg.cohort_shift * (cohorts / 100.0)) / k - 0.5
 
 
 def bayes_predict(cfg: GenConfig, features: np.ndarray) -> np.ndarray:
@@ -144,62 +149,52 @@ def bayes_predict(cfg: GenConfig, features: np.ndarray) -> np.ndarray:
     return np.clip(np.floor(value * cfg.num_classes), 0, cfg.num_classes - 1).astype(np.int64)
 
 
-def _region_radii(cfg: GenConfig, cohort: float) -> np.ndarray:
+def _region_radii(cfg: GenConfig, cohorts: np.ndarray) -> np.ndarray:
+    """(images, num_classes - 1) outer radii of regions 1.. for a column of cohorts."""
     bases = _OUTER_RADIUS * np.arange(cfg.num_classes - 1, 0, -1) / (cfg.num_classes - 1)
-    scale = 1.0 + _RADIUS_SWING * cfg.cohort_shift * (cohort / 100.0 - 0.5)
+    scale = 1.0 + _RADIUS_SWING * cfg.cohort_shift * (cohorts / 100.0 - 0.5)
     return bases * scale
 
 
-def _make_image(cfg: GenConfig, cohort: float, rng: np.random.Generator) -> SegImage:
-    h, w = cfg.height, cfg.width
-    cx = 0.5 + rng.uniform(-_CENTER_JITTER, _CENTER_JITTER)
-    cy = 0.5 + rng.uniform(-_CENTER_JITTER, _CENTER_JITTER)
+def _generate(
+    cfg: GenConfig, seed: int, cohorts: np.ndarray
+) -> tuple[list[SegImage], list[SegImage]]:
+    """(train, test) images of the given cohorts, the first num_train of them train."""
+    h, w, m = cfg.height, cfg.width, len(cohorts)
+    n = h * w
+    jitter = np.empty((m, 2))
+    noise = np.empty((m, 2 * n))  # intensity noise, then the distractor channel
+    for index in range(m):
+        rng = np.random.default_rng(derive_seed(seed, "image", index))
+        jitter[index] = rng.uniform(-_CENTER_JITTER, _CENTER_JITTER, size=2)
+        rng.standard_normal(out=noise[index])
 
     xs = np.arange(w) / (w - 1)
     ys = np.arange(h) / (h - 1)
-    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
-    dist = 2.0 * np.hypot(grid_x - cx, grid_y - cy)
+    grid_y, grid_x = (g.ravel() for g in np.meshgrid(ys, xs, indexing="ij"))
+    dist = 2.0 * np.hypot(grid_x - (0.5 + jitter[:, :1]), grid_y - (0.5 + jitter[:, 1:]))
 
-    radii = _region_radii(cfg, cohort)
-    labels = np.zeros((h, w), dtype=np.int64)
-    for k, radius in enumerate(radii, start=1):
-        labels[dist <= radius] = k
-    labels = labels.ravel()
+    radii = _region_radii(cfg, cohorts[:, None])
+    labels = np.zeros((m, n), dtype=np.int64)
+    for k, radius in enumerate(radii.T, start=1):
+        labels[dist <= radius[:, None]] = k
 
-    intensity = class_intensity(cfg, labels, cohort)
-    intensity = intensity + cfg.noise_std * rng.standard_normal(h * w)
+    intensity = class_intensity(cfg, labels, cohorts[:, None]) + cfg.noise_std * noise[:, :n]
     features = np.stack(
-        [
-            intensity,
-            grid_x.ravel() - 0.5,
-            grid_y.ravel() - 0.5,
-            rng.standard_normal(h * w),
-        ],
-        axis=1,
+        np.broadcast_arrays(intensity, grid_x - 0.5, grid_y - 0.5, noise[:, n:]), axis=2
     )
     features *= cfg.feature_scale
-    return SegImage(height=h, width=w, features=features, labels=labels, cohort=float(cohort))
-
-
-def _generate(
-    cfg: GenConfig,
-    seed: int,
-    train_cohorts: np.ndarray,
-    test_cohorts: np.ndarray,
-) -> tuple[list[SegImage], list[SegImage]]:
-    images = []
-    cohorts = np.concatenate([train_cohorts, test_cohorts])
-    for index, cohort in enumerate(cohorts):
-        rng = np.random.default_rng(derive_seed(seed, "image", index))
-        images.append(_make_image(cfg, float(cohort), rng))
+    images = [
+        SegImage(height=h, width=w, features=f, labels=l, cohort=float(c))
+        for f, l, c in zip(features, labels, cohorts)
+    ]
     return images[: cfg.num_train], images[cfg.num_train :]
 
 
 def generate_dataset(cfg: GenConfig, seed: int) -> tuple[list[SegImage], list[SegImage]]:
     """Generate disjoint train/test image lists, deterministic in cfg and seed."""
     rng = np.random.default_rng(derive_seed(seed, "cohorts"))
-    cohorts = rng.uniform(0.0, 100.0, size=cfg.num_train + cfg.num_test)
-    return _generate(cfg, seed, cohorts[: cfg.num_train], cohorts[cfg.num_train :])
+    return _generate(cfg, seed, rng.uniform(0.0, 100.0, size=cfg.num_train + cfg.num_test))
 
 
 def generate_dataset_for_cohorts(
@@ -224,7 +219,7 @@ def generate_dataset_for_cohorts(
     )
     rng.shuffle(train_cohorts)
     test_cohorts = rng.uniform(0.0, 100.0, size=cfg.num_test)
-    return _generate(cfg, seed, train_cohorts, test_cohorts)
+    return _generate(cfg, seed, np.concatenate([train_cohorts, test_cohorts]))
 
 
 def split_uniform(train: list[SegImage], n_clients: int, seed: int) -> list[DatasetShard]:

@@ -35,7 +35,7 @@ import selectors
 import socket
 import struct
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -83,10 +83,13 @@ class PeerUnreachableError(TransportError):
 
 @dataclass(frozen=True)
 class PeerAddress:
+    """A peer's endpoint, checked once when the address is built."""
+
     client_index: int
     endpoint: str  # "host:port", an IPv6 host in brackets: "[::1]:9000"
+    _host_port: tuple[str, int] = field(init=False, repr=False, compare=False)
 
-    def host_port(self) -> tuple[str, int]:
+    def __post_init__(self) -> None:
         host, _, port = self.endpoint.rpartition(":")
         bracketed = host.startswith("[") and host.endswith("]")
         host = host[1:-1] if bracketed else host
@@ -95,7 +98,10 @@ class PeerAddress:
         if "[" in host or "]" in host or (":" in host and not bracketed):
             raise ValueError("endpoint host must be a name, an IPv4 address or a bracketed "
                              f"IPv6 address, got {self.endpoint!r}")
-        return host, int(port)
+        object.__setattr__(self, "_host_port", (host, int(port)))
+
+    def host_port(self) -> tuple[str, int]:
+        return self._host_port
 
 
 @dataclass(frozen=True)
@@ -576,7 +582,5 @@ def parse_peer_table(entries: list) -> list[PeerAddress]:
         if type(index) is not int or type(endpoint) is not str:
             raise ValueError("peer table entry needs an int client_index and a "
                              f"host:port endpoint string, got {entry!r}")
-        address = PeerAddress(index, endpoint)
-        address.host_port()  # validate eagerly
-        peers.append(address)
+        peers.append(PeerAddress(index, endpoint))
     return peers

@@ -39,6 +39,18 @@ def test_run_sim_times_each_round_and_digests_run_trainings_metrics(tmp_path, mo
     assert result.digest == hashlib.sha256(metrics).hexdigest()
 
 
+def test_traced_run_sim_generates_its_data_once_inside_build_dataset(tmp_path):
+    """The bench's data.generate_dataset figure wraps experiments'
+    generate_dataset: a run must reach its data generation through it."""
+    cfg = ExperimentConfig.from_dict({**CONFIG, "mode": "braintorrent"})
+    with Tracer() as tracer:
+        install(tracer)
+        run_sim(cfg, tmp_path)
+    [build] = [s for s in tracer.spans if s.name == "experiments.build_dataset"]
+    [generate] = [s for s in tracer.spans if s.name == "data.generate_dataset"]
+    assert generate.parent == build.span_id
+
+
 def test_traced_swarm_has_a_span_per_request_on_each_side():
     """The bench's fetch_ratio and stale_per_round count these spans: one
     per ping and per fetch on the client side, one per request answered."""

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -21,12 +23,73 @@ from peerfed.data import (
     split_by_cohort,
     split_uniform,
 )
+from peerfed.data import _CENTER_JITTER, _OUTER_RADIUS, _RADIUS_SWING
 from peerfed.model import dice_score
+from peerfed.seeding import derive_seed
 
 CFG = GenConfig(num_train=20, num_test=10, height=16, width=16, num_classes=4)
 SEED = 3
 
 EXP2 = SplitSpec("cohort", (20.0, 30.0, 40.0, 50.0), (5, 9, 2, 1, 3))
+
+
+def reference_image(cfg, cohort, rng):
+    """One image as the per-image generator of version 0.6.0 made it."""
+    h, w = cfg.height, cfg.width
+    cx = 0.5 + rng.uniform(-_CENTER_JITTER, _CENTER_JITTER)
+    cy = 0.5 + rng.uniform(-_CENTER_JITTER, _CENTER_JITTER)
+
+    xs = np.arange(w) / (w - 1)
+    ys = np.arange(h) / (h - 1)
+    grid_y, grid_x = np.meshgrid(ys, xs, indexing="ij")
+    dist = 2.0 * np.hypot(grid_x - cx, grid_y - cy)
+
+    bases = _OUTER_RADIUS * np.arange(cfg.num_classes - 1, 0, -1) / (cfg.num_classes - 1)
+    radii = bases * (1.0 + _RADIUS_SWING * cfg.cohort_shift * (cohort / 100.0 - 0.5))
+    labels = np.zeros((h, w), dtype=np.int64)
+    for k, radius in enumerate(radii, start=1):
+        labels[dist <= radius] = k
+    labels = labels.ravel()
+
+    intensity = (labels + 0.5 * cfg.cohort_shift * (cohort / 100.0)) / cfg.num_classes - 0.5
+    intensity = intensity + cfg.noise_std * rng.standard_normal(h * w)
+    features = np.stack(
+        [intensity, grid_x.ravel() - 0.5, grid_y.ravel() - 0.5, rng.standard_normal(h * w)],
+        axis=1,
+    )
+    features *= cfg.feature_scale
+    return SegImage(height=h, width=w, features=features, labels=labels, cohort=float(cohort))
+
+
+def reference_dataset(cfg, seed, split=None):
+    """The data of version 0.6.0, one image at a time: as generate_dataset
+    draws it, or as generate_dataset_for_cohorts does for a split."""
+    if split is None:
+        rng = np.random.default_rng(derive_seed(seed, "cohorts"))
+        cohorts = rng.uniform(0.0, 100.0, size=cfg.num_train + cfg.num_test)
+    else:
+        rng = np.random.default_rng(derive_seed(seed, "cohorts-targeted"))
+        edges = (0.0, *split.boundaries, 100.0)
+        train = np.concatenate(
+            [rng.uniform(low, high, size=n) for low, high, n in zip(edges, edges[1:], split.counts)]
+        )
+        rng.shuffle(train)
+        cohorts = np.concatenate([train, rng.uniform(0.0, 100.0, size=cfg.num_test)])
+    images = [
+        reference_image(cfg, float(cohort), np.random.default_rng(derive_seed(seed, "image", i)))
+        for i, cohort in enumerate(cohorts)
+    ]
+    return images[: cfg.num_train], images[cfg.num_train :]
+
+
+def dataset_digest(train, test):
+    """SHA-256 over every image's cohort, features and labels, in order."""
+    h = hashlib.sha256()
+    for im in train + test:
+        h.update(np.float64(im.cohort).tobytes())
+        h.update(im.features.tobytes())
+        h.update(im.labels.tobytes())
+    return h.hexdigest()
 
 
 def image_facts(images):
@@ -78,6 +141,58 @@ class TestGenerate:
         train, test = generate_dataset(CFG, SEED)
         for im in train + test:
             assert 0.0 <= im.cohort <= 100.0
+
+    # Recorded with the per-image generator of version 0.6.0.
+    @pytest.mark.parametrize("split, digest", [
+        (None, "9fbcfaa24ac61922527b832cf4f60b4ab9900374918f0b449ae6d141eaba26ad"),
+        (EXP2, "b98b7222721b540703852af7964de529e34a8f851ddd6e8c2df11c1f176c481e"),
+    ], ids=["readme", "exp2"])
+    def test_pinned_bytes(self, split, digest):
+        """The README config's data at seed 0, and the exp2 sweep's cohort data."""
+        cfg = GenConfig()
+        data = (generate_dataset(cfg, 0) if split is None
+                else generate_dataset_for_cohorts(cfg, split, 0))
+        assert dataset_digest(*data) == digest
+
+    @pytest.mark.parametrize("split", [None, EXP2], ids=["uniform", "exp2"])
+    def test_images_share_no_memory(self, split):
+        """Each image owns its arrays: no view of another image's, none aliased."""
+        train, test = (generate_dataset(CFG, SEED) if split is None
+                       else generate_dataset_for_cohorts(CFG, split, SEED))
+        arrays = [a for im in train + test for a in (im.features, im.labels)]
+        assert all(a.flags.writeable for a in arrays)
+        for a, b in itertools.combinations(arrays, 2):
+            assert not np.shares_memory(a, b)
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    size=st.tuples(st.integers(4, 12), st.integers(4, 12)),
+    num_classes=st.integers(2, 6),
+    noise_std=st.sampled_from([0.0]) | st.floats(0.01, 1.0),
+    cohort_shift=st.floats(0.0, 1.9),
+    feature_scale=st.floats(0.01, 4.0),
+    num_train=st.integers(1, 5),
+    num_test=st.integers(1, 5),
+    counts=st.lists(st.integers(1, 2), min_size=2, max_size=3).filter(lambda c: sum(c) <= 5),
+    boundaries=st.lists(st.integers(1, 99), min_size=2, max_size=2, unique=True),
+    seed=st.integers(0, 2**40),
+)
+def test_batch_matches_the_per_image_reference(
+        size, num_classes, noise_std, cohort_shift, feature_scale, num_train, num_test, counts,
+        boundaries, seed):
+    """Both generators give the reference's bytes: every cohort, feature and label."""
+    cfg = GenConfig(num_train=num_train, num_test=num_test, height=size[0], width=size[1],
+                    num_classes=num_classes, noise_std=noise_std, cohort_shift=cohort_shift,
+                    feature_scale=feature_scale)
+    for got, want in zip(generate_dataset(cfg, seed), reference_dataset(cfg, seed)):
+        assert image_facts(got) == image_facts(want)
+    split = SplitSpec("cohort", tuple(float(b) for b in sorted(boundaries)[: len(counts) - 1]),
+                      tuple(counts))
+    cfg = replace(cfg, num_train=sum(counts))
+    for got, want in zip(generate_dataset_for_cohorts(cfg, split, seed),
+                         reference_dataset(cfg, seed, split)):
+        assert image_facts(got) == image_facts(want)
 
 
 class TestSplitUniform:

@@ -831,3 +831,12 @@ class TestPeerTable:
     def test_malformed_table_rejected(self, table, match):
         with pytest.raises(ValueError, match=match):
             parse_peer_table(table)
+
+    @pytest.mark.parametrize("endpoint, match", [
+        ("127.0.0.1:0", "1-65535"),
+        ("::1:9000", "bracketed IPv6"),
+    ])
+    def test_address_is_checked_when_built(self, endpoint, match):
+        # A PeerAddress that exists is valid: no caller has to check it again.
+        with pytest.raises(ValueError, match=match):
+            PeerAddress(0, endpoint)
