@@ -1,6 +1,6 @@
 """Server-based and peer-to-peer federated learning on synthetic segmentation tasks."""
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"
 
 from .data import DatasetShard, GenConfig, SegImage, generate_dataset  # noqa: F401
 from .model import ModelSpec, ModelWeights, dice_score, fine_tune, init_model  # noqa: F401

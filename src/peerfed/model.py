@@ -105,35 +105,6 @@ class ModelWeights:
         return ModelWeights(self.spec, self.params.copy())
 
 
-@dataclass
-class OptimizerState:
-    """Adam moment estimates plus the number of steps applied so far."""
-
-    first_moment: np.ndarray
-    second_moment: np.ndarray
-    step_count: int = 0
-
-    @staticmethod
-    def zeros(n_params: int) -> "OptimizerState":
-        return OptimizerState(
-            first_moment=np.zeros(n_params, dtype=np.float64),
-            second_moment=np.zeros(n_params, dtype=np.float64),
-            step_count=0,
-        )
-
-
-@dataclass
-class Batch:
-    """One mini-batch of pixels with integer class labels."""
-
-    pixels: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.pixels = np.asarray(self.pixels, dtype=np.float64)
-        self.labels = np.asarray(self.labels, dtype=np.int64)
-
-
 def unflatten(spec: ModelSpec, params: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Split a flat vector of spec's param_count() into per-layer (W, b)
     views, W row-major (fan_in, fan_out)."""
@@ -284,20 +255,23 @@ def predict(weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
     return np.argmax(forward(weights, pixels), axis=1)
 
 
-def loss_and_grad(weights: ModelWeights, batch: Batch) -> tuple[float, np.ndarray]:
-    """Mean softmax cross-entropy over the batch and its gradient (flat, params-aligned)."""
+def loss_and_grad(
+    weights: ModelWeights, pixels: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Mean softmax cross-entropy of the pixel rows against their class
+    labels, and its gradient (flat, params-aligned)."""
     spec = weights.spec
-    if batch.pixels.shape[0] == 0:
+    x = np.asarray(pixels, dtype=np.float64)
+    labels = np.asarray(labels, dtype=np.int64)
+    n = x.shape[0]
+    if n == 0:
         raise ValueError("batch is empty")
-    labels = batch.labels
     # A negative label would wrap around in the softmax's row lookup.
     if labels.min() < 0 or labels.max() >= spec.num_classes:
         raise ValueError("labels out of range for spec num_classes")
 
     layers = unflatten(spec, weights.params)
-    n = batch.pixels.shape[0]
-
-    activations = _activations(weights.params, layers, batch.pixels)
+    activations = _activations(weights.params, layers, x)
     w, b = layers[-1]
     loss, delta = _softmax_loss_delta(activations[-1] @ w + b, labels)
 
@@ -356,22 +330,24 @@ def _softmax_loss_delta(logits: np.ndarray, labels: np.ndarray) -> tuple[float, 
 def adam_step(
     weights: ModelWeights,
     grad: np.ndarray,
-    state: OptimizerState,
+    m: np.ndarray,
+    v: np.ndarray,
+    step: int,
     lr: float,
-) -> tuple[ModelWeights, OptimizerState]:
-    """One bias-corrected Adam update; returns new weights and state. Each
-    textbook expression keeps its order of operations, worked in place in
-    two scratch vectors besides the m, v and params it returns."""
+) -> tuple[ModelWeights, np.ndarray, np.ndarray]:
+    """Bias-corrected Adam update number `step` (from 1) from the moments m
+    and v; returns new weights, m and v and leaves its inputs as they were.
+    Each textbook expression keeps its order of operations, worked in place
+    in two scratch vectors besides the m, v and params it returns."""
     if not np.isfinite(grad).all():
         raise ValueError("non-finite gradient")
 
-    step = state.step_count + 1
     term = np.multiply(grad, 1.0 - ADAM_BETA1)
-    m = np.multiply(state.first_moment, ADAM_BETA1)
+    m = np.multiply(m, ADAM_BETA1)
     m += term  # m = beta1 * m + (1 - beta1) * grad
     np.multiply(grad, 1.0 - ADAM_BETA2, out=term)
     term *= grad
-    v = np.multiply(state.second_moment, ADAM_BETA2)
+    v = np.multiply(v, ADAM_BETA2)
     v += term  # v = beta2 * v + (1 - beta2) * grad * grad
     update = np.divide(m, 1.0 - ADAM_BETA1**step)  # m_hat
     update *= lr
@@ -382,10 +358,7 @@ def adam_step(
     new_params = np.subtract(weights.params, update)
     if not np.isfinite(new_params).all():
         raise ValueError("non-finite weights after update")
-    return (
-        ModelWeights(weights.spec, new_params),
-        OptimizerState(m, v, step),
-    )
+    return ModelWeights(weights.spec, new_params), m, v
 
 
 def fine_tune(
@@ -412,17 +385,18 @@ def fine_tune(
 
     rng = np.random.default_rng(seed)
     w = weights
-    state = OptimizerState.zeros(weights.params.shape[0])
+    m = np.zeros(weights.params.shape)
+    v = np.zeros(weights.params.shape)
+    step = 0
     for _ in range(epochs):
         order = rng.permutation(len(images))
         for start in range(0, len(images), batch_size):
             chosen = order[start : start + batch_size]
-            batch = Batch(
-                pixels=np.concatenate([images[i].features for i in chosen], axis=0),
-                labels=np.concatenate([images[i].labels for i in chosen], axis=0),
-            )
-            _, grad = loss_and_grad(w, batch)
-            w, state = adam_step(w, grad, state, lr)
+            pixels = np.concatenate([images[i].features for i in chosen], axis=0)
+            labels = np.concatenate([images[i].labels for i in chosen], axis=0)
+            _, grad = loss_and_grad(w, pixels, labels)
+            step += 1
+            w, m, v = adam_step(w, grad, m, v, step, lr)
     return w
 
 

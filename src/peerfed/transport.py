@@ -263,8 +263,9 @@ _REPLY_TYPES = {PingRequest: PingResponse, WeightsRequest: WeightsResponse}
 
 def _checked_reply(request: Message, reply_frame: bytes, peer: int) -> Message:
     """Decode peer's reply to request; ProtocolError naming peer unless it is
-    peer's own answer to request and, for weights, a positive sample count
-    and finite params, so that a round can merge it."""
+    peer's own answer to request with, for a ping, a version that fits a
+    version vector's int64 and, for weights, a positive sample count and
+    finite params, so that a round can merge it."""
     reply = decode(reply_frame)
     if reply.sender != peer:
         raise ProtocolError(f"client {peer} replied as client {reply.sender}")
@@ -282,6 +283,8 @@ def _checked_reply(request: Message, reply_frame: bytes, peer: int) -> Message:
             raise ProtocolError(f"client {peer} sent weights of {reply.sample_count} samples")
         if not np.isfinite(reply.params).all():
             raise ProtocolError(f"client {peer} sent weights that are not all finite")
+    elif reply.own_version >= 2**63:  # more than a version vector's int64 holds
+        raise ProtocolError(f"client {peer} sent version {reply.own_version}, over int64")
     return reply
 
 

@@ -33,7 +33,6 @@ from peerfed.federation import (
     weighted_average,
 )
 from peerfed.model import (
-    Batch,
     ModelSpec,
     ModelWeights,
     init_model,
@@ -108,19 +107,17 @@ def test_criterion_2_gradient_check():
             if spec.param_count() <= 200:
                 break
         weights = ModelWeights(spec, 0.5 * rng.normal(size=spec.param_count()))
-        batch = Batch(
-            rng.normal(size=(8, spec.input_dim)),
-            rng.integers(0, spec.num_classes, size=8),
-        )
-        _, grad = loss_and_grad(weights, batch)
+        pixels = rng.normal(size=(8, spec.input_dim))
+        labels = rng.integers(0, spec.num_classes, size=8)
+        _, grad = loss_and_grad(weights, pixels, labels)
         fd = np.zeros_like(grad)
         for i in range(grad.shape[0]):
             up = weights.params.copy()
             up[i] += h
             down = weights.params.copy()
             down[i] -= h
-            lu, _ = loss_and_grad(ModelWeights(weights.spec, up), batch)
-            ld, _ = loss_and_grad(ModelWeights(weights.spec, down), batch)
+            lu, _ = loss_and_grad(ModelWeights(weights.spec, up), pixels, labels)
+            ld, _ = loss_and_grad(ModelWeights(weights.spec, down), pixels, labels)
             fd[i] = (lu - ld) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum.reduce(
             [np.abs(grad), np.abs(fd), np.full_like(fd, 1e-8)]

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import shutil
 import socket
 
 import pytest
@@ -329,6 +330,20 @@ def test_report_on_one_run_directory_names_it(tmp_path, config_path, capsys):
     assert main(["report", "--in", str(run_dir)]) == 0
     assert capsys.readouterr().out.splitlines()[2].startswith("r1 ")
     assert (run_dir / "report.csv").read_text().splitlines()[1].startswith("r1,fls,3,")
+
+
+def test_report_skips_a_run_with_no_metric_rows(tmp_path, config_path, capsys):
+    runs = tmp_path / "runs"
+    main(["run", "--config", str(config_path), "--out", str(runs / "r1")])
+    shutil.copytree(runs / "r1", runs / "r2")
+    metrics = runs / "r2" / "metrics.csv"
+    metrics.write_text(metrics.read_text().splitlines(keepends=True)[0])  # the header alone
+    capsys.readouterr()
+    assert main(["report", "--in", str(runs)]) == 0
+    table = capsys.readouterr().out.splitlines()[2:-1]  # below the header and its rule
+    assert [line.split()[0] for line in table] == ["r1"]
+    report = (runs / "report.csv").read_text().splitlines()
+    assert len(report) > 1 and {line.split(",")[0] for line in report[1:]} == {"r1"}
 
 
 @pytest.mark.parametrize("edit, message", [

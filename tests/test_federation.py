@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import copy
 
 import numpy as np
@@ -67,6 +68,24 @@ def build_clients(n_clients: int, init_seed: int = 5):
 def wire_up(clients, drop_prob=0.0, seed=0):
     nodes = [ClientNode(c) for c in clients]
     return nodes, SimTransport(nodes, seed=seed, drop_prob=drop_prob)
+
+
+@contextlib.contextmanager
+def carried(carrier: str, initiator_node: ClientNode, peer):
+    """A transport from client 0 to client 1, peer: in process, or over
+    loopback TCP with peer behind a server."""
+    if carrier == "sim":
+        yield SimTransport([initiator_node, peer])
+        return
+    server = TcpPeerServer(peer, 1, "127.0.0.1", 0)
+    server.start()
+    transport = TcpTransport(0, [PeerAddress(0, "127.0.0.1:1"),
+                                 PeerAddress(1, f"127.0.0.1:{server.port}")])
+    try:
+        yield transport
+    finally:
+        transport.close()
+        server.stop()
 
 
 def expected_fine_tune(state: ClientState, params: RoundParams, start=None):
@@ -336,25 +355,32 @@ class TestBtRound:
             params = params[:-1]
         peer = StubNode(version=1, params=params, sample_count=0 if bad == "zero_count" else 3)
         nodes = [ClientNode(initiator)]
-        server = transport = None
-        try:
-            if carrier == "sim":
-                transport = SimTransport([nodes[0], peer])
-            else:
-                server = TcpPeerServer(peer, 1, "127.0.0.1", 0)
-                server.start()
-                transport = TcpTransport(0, [PeerAddress(0, "127.0.0.1:1"),
-                                             PeerAddress(1, f"127.0.0.1:{server.port}")])
-            with pytest.raises(ProtocolError, match="client 1 sent weights"):
-                bt_round(nodes, 0, PARAMS, transport)
-        finally:
-            if server is not None:
-                transport.close()
-                server.stop()
+        with carried(carrier, nodes[0], peer) as transport, \
+                pytest.raises(ProtocolError, match="client 1 sent weights"):
+            bt_round(nodes, 0, PARAMS, transport)
         after = nodes[0].state
         assert after is initiator
         assert after.weights.params.tobytes() == before_bytes
         np.testing.assert_array_equal(after.version.entries, [0, 0])
+
+    @pytest.mark.parametrize("carrier", ["sim", "tcp"])
+    def test_a_version_over_int64_aborts_atomically(self, carrier):
+        # The wire's version field is a u64; a version vector holds int64.
+        initiator = build_clients(2)[0]
+        before_bytes = initiator.weights.params.tobytes()
+        with carried(carrier, ClientNode(initiator), StubNode(version=2**63)) as transport, \
+                pytest.raises(ProtocolError, match=f"client 1 sent version {2**63}, over int64"):
+            run_initiator_round(initiator, transport, PARAMS)
+        assert initiator.weights.params.tobytes() == before_bytes
+        np.testing.assert_array_equal(initiator.version.entries, [0, 0])
+        assert initiator.own_update_count == 0
+
+    @pytest.mark.parametrize("carrier", ["sim", "tcp"])
+    def test_the_largest_int64_version_is_accepted(self, carrier):
+        initiator = build_clients(2)[0]
+        with carried(carrier, ClientNode(initiator), StubNode(version=2**63 - 1)) as transport:
+            v_new = ping_request(initiator, transport, on_unreachable="abort")
+        assert v_new.entries.tolist() == [0, 2**63 - 1]
 
     def test_global_merge_norm_shrinks_partial_sets(self):
         params = RoundParams(

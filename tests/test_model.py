@@ -23,10 +23,8 @@ from peerfed.model import (
     ADAM_BETA1,
     ADAM_BETA2,
     ADAM_EPS,
-    Batch,
     ModelSpec,
     ModelWeights,
-    OptimizerState,
     adam_step,
     dice_score,
     fine_tune,
@@ -65,14 +63,16 @@ def reference_forward(weights: ModelWeights, pixels: np.ndarray) -> np.ndarray:
     return x @ w + b
 
 
-def reference_loss_and_grad(weights: ModelWeights, batch: Batch) -> tuple[float, np.ndarray]:
+def reference_loss_and_grad(
+    weights: ModelWeights, pixels: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
     """The allocating loss_and_grad the scratch-buffer version must match bit for bit."""
     layers = unflatten(weights.spec, weights.params)
-    n = batch.pixels.shape[0]
+    n = pixels.shape[0]
 
-    activations = [batch.pixels]
+    activations = [pixels]
     pre_acts = []
-    x = batch.pixels
+    x = pixels
     for w, b in layers[:-1]:
         z = x @ w + b
         pre_acts.append(z)
@@ -84,12 +84,12 @@ def reference_loss_and_grad(weights: ModelWeights, batch: Batch) -> tuple[float,
     shift = logits - logits.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(shift).sum(axis=1))
     rows = np.arange(n)
-    loss = float(np.mean(log_norm - shift[rows, batch.labels]))
+    loss = float(np.mean(log_norm - shift[rows, labels]))
 
     probs = np.exp(shift)
     probs /= probs.sum(axis=1, keepdims=True)
     delta = probs
-    delta[rows, batch.labels] -= 1.0
+    delta[rows, labels] -= 1.0
     delta /= n
 
     grad_chunks: list[np.ndarray] = []
@@ -209,8 +209,8 @@ class TestModelWeights:
 class TestLossAndGrad:
     def test_uniform_logits_loss_is_log_classes(self):
         w = ModelWeights(SPEC, np.zeros(SPEC.param_count()))
-        batch = Batch(np.random.default_rng(0).normal(size=(11, 3)), np.zeros(11, dtype=int))
-        loss, _ = loss_and_grad(w, batch)
+        pixels = np.random.default_rng(0).normal(size=(11, 3))
+        loss, _ = loss_and_grad(w, pixels, np.zeros(11, dtype=int))
         assert loss == pytest.approx(math.log(4), rel=1e-12)
 
     def test_confident_correct_logits_loss_near_zero(self):
@@ -218,28 +218,27 @@ class TestLossAndGrad:
         params = np.zeros(spec.param_count())
         params[3] = 100.0  # bias of class 0
         w = ModelWeights(spec, params)
-        loss, _ = loss_and_grad(w, Batch(np.ones((5, 1)), np.zeros(5, dtype=int)))
+        loss, _ = loss_and_grad(w, np.ones((5, 1)), np.zeros(5, dtype=int))
         assert 0.0 <= loss < 1e-8
 
     def test_empty_batch_rejected(self):
         w = init_model(SPEC, 0)
         with pytest.raises(ValueError):
-            loss_and_grad(w, Batch(np.zeros((0, 3)), np.zeros(0, dtype=int)))
+            loss_and_grad(w, np.zeros((0, 3)), np.zeros(0, dtype=int))
 
     @pytest.mark.parametrize("bad_label", [-1, 4])
     def test_labels_out_of_range_rejected(self, bad_label):
         # -1 would otherwise pick the last class's logit.
-        batch = Batch(np.zeros((3, 3)), [0, bad_label, 2])
         with pytest.raises(ValueError, match="labels out of range"):
-            loss_and_grad(init_model(SPEC, 0), batch)
+            loss_and_grad(init_model(SPEC, 0), np.zeros((3, 3)), [0, bad_label, 2])
 
     def test_gradient_matches_central_differences(self):
         # Independent oracle: central finite differences at h=1e-5.
         spec = ModelSpec(input_dim=4, hidden_dims=(6,), num_classes=3)
         rng = np.random.default_rng(42)
         w = init_model(spec, 5)
-        batch = Batch(rng.normal(size=(12, 4)), rng.integers(0, 3, size=12))
-        _, grad = loss_and_grad(w, batch)
+        pixels, labels = rng.normal(size=(12, 4)), rng.integers(0, 3, size=12)
+        _, grad = loss_and_grad(w, pixels, labels)
 
         h = 1e-5
         fd = np.zeros_like(grad)
@@ -248,8 +247,8 @@ class TestLossAndGrad:
             up[i] += h
             down = w.params.copy()
             down[i] -= h
-            loss_up, _ = loss_and_grad(ModelWeights(w.spec, up), batch)
-            loss_down, _ = loss_and_grad(ModelWeights(w.spec, down), batch)
+            loss_up, _ = loss_and_grad(ModelWeights(w.spec, up), pixels, labels)
+            loss_down, _ = loss_and_grad(ModelWeights(w.spec, down), pixels, labels)
             fd[i] = (loss_up - loss_down) / (2 * h)
         rel = np.abs(grad - fd) / np.maximum.reduce([np.abs(grad), np.abs(fd), np.full_like(fd, 1e-8)])
         assert np.mean(rel < 1e-4) >= 0.99
@@ -258,27 +257,30 @@ class TestLossAndGrad:
 FAULT_COUNT_SCRIPT = """
 import resource
 import numpy as np
-from peerfed.model import Batch, ModelSpec, forward, init_model, loss_and_grad
+from peerfed.model import ModelSpec, forward, init_model, loss_and_grad
 spec = ModelSpec(4, (512,), 4)
 rng = np.random.default_rng(0)
 w = init_model(spec, 0)
-batch = Batch(rng.normal(size=(1024, 4)), rng.integers(0, 4, size=1024))
-loss_and_grad(w, batch)
-forward(w, batch.pixels)
+pixels, labels = rng.normal(size=(1024, 4)), rng.integers(0, 4, size=1024)
+loss_and_grad(w, pixels, labels)
+forward(w, pixels)
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(20):
-    loss_and_grad(w, batch)
+    loss_and_grad(w, pixels, labels)
 for _ in range(20):
-    forward(w, batch.pixels)
+    forward(w, pixels)
 print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
 """
 
 
-def _weights_and_batch(spec: ModelSpec, n: int, seed: int) -> tuple[ModelWeights, Batch]:
+def _weights_and_batch(
+    spec: ModelSpec, n: int, seed: int
+) -> tuple[ModelWeights, np.ndarray, np.ndarray]:
+    """Perturbed initial weights, n pixel rows and their labels."""
     rng = np.random.default_rng(seed)
     params = init_model(spec, seed).params + rng.normal(scale=0.2, size=spec.param_count())
-    batch = Batch(rng.normal(size=(n, spec.input_dim)), rng.integers(0, spec.num_classes, size=n))
-    return ModelWeights(spec, params), batch
+    pixels = rng.normal(size=(n, spec.input_dim))
+    return ModelWeights(spec, params), pixels, rng.integers(0, spec.num_classes, size=n)
 
 
 # (input_dim, hidden_dims, num_classes) for the reference-equality test.
@@ -313,13 +315,13 @@ class TestScratchBuffers:
         # From TRANSPOSE_ROWS rows on, a narrow weight gradient is transposed.
         transpose_edges = [TRANSPOSE_ROWS - 1, TRANSPOSE_ROWS, TRANSPOSE_ROWS + 1]
         for step, n in enumerate([1024, 64, 1, 1024, 2048, *block_edges, *transpose_edges]):
-            w, batch = _weights_and_batch(spec, n, seed=step)
-            loss, grad = loss_and_grad(w, batch)
-            logits = forward(w, batch.pixels)
-            ref_loss, ref_grad = reference_loss_and_grad(w, batch)
+            w, pixels, labels = _weights_and_batch(spec, n, seed=step)
+            loss, grad = loss_and_grad(w, pixels, labels)
+            logits = forward(w, pixels)
+            ref_loss, ref_grad = reference_loss_and_grad(w, pixels, labels)
             assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
             assert grad.tobytes() == ref_grad.tobytes()
-            assert logits.tobytes() == reference_forward(w, batch.pixels).tobytes()
+            assert logits.tobytes() == reference_forward(w, pixels).tobytes()
             earlier.append((grad, grad.tobytes(), logits, logits.tobytes()))
         # Later calls must leave every array an earlier call returned as it was.
         for grad, grad_bytes, logits, logits_bytes in earlier:
@@ -332,12 +334,12 @@ class TestScratchBuffers:
         spec = ModelSpec(1, (2,), 2)
         params = np.array([1.0, 0.0, 0.0, -1.0, 0.0, 5.0, 1.5e308, -1.5e308, 0.0, 0.0])
         w = ModelWeights(spec, params)
-        batch = Batch(np.ones((1, 1)), [0])
+        pixels, labels = np.ones((1, 1)), np.array([0])
         with np.errstate(over="ignore", invalid="ignore"):
-            _, want = reference_loss_and_grad(w, batch)
+            _, want = reference_loss_and_grad(w, pixels, labels)
             assert not np.all(np.isfinite(want))
             with pytest.raises(ValueError, match="non-finite"):
-                loss_and_grad(w, batch)
+                loss_and_grad(w, pixels, labels)
 
     def test_fine_tune_with_trailing_partial_batch_matches_reference(self, monkeypatch):
         spec = ModelSpec(4, (16, 8), 4)
@@ -408,17 +410,16 @@ def reference_softmax_loss_delta(logits: np.ndarray, labels: np.ndarray) -> tupl
 
 
 def reference_adam_step(
-    weights: ModelWeights, grad: np.ndarray, state: OptimizerState, lr: float
-) -> tuple[ModelWeights, OptimizerState]:
+    weights: ModelWeights, grad: np.ndarray, m: np.ndarray, v: np.ndarray, step: int, lr: float
+) -> tuple[ModelWeights, np.ndarray, np.ndarray]:
     """adam_step before it worked in two scratch vectors, checks left out;
     the rewritten one must match it bit for bit."""
-    step = state.step_count + 1
-    m = ADAM_BETA1 * state.first_moment + (1.0 - ADAM_BETA1) * grad
-    v = ADAM_BETA2 * state.second_moment + (1.0 - ADAM_BETA2) * grad * grad
+    m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * grad
+    v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * grad * grad
     m_hat = m / (1.0 - ADAM_BETA1**step)
     v_hat = v / (1.0 - ADAM_BETA2**step)
     new_params = weights.params - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
-    return ModelWeights(weights.spec, new_params), OptimizerState(m, v, step)
+    return ModelWeights(weights.spec, new_params), m, v
 
 
 class TestRewrittenStep:
@@ -431,14 +432,14 @@ class TestRewrittenStep:
     def test_softmax_equals_reference(self, input_dim, hidden_dims, num_classes):
         spec = ModelSpec(input_dim, hidden_dims, num_classes)
         for step, n in enumerate([1, 64, BLOCK + 1, 1024]):
-            w, batch = _weights_and_batch(spec, n, seed=step)
-            logits = forward(w, batch.pixels)
+            w, pixels, labels = _weights_and_batch(spec, n, seed=step)
+            logits = forward(w, pixels)
             rng = np.random.default_rng(step)
             # Model logits, then ties and signed zeros, then large spreads.
             for case in (logits, np.round(logits) * rng.choice([-0.0, 0.0, 1.0], size=logits.shape),
                          logits * 300.0):
-                loss, delta = _softmax_loss_delta(case.copy(), batch.labels)
-                want_loss, want_delta = reference_softmax_loss_delta(case, batch.labels)
+                loss, delta = _softmax_loss_delta(case.copy(), labels)
+                want_loss, want_delta = reference_softmax_loss_delta(case, labels)
                 assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
                 assert delta.tobytes() == want_delta.tobytes()
 
@@ -450,18 +451,17 @@ class TestRewrittenStep:
         spec = ModelSpec(input_dim, hidden_dims, num_classes)
         size = spec.param_count()
         rng = np.random.default_rng(size)
-        for step_count in (0, 1, 9, 10_000):
+        for step in (1, 2, 10, 10_001):
             for lr in (1e-5, 1e-3, 0.5):
                 w = ModelWeights(spec, rng.normal(size=size))
-                state = OptimizerState(rng.normal(scale=0.1, size=size),
-                                       rng.exponential(scale=0.01, size=size), step_count)
+                m = rng.normal(scale=0.1, size=size)
+                v = rng.exponential(scale=0.01, size=size)
                 grad = rng.normal(size=size)
-                got_w, got_state = adam_step(w, grad, state, lr)
-                want_w, want_state = reference_adam_step(w, grad, state, lr)
+                got_w, got_m, got_v = adam_step(w, grad, m, v, step, lr)
+                want_w, want_m, want_v = reference_adam_step(w, grad, m, v, step, lr)
                 assert got_w.params.tobytes() == want_w.params.tobytes()
-                assert got_state.first_moment.tobytes() == want_state.first_moment.tobytes()
-                assert got_state.second_moment.tobytes() == want_state.second_moment.tobytes()
-                assert got_state.step_count == want_state.step_count == step_count + 1
+                assert got_m.tobytes() == want_m.tobytes()
+                assert got_v.tobytes() == want_v.tobytes()
 
 
 # Values whose sum overflows to inf, and vectors with an inf or a nan. A
@@ -481,7 +481,7 @@ class TestFiniteChecks:
     # One input, two hidden units that both fire and two classes, one
     # pixel of class 1: params are W1, b1, W2 (row per unit), b2.
     SPEC = ModelSpec(1, (2,), 2)
-    BATCH = Batch(np.ones((1, 1)), [1])
+    PIXELS, LABELS = np.ones((1, 1)), np.array([1])
 
     def test_loss_and_grad_accepts_a_gradient_whose_sum_overflows(self):
         # Tiny activations keep the logits at +-1e8; each unit's delta is
@@ -490,7 +490,7 @@ class TestFiniteChecks:
         w = ModelWeights(self.SPEC, params)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            loss, grad = loss_and_grad(w, self.BATCH)
+            loss, grad = loss_and_grad(w, self.PIXELS, self.LABELS)
         with np.errstate(over="ignore"):
             assert np.isinf(grad.sum())
         assert loss == 2e8 and np.all(grad[:4] == 1e308)
@@ -501,17 +501,17 @@ class TestFiniteChecks:
         params = np.array([1.0, 1.0, 0.0, 0.0, 1e308, -1e308, -1e308, 1e308, 50.0, -50.0])
         w = ModelWeights(self.SPEC, params)
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, want = reference_loss_and_grad(w, self.BATCH)
+            loss, want = reference_loss_and_grad(w, self.PIXELS, self.LABELS)
             assert loss == 100.0 and list(want[:2]) == [np.inf, -np.inf]
             with pytest.raises(ValueError, match="non-finite loss or gradient"):
-                loss_and_grad(w, self.BATCH)
+                loss_and_grad(w, self.PIXELS, self.LABELS)
 
     def test_adam_step_accepts_a_gradient_and_weights_whose_sums_overflow(self):
         w = ModelWeights(SPEC_64, HUGE.copy())
         # Squaring this gradient overflows in the update itself, which is
         # not the check under test.
         with np.errstate(over="ignore"):
-            new_w, _ = adam_step(w, HUGE, OptimizerState.zeros(HUGE.size), 0.001)
+            new_w, _, _ = adam_step(w, HUGE, np.zeros(64), np.zeros(64), 1, 0.001)
         # v overflows to inf, so the step is 0 and the weights stay 1e308.
         assert new_w.params.tobytes() == HUGE.tobytes()
 
@@ -519,48 +519,55 @@ class TestFiniteChecks:
         w = ModelWeights(SPEC_64, HUGE.copy())
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            new_w, _ = adam_step(w, np.zeros(64), OptimizerState.zeros(64), 0.001)
+            new_w, _, _ = adam_step(w, np.zeros(64), np.zeros(64), np.zeros(64), 1, 0.001)
         assert new_w.params.tobytes() == HUGE.tobytes()
 
     @pytest.mark.parametrize("case", NON_FINITE)
     def test_adam_step_rejects_a_gradient_with_an_inf_or_nan(self, case):
         grad = NON_FINITE[case]
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="non-finite gradient"):
-            adam_step(ModelWeights(SPEC_64, np.zeros(grad.size)), grad,
-                      OptimizerState.zeros(grad.size), 0.001)
+            adam_step(ModelWeights(SPEC_64, np.zeros(64)), grad, np.zeros(64), np.zeros(64), 1,
+                      0.001)
 
     def test_adam_step_rejects_weights_that_overflow(self):
         w = ModelWeights(SPEC_64, np.r_[np.zeros(63), -1e308])
         with np.errstate(over="ignore"), pytest.raises(ValueError, match="after update"):
-            adam_step(w, np.ones(64), OptimizerState.zeros(64), 1e308)
+            adam_step(w, np.ones(64), np.zeros(64), np.zeros(64), 1, 1e308)
 
 
 class TestAdam:
     def test_zero_grad_fixed_point(self):
         w = init_model(SPEC, 0)
-        new_w, st = adam_step(w, np.zeros(SPEC.param_count()), OptimizerState.zeros(SPEC.param_count()), 0.01)
+        zeros = np.zeros(SPEC.param_count())
+        new_w, m, v = adam_step(w, zeros, zeros, zeros, 1, 0.01)
         np.testing.assert_array_equal(new_w.params, w.params)
-        assert st.step_count == 1
+        assert not m.any() and not v.any()
 
     def test_pure_function(self):
+        rng = np.random.default_rng(2)
         w = init_model(SPEC, 0)
-        grad = np.random.default_rng(2).normal(size=SPEC.param_count())
-        st = OptimizerState.zeros(SPEC.param_count())
-        a = adam_step(w, grad, st, 0.003)
-        b = adam_step(w, grad, st, 0.003)
-        assert a[0].params.tobytes() == b[0].params.tobytes()
-        assert a[1].step_count == b[1].step_count == 1
+        grad, m = rng.normal(size=SPEC.param_count()), rng.normal(size=SPEC.param_count())
+        v = rng.exponential(scale=0.01, size=SPEC.param_count())
+        inputs = [w.params, grad, m, v]
+        before = [x.tobytes() for x in inputs]
+        a = adam_step(w, grad, m, v, 3, 0.003)
+        b = adam_step(w, grad, m, v, 3, 0.003)
+        assert [x.tobytes() for x in inputs] == before
+        assert [a[0].params.tobytes(), a[1].tobytes(), a[2].tobytes()] == \
+            [b[0].params.tobytes(), b[1].tobytes(), b[2].tobytes()]
+        assert not any(np.shares_memory(out, x)
+                       for out in (a[0].params, a[1], a[2]) for x in inputs)
 
     def test_constant_grad_displacement_approaches_lr(self):
         # Oracle: iterate the update rule itself on one parameter and
         # measure per-step displacement; bias correction drives it to lr.
         lr = 0.01
         w = ModelWeights(ModelSpec(1, (), 2), np.zeros(4))
-        st = OptimizerState.zeros(4)
+        m, v = np.zeros(4), np.zeros(4)
         grad = np.full(4, 2.5)
         displacements = []
-        for _ in range(50):
-            new_w, st = adam_step(w, grad, st, lr)
+        for step in range(1, 51):
+            new_w, m, v = adam_step(w, grad, m, v, step, lr)
             displacements.append(abs(new_w.params[0] - w.params[0]))
             w = new_w
         assert displacements[-1] == pytest.approx(lr, rel=1e-6)
@@ -569,28 +576,30 @@ class TestAdam:
         w = init_model(SPEC, 0)
         grad = np.full(SPEC.param_count(), np.nan)
         with pytest.raises(ValueError):
-            adam_step(w, grad, OptimizerState.zeros(SPEC.param_count()), 0.01)
-
-    def test_step_count_increments_by_one(self):
-        w = init_model(SPEC, 0)
-        st = OptimizerState.zeros(SPEC.param_count())
-        for expected in (1, 2, 3):
-            w, st = adam_step(w, np.ones(SPEC.param_count()), st, 0.01)
-            assert st.step_count == expected
+            adam_step(w, grad, np.zeros_like(grad), np.zeros_like(grad), 1, 0.01)
 
 
 class TestFineTune:
-    def test_step_count_three_images_batch_one(self, monkeypatch):
-        steps = []
+    def test_steps_count_from_one_with_fresh_moments_each_call(self, monkeypatch):
+        calls = []
 
-        def counted(weights, grad, state, lr):
-            steps.append(state.step_count)
-            return adam_step(weights, grad, state, lr)
+        def recorded(weights, grad, m, v, step, lr):
+            out = adam_step(weights, grad, m, v, step, lr)
+            calls.append((step, m, v, out))
+            return out
 
-        monkeypatch.setattr("peerfed.model.adam_step", counted)
+        monkeypatch.setattr("peerfed.model.adam_step", recorded)
         shard = toy_shard(3, 4, SPEC, seed=0)
-        fine_tune(init_model(SPEC, 0), shard, epochs=2, lr=0.01, seed=1, batch_size=1)
-        assert steps == [0, 1, 2, 3, 4, 5]
+        w = init_model(SPEC, 0)
+        for _ in range(2):
+            w = fine_tune(w, shard, epochs=2, lr=0.01, seed=1, batch_size=1)
+        assert [step for step, *_ in calls] == [1, 2, 3, 4, 5, 6] * 2
+        for k, (step, m, v, _) in enumerate(calls):
+            if step == 1:
+                assert not m.any() and not v.any()
+            else:  # the moments the step before returned
+                _, prev_m, prev_v = calls[k - 1][3]
+                assert m is prev_m and v is prev_v and m.any() and v.any()
 
     def test_deterministic(self):
         shard = toy_shard(3, 4, SPEC, seed=0)
@@ -611,9 +620,9 @@ class TestFineTune:
         labels = np.concatenate([im.labels for im in images])
 
         w0 = init_model(spec, 0)
-        before, _ = loss_and_grad(w0, Batch(pixels, labels))
+        before, _ = loss_and_grad(w0, pixels, labels)
         w1 = fine_tune(w0, shard, epochs=2, lr=0.05, seed=4, batch_size=1)
-        after, _ = loss_and_grad(w1, Batch(pixels, labels))
+        after, _ = loss_and_grad(w1, pixels, labels)
         assert after < before
 
     def test_empty_shard_rejected(self):

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from peerfed import transport as transport_module
 from peerfed.transport import (
     DEFAULT_MAX_FRAME_BYTES,
+    ERR_BAD_REQUEST,
     ERR_VERSION_MISMATCH,
     HEADER_BYTES,
     PROTOCOL_VERSION,
@@ -408,6 +409,19 @@ class TestTcpTransport:
             assert transport.ping(0, 1) == 0  # server still healthy
             transport.close()
         finally:
+            server.stop()
+
+    def test_a_frame_that_is_not_a_request_is_answered_with_an_error(self):
+        server = self.start_server(StubNode(version=4))
+        client = raw_connection(server)
+        try:
+            client.sendall(encode(PingResponse(sender=0, request_id=7, own_version=3)))
+            assert decode(read_frame(client)) == ErrorMessage(
+                1, 7, ERR_BAD_REQUEST, "unexpected PingResponse")
+            client.sendall(encode(PingRequest(sender=0, request_id=8)))  # the same connection
+            assert decode(read_frame(client)) == PingResponse(1, 8, 4)
+        finally:
+            client.close()
             server.stop()
 
     def test_dead_peer_unreachable_within_timeout(self, monkeypatch):
