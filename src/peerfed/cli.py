@@ -51,7 +51,8 @@ def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> Experim
 
 
 def _error(exc: Exception) -> int:
-    """Report input the command rejects as one line; the exit status is 2."""
+    """Report input the command rejects, or a run the model stops, as one
+    line; the exit status is 2."""
     print(f"error: {exc}", file=sys.stderr)
     return 2
 
@@ -100,28 +101,25 @@ def cmd_run(args: argparse.Namespace) -> int:
         cfg, peers = _run_inputs(args)
         if args.out:
             Path(args.out).mkdir(parents=True, exist_ok=True)
+        # The model's own finite checks stop a run that overflows, with a
+        # ValueError; numpy's floating-point warnings would only precede it.
+        with np.errstate(all="ignore"):
+            if args.experiment:
+                tables = run_sweep(args.experiment, cfg, args.out)["tables"]
+                for name, (headers, rows) in tables.items():
+                    print(f"{name}:")  # the table of <out>/<name>.csv
+                    _print_table(headers, [[_cell(v) for v in row] for row in rows])
+            elif peers is not None:
+                out = Path(args.out) if args.out else Path("peerfed-out")
+                path = run_tcp_peer(cfg, args.self_index, peers, out)
+                print(f"client {args.self_index} final weights: {path}")
+            else:
+                print("\n".join(run_summary(run_training(cfg, out_dir=args.out))))
     except (OSError, ValueError) as exc:
         return _error(exc)
-
-    if args.experiment:
-        for name, (headers, rows) in run_sweep(args.experiment, cfg, args.out)["tables"].items():
-            print(f"{name}:")  # the table of <out>/<name>.csv
-            _print_table(headers, [[_cell(v) for v in row] for row in rows])
-        return 0
-
-    if peers is not None:
-        out = Path(args.out) if args.out else Path("peerfed-out")
-        try:
-            path = run_tcp_peer(cfg, args.self_index, peers, out)
-        except ValueError as exc:  # e.g. its own endpoint cannot be bound
-            return _error(exc)
-        except TransportError as exc:  # a wait for the other peers ran out
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"client {args.self_index} final weights: {path}")
-        return 0
-
-    print("\n".join(run_summary(run_training(cfg, out_dir=args.out))))
+    except TransportError as exc:  # a TCP peer's wait for the other peers ran out
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 

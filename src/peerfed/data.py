@@ -191,33 +191,30 @@ def _generate(
     return images[: cfg.num_train], images[cfg.num_train :]
 
 
-def generate_dataset(cfg: GenConfig, seed: int) -> tuple[list[SegImage], list[SegImage]]:
-    """Generate disjoint train/test image lists, deterministic in cfg and seed."""
-    rng = np.random.default_rng(derive_seed(seed, "cohorts"))
-    return _generate(cfg, seed, rng.uniform(0.0, 100.0, size=cfg.num_train + cfg.num_test))
-
-
-def generate_dataset_for_cohorts(
-    cfg: GenConfig,
-    split: SplitSpec,
-    seed: int,
+def generate_dataset(
+    cfg: GenConfig, split: SplitSpec, seed: int
 ) -> tuple[list[SegImage], list[SegImage]]:
-    """Generate a dataset with split.counts[i] train images in cohort bucket i.
+    """Generate disjoint train/test image lists, deterministic in cfg, split and seed.
 
-    split is a cohort split with counts. Each bucket's train cohorts are
-    drawn uniformly between its edges, then shuffled together; test cohorts
-    are uniform over [0, 100). A draw lands outside its bucket only if it
+    A split with counts gets split.counts[i] train images in cohort bucket
+    i: each bucket's train cohorts are drawn uniformly between its edges,
+    then shuffled together. A draw lands outside its bucket only if it
     equals the bucket's lower edge (odds of about 2**-53 for a bucket a few
-    units wide), which split_by_cohort then reports.
+    units wide), which split_by_cohort then reports. Any other split draws
+    its train cohorts uniformly over [0, 100), and so do all test cohorts.
     """
-    if sum(split.counts) != cfg.num_train:
-        raise ValueError(f"counts {list(split.counts)} must sum to num_train={cfg.num_train}")
-    rng = np.random.default_rng(derive_seed(seed, "cohorts-targeted"))
-    edges = (0.0, *split.boundaries, 100.0)
-    train_cohorts = np.concatenate(
-        [rng.uniform(low, high, size=n) for low, high, n in zip(edges, edges[1:], split.counts)]
-    )
-    rng.shuffle(train_cohorts)
+    if split.counts is None:
+        rng = np.random.default_rng(derive_seed(seed, "cohorts"))
+        train_cohorts = rng.uniform(0.0, 100.0, size=cfg.num_train)
+    else:
+        if sum(split.counts) != cfg.num_train:
+            raise ValueError(f"counts {list(split.counts)} must sum to num_train={cfg.num_train}")
+        rng = np.random.default_rng(derive_seed(seed, "cohorts-targeted"))
+        edges = (0.0, *split.boundaries, 100.0)
+        train_cohorts = np.concatenate(
+            [rng.uniform(low, high, size=n) for low, high, n in zip(edges, edges[1:], split.counts)]
+        )
+        rng.shuffle(train_cohorts)
     test_cohorts = rng.uniform(0.0, 100.0, size=cfg.num_test)
     return _generate(cfg, seed, np.concatenate([train_cohorts, test_cohorts]))
 

@@ -40,7 +40,6 @@ from .data import (
     SegImage,
     SplitSpec,
     generate_dataset,
-    generate_dataset_for_cohorts,
     split_by_cohort,
     split_uniform,
 )
@@ -247,9 +246,7 @@ class RunResult:
 
 
 def build_dataset(cfg: ExperimentConfig) -> tuple[list[SegImage], list[SegImage]]:
-    if cfg.split.kind == "cohort" and cfg.split.counts is not None:
-        return generate_dataset_for_cohorts(cfg.data, cfg.split, cfg.seeds.data)
-    return generate_dataset(cfg.data, cfg.seeds.data)
+    return generate_dataset(cfg.data, cfg.split, cfg.seeds.data)
 
 
 def build_shards(cfg: ExperimentConfig, train: list[SegImage]) -> list[DatasetShard]:

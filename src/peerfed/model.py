@@ -29,11 +29,13 @@ hold a layer's W and then its b, so the first layer's, read as one
 (fan_in + 1, fan_out) matrix, are already [[W], [b]]: the first hidden
 layer multiplies its input with a column of ones appended (a per-thread
 scratch) by that view, and the broadcast `+= b` pass goes. And a weight
-gradient with a narrow delta and many rows is taken as `(delta.T @ h).T`,
-which OpenBLAS runs faster than `h.T @ delta`. Either keeps the bits only
-for some shapes, which `_folds_bias` and `_transposes_grad` admit. Their
-gates were measured on OpenBLAS 0.3.31 under its SkylakeX, Haswell and
-Sandybridge kernels, each with 1 to 8 BLAS threads; the paper's [512]
+gradient with a narrow delta is taken as `(delta.T @ h).T` once rows x
+fan_in x fan_out passes 100**3: there OpenBLAS leaves its small-matrix
+kernel and `h.T @ delta` slows down about 2.5x. Each rewrite keeps the
+bits only for some shapes, which `_folds_bias` and `_transposes_grad`
+admit; those shape gates were measured on OpenBLAS 0.3.31 under its
+SkylakeX, Haswell and Sandybridge kernels, each with 1 to 8 BLAS
+threads. The size bound only picks the faster form. The paper's [512]
 model takes both (4 -> 512 folded, 512 -> 4 transposed from 489 rows).
 """
 
@@ -161,8 +163,9 @@ def _folds_bias(fan_in: int, fan_out: int) -> bool:
     return fan_in % 2 == 0 and fan_in <= 6 and fan_out % 8 == 0
 
 
-# Fewest rows for which `_transposes_grad` admits the transposed form.
-_TRANSPOSE_MIN_ROWS = 489
+# The rows x fan_in x fan_out past which `_transposes_grad` admits the
+# transposed form: OpenBLAS's small-matrix bound, M x N x K <= 100**3.
+_TRANSPOSE_MIN_WORK = 100**3
 
 
 def _transposes_grad(rows: int, fan_in: int, fan_out: int) -> bool:
@@ -175,15 +178,16 @@ def _transposes_grad(rows: int, fan_in: int, fan_out: int) -> bool:
     from 64 inputs and fan_in 20 or 100 changed products of 1,000 rows or
     more.
 
-    Below _TRANSPOSE_MIN_ROWS rows the plain `a.T @ delta` is the faster
-    form. Measured for the [512] model's 512 -> 4 gradient on an Intel Xeon
-    VM (OpenBLAS 0.3.31, SkylakeX kernel, one thread, one pinned CPU; best
-    of 7): 20 against 10 us at 64 rows, about 170 against 109 us at 488,
-    then about 213 against 356 us at 489, where the plain form steps up,
-    and 481 against 871 us at 1,024.
+    Up to _TRANSPOSE_MIN_WORK the plain `a.T @ delta` is the faster form.
+    Past it the plain form steps up about 2.5x and the transposed one does
+    not. Measured on an Intel Xeon VM (OpenBLAS 0.3.31, SkylakeX kernel, one
+    thread, one pinned CPU; best of 7), plain against transposed: 512 -> 4
+    took 95 against 203 us at 488 rows and 255 against 175 us at 489;
+    1,024 -> 4 took 79 against 94 us at 244 rows and 217 against 171 us at
+    245; 64 -> 4 took 14 against 23 us at 1,024 rows.
     """
-    return (rows >= _TRANSPOSE_MIN_ROWS and fan_out in (4, 8) and fan_in % 8 == 0
-            and fan_in > fan_out)
+    return (rows * fan_in * fan_out > _TRANSPOSE_MIN_WORK and fan_out in (4, 8)
+            and fan_in % 8 == 0 and fan_in > fan_out)
 
 
 def _row_blocks(n: int, terms: int) -> list[slice]:

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from conftest import record_frames, record_trajectory, run_tcp_peers, specs_by_param_count
 
-from peerfed.data import GenConfig, generate_dataset, split_uniform
+from peerfed.data import GenConfig, SplitSpec, generate_dataset, split_uniform
 from peerfed.experiments import (
     EXP2_COUNTS,
     ExperimentConfig,
@@ -164,7 +164,7 @@ def test_criterion_3_degenerate_equivalence(monkeypatch):
 def test_criterion_4_fls_consensus():
     spec = ModelSpec(4, (8,), 4)
     data = GenConfig(num_train=10, num_test=2, height=8, width=8, num_classes=4)
-    train, _ = generate_dataset(data, 7)
+    train, _ = generate_dataset(data, SplitSpec(), 7)
     shards = split_uniform(train, 5, seed=3)
     w0 = init_model(spec, 1)
     clients = [
@@ -186,7 +186,7 @@ def test_criterion_5_protocol_bookkeeping():
     started = time.perf_counter()
     spec = ModelSpec(4, (8,), 4)
     data = GenConfig(num_train=12, num_test=2, height=8, width=8, num_classes=4)
-    train, _ = generate_dataset(data, 5)
+    train, _ = generate_dataset(data, SplitSpec(), 5)
     shards = split_uniform(train, 6, seed=2)
     w0 = init_model(spec, 3)
     nodes = [

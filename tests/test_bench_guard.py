@@ -39,10 +39,15 @@ def test_run_sim_times_each_round_and_digests_run_trainings_metrics(tmp_path, mo
     assert result.digest == hashlib.sha256(metrics).hexdigest()
 
 
-def test_traced_run_sim_generates_its_data_once_inside_build_dataset(tmp_path):
+@pytest.mark.parametrize("split", [
+    {"kind": "uniform"},
+    {"kind": "cohort", "boundaries": [30.0, 60.0], "counts": [2, 2, 2]},
+], ids=["uniform", "cohort_counts"])
+def test_traced_run_sim_generates_its_data_once_inside_build_dataset(tmp_path, split):
     """The bench's data.generate_dataset figure wraps experiments'
-    generate_dataset: a run must reach its data generation through it."""
-    cfg = ExperimentConfig.from_dict({**CONFIG, "mode": "braintorrent"})
+    generate_dataset: a run must reach its data generation through it,
+    whichever split draws the data."""
+    cfg = ExperimentConfig.from_dict({**CONFIG, "mode": "braintorrent", "split": split})
     with Tracer() as tracer:
         install(tracer)
         run_sim(cfg, tmp_path)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import shutil
 import socket
+import warnings
 
 import pytest
 from conftest import free_ports
@@ -259,6 +260,28 @@ def test_tcp_peer_that_gives_up_is_a_one_line_error(tmp_path, config_path, capsy
     assert captured.out == ""
     assert captured.err.startswith("error: no ") and captured.err.count("\n") == 1
     assert " within 0.5 s; last fault: client 1 unreachable: " in captured.err
+
+
+@pytest.mark.parametrize("how", ["single", "experiment", "peers"])
+def test_run_that_goes_non_finite_is_a_one_line_error(tmp_path, config_path, capsys, how):
+    """The model's finite checks stop the run; numpy warns of nothing first."""
+    cfg = {**json.loads(config_path.read_text()), "base_lr": 1e300}
+    argv = ["run", "--config", str(tmp_path / "c.json"), "--out", str(tmp_path / "out")]
+    if how == "experiment":
+        cfg["data"]["num_train"] = 20
+        argv += ["--experiment", "exp2"]
+    if how == "peers":
+        cfg = {**cfg, "mode": "braintorrent", "n_clients": 2}
+        peers = [{"client_index": i, "endpoint": f"127.0.0.1:{port}"}
+                 for i, port in enumerate(free_ports(2))]
+        (tmp_path / "peers.json").write_text(json.dumps(peers))
+        argv += ["--peers", str(tmp_path / "peers.json"), "--self-index", "0"]
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: non-finite ") and captured.err.count("\n") == 1
 
 
 def test_run_experiment2_prints_its_tables(tmp_path, config_path, capsys):

@@ -19,7 +19,6 @@ from peerfed.data import (
     SplitSpec,
     bayes_predict,
     generate_dataset,
-    generate_dataset_for_cohorts,
     split_by_cohort,
     split_uniform,
 )
@@ -30,6 +29,7 @@ from peerfed.seeding import derive_seed
 CFG = GenConfig(num_train=20, num_test=10, height=16, width=16, num_classes=4)
 SEED = 3
 
+UNIFORM = SplitSpec()
 EXP2 = SplitSpec("cohort", (20.0, 30.0, 40.0, 50.0), (5, 9, 2, 1, 3))
 
 
@@ -61,10 +61,10 @@ def reference_image(cfg, cohort, rng):
     return SegImage(height=h, width=w, features=features, labels=labels, cohort=float(cohort))
 
 
-def reference_dataset(cfg, seed, split=None):
-    """The data of version 0.6.0, one image at a time: as generate_dataset
-    draws it, or as generate_dataset_for_cohorts does for a split."""
-    if split is None:
+def reference_dataset(cfg, seed, split):
+    """The data of version 0.6.0, one image at a time, as generate_dataset
+    draws it for a split without counts or for one with them."""
+    if split.counts is None:
         rng = np.random.default_rng(derive_seed(seed, "cohorts"))
         cohorts = rng.uniform(0.0, 100.0, size=cfg.num_train + cfg.num_test)
     else:
@@ -100,31 +100,31 @@ def image_facts(images):
 
 class TestGenerate:
     def test_requested_counts(self):
-        train, test = generate_dataset(CFG, SEED)
+        train, test = generate_dataset(CFG, UNIFORM, SEED)
         assert len(train) == 20
         assert len(test) == 10
 
     def test_deterministic_bitwise(self):
-        a_train, a_test = generate_dataset(CFG, SEED)
-        b_train, b_test = generate_dataset(CFG, SEED)
+        a_train, a_test = generate_dataset(CFG, UNIFORM, SEED)
+        b_train, b_test = generate_dataset(CFG, UNIFORM, SEED)
         for a, b in zip(a_train + a_test, b_train + b_test):
             assert a.features.tobytes() == b.features.tobytes()
             assert a.labels.tobytes() == b.labels.tobytes()
             assert a.cohort == b.cohort
 
     def test_byte_identical_across_generations(self):
-        a_train, a_test = generate_dataset(CFG, SEED)
-        b_train, b_test = generate_dataset(CFG, SEED)
+        a_train, a_test = generate_dataset(CFG, UNIFORM, SEED)
+        b_train, b_test = generate_dataset(CFG, UNIFORM, SEED)
         assert image_facts(a_train) == image_facts(b_train)
         assert image_facts(a_test) == image_facts(b_test)
 
     def test_every_class_present_in_train(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         seen = np.unique(np.concatenate([im.labels for im in train]))
         np.testing.assert_array_equal(seen, np.arange(CFG.num_classes))
 
     def test_features_finite_and_shaped(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         for im in train:
             assert im.features.shape == (16 * 16, FEATURE_CHANNELS)
             assert np.all(np.isfinite(im.features))
@@ -132,33 +132,30 @@ class TestGenerate:
 
     def test_noiseless_task_has_perfect_classifier(self):
         cfg = replace(CFG, noise_std=0.0)
-        train, test = generate_dataset(cfg, SEED)
+        train, test = generate_dataset(cfg, UNIFORM, SEED)
         for im in train + test:
             _, mean = dice_score(bayes_predict(cfg, im.features), im.labels, cfg.num_classes)
             assert mean == 1.0
 
     def test_cohorts_in_range(self):
-        train, test = generate_dataset(CFG, SEED)
+        train, test = generate_dataset(CFG, UNIFORM, SEED)
         for im in train + test:
             assert 0.0 <= im.cohort <= 100.0
 
     # Recorded with the per-image generator of version 0.6.0.
     @pytest.mark.parametrize("split, digest", [
-        (None, "9fbcfaa24ac61922527b832cf4f60b4ab9900374918f0b449ae6d141eaba26ad"),
+        (UNIFORM, "9fbcfaa24ac61922527b832cf4f60b4ab9900374918f0b449ae6d141eaba26ad"),
         (EXP2, "b98b7222721b540703852af7964de529e34a8f851ddd6e8c2df11c1f176c481e"),
     ], ids=["readme", "exp2"])
     def test_pinned_bytes(self, split, digest):
         """The README config's data at seed 0, and the exp2 sweep's cohort data."""
         cfg = GenConfig()
-        data = (generate_dataset(cfg, 0) if split is None
-                else generate_dataset_for_cohorts(cfg, split, 0))
-        assert dataset_digest(*data) == digest
+        assert dataset_digest(*generate_dataset(cfg, split, 0)) == digest
 
-    @pytest.mark.parametrize("split", [None, EXP2], ids=["uniform", "exp2"])
+    @pytest.mark.parametrize("split", [UNIFORM, EXP2], ids=["uniform", "exp2"])
     def test_images_share_no_memory(self, split):
         """Each image owns its arrays: no view of another image's, none aliased."""
-        train, test = (generate_dataset(CFG, SEED) if split is None
-                       else generate_dataset_for_cohorts(CFG, split, SEED))
+        train, test = generate_dataset(CFG, split, SEED)
         arrays = [a for im in train + test for a in (im.features, im.labels)]
         assert all(a.flags.writeable for a in arrays)
         for a, b in itertools.combinations(arrays, 2):
@@ -181,57 +178,58 @@ class TestGenerate:
 def test_batch_matches_the_per_image_reference(
         size, num_classes, noise_std, cohort_shift, feature_scale, num_train, num_test, counts,
         boundaries, seed):
-    """Both generators give the reference's bytes: every cohort, feature and label."""
+    """Every split gives the reference's bytes, every cohort, feature and
+    label: a cohort split without counts draws as the uniform split does."""
     cfg = GenConfig(num_train=num_train, num_test=num_test, height=size[0], width=size[1],
                     num_classes=num_classes, noise_std=noise_std, cohort_shift=cohort_shift,
                     feature_scale=feature_scale)
-    for got, want in zip(generate_dataset(cfg, seed), reference_dataset(cfg, seed)):
-        assert image_facts(got) == image_facts(want)
-    split = SplitSpec("cohort", tuple(float(b) for b in sorted(boundaries)[: len(counts) - 1]),
-                      tuple(counts))
-    cfg = replace(cfg, num_train=sum(counts))
-    for got, want in zip(generate_dataset_for_cohorts(cfg, split, seed),
-                         reference_dataset(cfg, seed, split)):
-        assert image_facts(got) == image_facts(want)
+    edges = tuple(float(b) for b in sorted(boundaries)[: len(counts) - 1])
+    for split in (UNIFORM, SplitSpec("cohort", edges),
+                  SplitSpec("cohort", edges, tuple(counts))):
+        if split.counts is not None:
+            cfg = replace(cfg, num_train=sum(counts))
+        for got, want in zip(generate_dataset(cfg, split, seed),
+                             reference_dataset(cfg, seed, split)):
+            assert image_facts(got) == image_facts(want)
 
 
 class TestSplitUniform:
     def test_five_clients_get_four_each(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         sizes = [s.sample_count for s in split_uniform(train, 5, seed=0)]
         assert sizes == [4, 4, 4, 4, 4]
 
     def test_seven_clients_remainder_to_low_indices(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         sizes = [s.sample_count for s in split_uniform(train, 7, seed=0)]
         assert sizes == [3, 3, 3, 3, 3, 3, 2]
 
     def test_twenty_clients_get_one_each(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         sizes = [s.sample_count for s in split_uniform(train, 20, seed=0)]
         assert sizes == [1] * 20
 
     def test_partition(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         shards = split_uniform(train, 7, seed=5)
         seen = [im for s in shards for im in s.images]
         assert len(seen) == len(train)
         assert {id(im) for im in seen} == {id(im) for im in train}
 
     def test_too_many_clients_rejected(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         with pytest.raises(ValueError):
             split_uniform(train, 21, seed=0)
 
     @pytest.mark.parametrize("n_clients", [0, -1])
     def test_no_clients_rejected(self, n_clients):
         # -1 would otherwise split into no shards at all.
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         with pytest.raises(ValueError, match="n_clients must be >= 1"):
             split_uniform(train, n_clients, seed=0)
 
     def test_seeded_permutation(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         a = split_uniform(train, 5, seed=1)
         b = split_uniform(train, 5, seed=1)
         c = split_uniform(train, 5, seed=2)
@@ -241,18 +239,18 @@ class TestSplitUniform:
 
 class TestSplitByCohort:
     def test_targeted_generation_hits_exact_counts(self):
-        train, test = generate_dataset_for_cohorts(CFG, EXP2, SEED)
+        train, test = generate_dataset(CFG, EXP2, SEED)
         assert len(train) == 20 and len(test) == 10
         shards = split_by_cohort(train, EXP2)
         assert [s.sample_count for s in shards] == list(EXP2.counts)
 
     def test_boundary_above_all_cohorts_leaves_empty_bucket(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         with pytest.raises(ValueError, match="bucket 1"):
             split_by_cohort([im for im in train if im.cohort <= 50], SplitSpec("cohort", (50.0,)))
 
     def test_partition_and_cohort_monotonicity(self):
-        train, _ = generate_dataset_for_cohorts(CFG, EXP2, SEED)
+        train, _ = generate_dataset(CFG, EXP2, SEED)
         shards = split_by_cohort(train, SplitSpec("cohort", EXP2.boundaries))
         assert sum(s.sample_count for s in shards) == len(train)
         ids = [id(im) for s in shards for im in s.images]
@@ -261,26 +259,25 @@ class TestSplitByCohort:
             assert max(im.cohort for im in low.images) < min(im.cohort for im in high.images)
 
     def test_empty_bucket_error_names_bucket(self):
-        train, _ = generate_dataset(CFG, SEED)
+        train, _ = generate_dataset(CFG, UNIFORM, SEED)
         with pytest.raises(ValueError, match="bucket 0"):
             split_by_cohort([im for im in train if im.cohort > 20],
                             SplitSpec("cohort", (1e-9, 20.0)))
 
     def test_expected_count_mismatch_rejected(self):
-        train, _ = generate_dataset_for_cohorts(CFG, EXP2, SEED)
+        train, _ = generate_dataset(CFG, EXP2, SEED)
         with pytest.raises(ValueError, match="do not match"):
             split_by_cohort(train, SplitSpec("cohort", EXP2.boundaries, (9, 5, 2, 1, 3)))
 
     def test_targeted_generation_deterministic(self):
-        a_train, a_test = generate_dataset_for_cohorts(CFG, EXP2, SEED)
-        b_train, b_test = generate_dataset_for_cohorts(CFG, EXP2, SEED)
+        a_train, a_test = generate_dataset(CFG, EXP2, SEED)
+        b_train, b_test = generate_dataset(CFG, EXP2, SEED)
         assert image_facts(a_train) == image_facts(b_train)
         assert image_facts(a_test) == image_facts(b_test)
 
     def test_counts_must_sum_to_num_train(self):
         with pytest.raises(ValueError, match="num_train=20"):
-            generate_dataset_for_cohorts(
-                CFG, SplitSpec("cohort", EXP2.boundaries, (5, 9, 2, 1, 4)), SEED)
+            generate_dataset(CFG, SplitSpec("cohort", EXP2.boundaries, (5, 9, 2, 1, 4)), SEED)
 
 
 @settings(max_examples=60, deadline=None)
@@ -295,7 +292,7 @@ def test_targeted_generation_lands_every_count(boundaries, counts, seed):
     split whose buckets are at least a quarter wide, on the first draw."""
     split = SplitSpec("cohort", boundaries, tuple(counts[: len(boundaries) + 1]))
     cfg = GenConfig(num_train=sum(split.counts), num_test=1, height=4, width=4)
-    train, _ = generate_dataset_for_cohorts(cfg, split, seed)
+    train, _ = generate_dataset(cfg, split, seed)
     buckets = np.searchsorted(boundaries, [im.cohort for im in train], side="left")
     assert np.bincount(buckets, minlength=len(split.counts)).tolist() == list(split.counts)
     assert [s.sample_count for s in split_by_cohort(train, split)] == list(split.counts)

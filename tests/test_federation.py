@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 from conftest import StubNode, record_frames, specs_by_param_count
 
-from peerfed.data import DatasetShard, GenConfig, generate_dataset, split_uniform
+from peerfed.data import DatasetShard, GenConfig, SplitSpec, generate_dataset, split_uniform
 from peerfed.federation import (
     ClientNode,
     ClientState,
@@ -51,7 +51,7 @@ def scalar_weights(value: float) -> ModelWeights:
 
 
 def build_clients(n_clients: int, init_seed: int = 5):
-    train, _ = generate_dataset(CFG, 1)
+    train, _ = generate_dataset(CFG, SplitSpec(), 1)
     shards = split_uniform(train, n_clients, seed=3)
     w0 = init_model(SPEC, init_seed)
     return [

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import peerfed
 from peerfed.model import _BLOCK_ROWS as BLOCK
-from peerfed.model import _TRANSPOSE_MIN_ROWS as TRANSPOSE_ROWS
+from peerfed.model import _TRANSPOSE_MIN_WORK, _transposes_grad
 from peerfed.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -283,6 +283,18 @@ def _weights_and_batch(
     return ModelWeights(spec, params), pixels, rng.integers(0, spec.num_classes, size=n)
 
 
+def transpose_edges(spec: ModelSpec) -> list[int]:
+    """The row counts on each side of the first that transposes a layer's
+    weight gradient, for each layer of spec whose gradient ever is."""
+    edges = []
+    for fan_in, fan_out in spec.layer_dims():
+        first = _TRANSPOSE_MIN_WORK // (fan_in * fan_out) + 1
+        if _transposes_grad(first, fan_in, fan_out):
+            assert not _transposes_grad(first - 1, fan_in, fan_out)
+            edges += [first - 1, first, first + 1]
+    return edges
+
+
 # (input_dim, hidden_dims, num_classes) for the reference-equality test.
 REFERENCE_SPECS = [
     (4, (), 4), (4, (512,), 4), (4, (16, 8, 4), 4), (4, (64, 64), 4),
@@ -312,9 +324,7 @@ class TestScratchBuffers:
         # leave a 1-row tail, which must not run as a block of its own, and
         # BLOCK + 2 a 2-row tail, which changes the bits of a 64-term product.
         block_edges = [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1]
-        # From TRANSPOSE_ROWS rows on, a narrow weight gradient is transposed.
-        transpose_edges = [TRANSPOSE_ROWS - 1, TRANSPOSE_ROWS, TRANSPOSE_ROWS + 1]
-        for step, n in enumerate([1024, 64, 1, 1024, 2048, *block_edges, *transpose_edges]):
+        for step, n in enumerate([1024, 64, 1, 1024, 2048, *block_edges, *transpose_edges(spec)]):
             w, pixels, labels = _weights_and_batch(spec, n, seed=step)
             loss, grad = loss_and_grad(w, pixels, labels)
             logits = forward(w, pixels)
@@ -326,6 +336,13 @@ class TestScratchBuffers:
         # Later calls must leave every array an earlier call returned as it was.
         for grad, grad_bytes, logits, logits_bytes in earlier:
             assert grad.tobytes() == grad_bytes and logits.tobytes() == logits_bytes
+
+    def test_transposed_gradient_past_the_small_matrix_bound(self):
+        # The [512] model's 512 -> 4 gradient turns at 489 rows; a wider
+        # fan_in turns sooner, a narrower one later.
+        assert transpose_edges(ModelSpec(4, (512,), 4)) == [488, 489, 490]
+        assert not _transposes_grad(244, 1024, 4) and _transposes_grad(245, 1024, 4)
+        assert not _transposes_grad(3906, 64, 4) and _transposes_grad(3907, 64, 4)
 
     def test_overflow_at_a_dead_unit_is_rejected_like_the_reference(self):
         # Hidden unit 1 never fires (weight 0, bias -1), and delta @ w.T is

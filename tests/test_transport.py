@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import logging
 import socket
@@ -13,7 +14,7 @@ import warnings
 import numpy as np
 import pytest
 from conftest import StubNode, record_frames
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from peerfed import transport as transport_module
@@ -772,6 +773,77 @@ class TestTcpTransport:
         finally:
             transport.close()
             thread.join(timeout=5)
+
+    # The patched timeout and the thread check hold across every example.
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        fetch=st.booleans(),
+        fault=st.sampled_from(["whole", "cut short", "byte-flipped", "extra bytes", "nothing"]),
+        at=st.integers(0, 200),
+        flip=st.integers(1, 255),
+        extra=st.binary(min_size=1, max_size=8),
+        then_close=st.booleans(),
+    )
+    def test_a_misbehaving_peer_gives_a_reply_or_a_transport_error(
+            self, monkeypatch, fetch, fault, at, flip, extra, then_close):
+        """A peer reads one request and answers with a valid frame, whole or
+        damaged, or not at all, then closes or stalls. The request returns
+        what a whole, valid frame says or raises a TransportError, in time."""
+        monkeypatch.setattr(transport_module, "DEFAULT_TIMEOUT_S", 0.2)
+        params = np.linspace(-1.0, 1.0, 5)
+        sent = {}
+        stalled = threading.Event()
+        listener = socket.create_server(("127.0.0.1", 0))
+        listener.settimeout(2)
+
+        def serve():
+            with listener:
+                conn, _ = listener.accept()
+            with conn:
+                conn.settimeout(2)
+                request = sent["request"] = decode(read_frame(conn))
+                frame = encode(WeightsResponse(1, request.request_id, 3, params)
+                               if isinstance(request, WeightsRequest)
+                               else PingResponse(1, request.request_id, 7))
+                i = at % len(frame)
+                sent["bytes"] = data = {
+                    "whole": frame,
+                    "cut short": frame[:i],
+                    "byte-flipped": frame[:i] + bytes([frame[i] ^ flip]) + frame[i + 1:],
+                    "extra bytes": frame + extra,
+                    "nothing": b"",
+                }[fault]
+                with contextlib.suppress(OSError):  # a client that timed out has gone
+                    conn.sendall(data)
+                if not then_close:
+                    stalled.wait(timeout=2)
+
+        thread = threading.Thread(target=serve)
+        thread.start()
+        transport = TcpTransport(0, [PeerAddress(1, f"127.0.0.1:{listener.getsockname()[1]}")])
+        start = time.monotonic()
+        try:
+            got = transport.fetch_weights(0, 1) if fetch else transport.ping(0, 1)
+        except TransportError:
+            got = None
+        finally:
+            elapsed = time.monotonic() - start
+            transport.close()
+            stalled.set()
+            thread.join(timeout=5)
+        assert not thread.is_alive()
+        assert elapsed < 0.2 + 1.0
+        if got is not None:  # the reply is the whole frame at the head of the bytes sent
+            data = sent["bytes"]
+            (length,) = struct.unpack_from("<I", data)
+            reply = decode(data[: 4 + length])
+            assert (reply.sender, reply.request_id) == (1, sent["request"].request_id)
+            if fetch:
+                assert (got[0].tobytes(), got[1:]) == (reply.params.tobytes(),
+                                                      (reply.sample_count, 4 + length))
+            else:
+                assert got == reply.own_version
 
     def test_stop_with_open_connections_is_prompt(self):
         before = set(threading.enumerate())
