@@ -58,6 +58,7 @@ from .federation import (
 from .model import ModelSpec, ModelWeights, dice_score, init_model, predict
 from .seeding import derive_seed
 from .transport import (
+    DEFAULT_MAX_FRAME_BYTES,
     PeerAddress,
     PeerUnreachableError,
     SimTransport,
@@ -178,6 +179,11 @@ class ExperimentConfig:
             raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
         if self.mode == "braintorrent" and self.n_clients > 1 << 16:
             raise ValueError(f"n_clients {self.n_clients} > 65536 overflows the 16-bit sender field")
+        params = self.model.param_count()
+        frame = weights_frame_bytes(params) - 4  # what the length prefix counts
+        if self.mode == "braintorrent" and frame > DEFAULT_MAX_FRAME_BYTES:
+            raise ValueError(f"a model of {params} params needs a weights frame of {frame} "
+                             f"bytes, over the {DEFAULT_MAX_FRAME_BYTES}-byte frame cap")
         if self.rounds_fls < 1:
             raise ValueError(f"rounds_fls must be >= 1, got {self.rounds_fls}")
         if self.base_lr <= 0:

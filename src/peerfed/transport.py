@@ -28,7 +28,7 @@ that chunk, copying the params out of it once.
 
 from __future__ import annotations
 
-import contextlib
+import errno
 import itertools
 import logging
 import selectors
@@ -398,13 +398,16 @@ class TcpPeerServer:
     One thread serves every connection through a selector and never blocks
     on one. A connection carries one request at a time, in one buffer; the
     event it is registered for says whether it is reading a request or
-    sending the reply. A reply goes out with a non-blocking send, and the
-    connection is not read until the rest has gone out. So a connection
-    that is idle, half-sent or not reading its replies holds only its
-    buffer. A connection is dropped on EOF, on a length prefix above
+    sending the reply. Every reply goes out through _send without
+    blocking, and the connection is not read until the rest, a view of the
+    encoded frame, has gone out. So a connection that is idle, half-sent or
+    not reading its replies holds only its buffer or its reply. A
+    connection is dropped on EOF, on a length prefix above
     DEFAULT_MAX_FRAME_BYTES, on bytes after its one request, or after an
     ErrorMessage reply to an undecodable frame. sent_versions maps each
-    sender to the version of its last ping reply that went out whole.
+    sender to the version of its last ping reply that went out whole. While
+    the process is out of file descriptors, the listener is not watched
+    until a connection is dropped.
 
     The node's snapshot lock makes each read coherent while the owner
     thread trains and commits.
@@ -444,6 +447,7 @@ class TcpPeerServer:
             return
         for key in list(keys.values()):
             key.fileobj.close()
+        self._listener.close()  # unwatched while out of descriptors
         self._selector.close()
         self._wake_w.close()
 
@@ -458,7 +462,7 @@ class TcpPeerServer:
                     continue
                 step = self._answer if key.events == selectors.EVENT_READ else self._send
                 try:
-                    keep = step(conn, key.data)
+                    keep = step(key, key.data)  # False drops the connection
                 except (OSError, TransportError):  # reset, a frame over the cap or out of step
                     keep = False
                 except Exception:  # a fault answering one client must not stop the rest
@@ -467,52 +471,50 @@ class TcpPeerServer:
                 if not keep:
                     self._selector.unregister(conn)
                     conn.close()
+                    if self._listener not in self._selector.get_map():  # a descriptor is free
+                        self._selector.register(self._listener, selectors.EVENT_READ)
 
     def _accept(self) -> None:
         try:
             conn, _ = self._listener.accept()
-        except OSError:  # the client gave up before it was accepted
-            return
+        except OSError as exc:
+            if exc.errno in (errno.EMFILE, errno.ENFILE):  # watched again after a drop
+                self._selector.unregister(self._listener)
+            return  # or the client gave up before it was accepted
         conn.setblocking(False)
         conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         self._selector.register(conn, selectors.EVENT_READ, bytearray())
 
-    def _answer(self, conn: socket.socket, buffer: bytearray) -> bool:
-        """Read conn's request into buffer; once it is whole, send the
-        reply, keeping in buffer only what did not go out. False drops conn."""
-        chunk = conn.recv(_RECV_BYTES)
+    def _answer(self, key: selectors.SelectorKey, buffer: bytearray) -> bool:
+        """Read a request into buffer and, once it is whole, hand its reply to _send."""
+        chunk = key.fileobj.recv(_RECV_BYTES)
         if not chunk:
             return False
         if (frame := take_frame(buffer, chunk)) is None:
             return True
         try:
             message = decode(frame)
-        except ProtocolError as exc:
-            conn.send(encode(reply_to(self.node, self.client_index, exc)))
+        except ProtocolError as exc:  # one best-effort reply before the drop
+            key.fileobj.send(encode(reply_to(self.node, self.client_index, exc)))
             return False
         reply = self.respond(message)
-        frame = encode(reply)
-        try:
-            done = conn.send(frame)
-        except BlockingIOError:  # no room for a byte yet
-            done = 0
         sent = {message.sender: reply.own_version} if type(reply) is PingResponse else {}
-        if done == len(frame):
-            self.sent_versions.update(sent)
-        else:
-            buffer += memoryview(frame)[done:]
-            self._selector.modify(conn, selectors.EVENT_WRITE, (buffer, sent))
-        return True
+        return self._send(key, (memoryview(encode(reply)), sent, buffer))
 
-    def _send(self, conn: socket.socket, pending: tuple[bytearray, dict[int, int]]) -> bool:
-        """Send what is left of conn's reply without blocking; once it is
-        all out, record it in sent_versions and read conn's next request."""
-        buffer, sent = pending
-        with contextlib.suppress(BlockingIOError):  # no room for a byte yet
-            del buffer[:conn.send(buffer)]
-        if not buffer:
-            self.sent_versions.update(sent)
-            self._selector.modify(conn, selectors.EVENT_READ, buffer)
+    def _send(self, key: selectors.SelectorKey, pending: tuple) -> bool:
+        """Send what the socket takes of the reply and wait to write the rest;
+        once it is all out, record it in sent_versions and read the next request."""
+        reply, sent, buffer = pending
+        try:
+            reply = reply[key.fileobj.send(reply):]
+        except BlockingIOError:  # no room for a byte yet
+            pass
+        if reply:
+            self._selector.modify(key.fileobj, selectors.EVENT_WRITE, (reply, sent, buffer))
+            return True
+        self.sent_versions.update(sent)
+        if key.events != selectors.EVENT_READ:
+            self._selector.modify(key.fileobj, selectors.EVENT_READ, buffer)
         return True
 
     def respond(self, message: Message) -> Message:

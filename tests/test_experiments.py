@@ -199,6 +199,17 @@ class TestConfig:
             ExperimentConfig(mode="braintorrent", n_clients=65537,
                              data=GenConfig(num_train=65537, height=4, width=4))
 
+    def test_a_model_too_large_for_one_weights_frame_rejected(self):
+        # Its weights frame would be 72,240,052 bytes, over the 64 MiB cap a
+        # peer reads; a server round sends no weights frame.
+        big = ModelSpec(FEATURE_CHANNELS, (3000, 3000), 4)
+        with pytest.raises(ValueError, match="9030004 params needs a weights frame "
+                                             "of 72240052 bytes, over the 67108864-byte"):
+            ExperimentConfig(mode="braintorrent", model=big)
+        assert ExperimentConfig(mode="fls", model=big).model == big
+        fits = ModelSpec(FEATURE_CHANNELS, (2800, 2800), 4)
+        assert ExperimentConfig(mode="braintorrent", model=fits).model.param_count() == 7_868_004
+
     @pytest.mark.parametrize("path, value", [
         ("bt_warmup", "false"),
         ("n_clients", 2.5),

@@ -2,22 +2,34 @@
 
 from __future__ import annotations
 
+import collections
 import contextlib
 import hashlib
+import itertools
 import logging
+import os
+import select
+import selectors
 import socket
 import struct
+import subprocess
+import sys
 import threading
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 from conftest import StubNode, record_frames
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, invariant, precondition, rule
 
 from peerfed import transport as transport_module
+from peerfed.data import DatasetShard, GenConfig, SplitSpec, generate_dataset
+from peerfed.federation import ClientNode, ClientState, VersionVector
+from peerfed.model import ModelSpec, ModelWeights
 from peerfed.transport import (
     DEFAULT_MAX_FRAME_BYTES,
     ERR_BAD_REQUEST,
@@ -30,6 +42,7 @@ from peerfed.transport import (
     TAG_WEIGHTS_RESPONSE,
     ErrorMessage,
     IncompleteFrameError,
+    Message,
     OversizeFrameError,
     PeerAddress,
     PeerUnreachableError,
@@ -47,6 +60,7 @@ from peerfed.transport import (
     encode,
     parse_peer_table,
     read_frame,
+    reply_to,
     weights_frame_bytes,
 )
 
@@ -329,6 +343,29 @@ def raw_connection(server) -> socket.socket:
     sock.settimeout(5)
     sock.connect(("127.0.0.1", server.port))
     return sock
+
+
+# A peer server in a process that may hold as many descriptors as argv[1]
+# says. It prints its port, then its CPU time for each line read on stdin;
+# at EOF it stops and prints its listener's descriptor, -1 once closed.
+OUT_OF_DESCRIPTORS_SERVER = """
+import resource, sys, time
+from peerfed.transport import TcpPeerServer
+
+class Node:
+    def version_entry(self):
+        return 7
+
+_, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
+resource.setrlimit(resource.RLIMIT_NOFILE, (int(sys.argv[1]), hard))
+server = TcpPeerServer(Node(), 1, "127.0.0.1", 0)
+server.start()
+print(server.port, flush=True)
+for _ in sys.stdin:
+    print(time.process_time(), flush=True)
+server.stop()
+print(server._listener.fileno(), flush=True)
+"""
 
 
 def has_ipv6_loopback() -> bool:
@@ -672,12 +709,13 @@ class TestTcpTransport:
         params = np.random.default_rng(5).normal(size=500_000)
         server = TcpPeerServer(StubNode(version=4, params=params, sample_count=2),
                                1, "127.0.0.1", 0)
-        resumed = []  # bytes of the reply still to send at each resumed send
+        resumed = []  # bytes of the reply still to send at each send on a write event
         send = server._send
 
-        def counted(conn, pending):
-            resumed.append(len(pending[0]))
-            return send(conn, pending)
+        def counted(key, pending):
+            if key.events == selectors.EVENT_WRITE:
+                resumed.append(len(pending[0]))
+            return send(key, pending)
 
         server._send = counted
         server.start()
@@ -845,6 +883,63 @@ class TestTcpTransport:
             else:
                 assert got == reply.own_version
 
+    def test_a_server_out_of_descriptors_waits_for_a_drop_without_spinning(self, monkeypatch):
+        # The server's process may hold 32 descriptors, about 24 of them for
+        # connections, so its accept fails with EMFILE while the 30 clients
+        # connect and the rest of them wait in the listen backlog.
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.Popen([sys.executable, "-c", OUT_OF_DESCRIPTORS_SERVER, "32"], env=env,
+                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+        def reply_line() -> str:
+            ready, _, _ = select.select([proc.stdout], [], [], 5.0)
+            assert ready, "the server process did not answer"
+            return proc.stdout.readline()
+
+        def cpu_s() -> float:
+            proc.stdin.write("cpu\n")
+            proc.stdin.flush()
+            return float(reply_line())
+
+        def connect(n: int) -> list[socket.socket]:
+            new = [socket.create_connection(("127.0.0.1", port), timeout=2) for _ in range(n)]
+            time.sleep(0.3)  # the server accepts what it can
+            return new
+
+        clients = []
+        try:
+            port = int(reply_line())
+            clients = connect(30)
+            before = cpu_s()
+            time.sleep(1.0)
+            assert cpu_s() - before < 0.2, "the server spun while out of descriptors"
+
+            for sock in clients[:20]:
+                sock.close()
+            monkeypatch.setattr(transport_module, "DEFAULT_TIMEOUT_S", 2.0)
+            transport = TcpTransport(0, [PeerAddress(1, f"127.0.0.1:{port}")])
+            start = time.monotonic()
+            try:
+                assert transport.ping(0, 1) == 7
+            finally:
+                transport.close()
+            assert time.monotonic() - start < 2.0
+
+            clients += connect(20)  # out of descriptors again when it stops
+            proc.stdin.close()
+            assert reply_line() == "-1\n", "stop() left the listener open"
+        finally:
+            for sock in clients:
+                sock.close()
+            if not proc.stdin.closed:
+                proc.stdin.close()
+            try:
+                assert proc.wait(timeout=5) == 0
+            finally:
+                proc.kill()
+                proc.stdout.close()
+
     def test_stop_with_open_connections_is_prompt(self):
         before = set(threading.enumerate())
         server = self.start_server(StubNode())
@@ -859,6 +954,276 @@ class TestTcpTransport:
         finally:
             idle.close()
             transport.close()
+
+
+def open_fds() -> int:
+    return len(os.listdir("/proc/self/fd"))
+
+
+SERVED_SPEC = ModelSpec(4, (1000,), 4)  # 9,004 params: a 72,052-byte weights frame
+
+
+def served_state(version: int, shard: DatasetShard) -> ClientState:
+    """Client 1's state at its own version `version`, with params that
+    change with every version."""
+    params = np.linspace(-1.0, 1.0, SERVED_SPEC.param_count()) + version
+    return ClientState(1, ModelWeights(SERVED_SPEC, params),
+                       VersionVector(np.array([0, version])), shard)
+
+
+class RawClient:
+    """A connection to the server with small socket buffers, and what it
+    waits to read."""
+
+    def __init__(self, port: int, sender: int):
+        self.sender = sender
+        self.sock = socket.socket()
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        self.sock.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+        self.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        self.sock.settimeout(2.0)
+        self.sock.connect(("127.0.0.1", port))
+        self.port = self.sock.getsockname()[1]
+        self.requests = 0  # requests sent that the server answers
+        self.waiting = collections.deque()  # (request, node version when sent), oldest first
+        self.received = bytearray()  # the start of the reply being read
+        self.last_ping = None  # the version of the last ping reply read whole
+        self.ending = None  # what the server sends before it drops the connection
+        self.half_closed = False
+
+    def open(self) -> bool:
+        return not self.half_closed and self.ending is None
+
+    def has_more(self) -> bool:
+        return bool(self.waiting) or not self.open()
+
+
+class PeerServerMachine(RuleBasedStateMachine):
+    """One TcpPeerServer over a ClientNode, and 2-3 raw clients that send
+    requests whole or in pieces, send garbage, stop reading and resume,
+    half-close or close, while the node commits new versions."""
+
+    def __init__(self):
+        super().__init__()
+        self.fds = open_fds()
+        train, _ = generate_dataset(GenConfig(num_train=2, num_test=1, height=4, width=4),
+                                    SplitSpec(), 0)
+        self.shard = DatasetShard(1, train)
+        self.version = 0
+        self.node = ClientNode(served_state(0, self.shard))
+        self.server = TcpPeerServer(self.node, 1, "127.0.0.1", 0)
+        # Each accepted connection inherits the least send buffer the kernel
+        # takes, and the kernel then does not grow it: a weights reply, or
+        # some 500 ping replies, that its client does not read fill the buffers.
+        self.server._listener.setsockopt(socket.SOL_SOCKET, socket.SO_SNDBUF, 1)
+        # Kept by the server thread around each _send: the replies begun on
+        # each connection (by the client's port), what sent_versions must
+        # hold, and the first time it did not. A reply is recorded once it
+        # went out whole, that is, once its connection reads again.
+        self.begun: collections.Counter[int] = collections.Counter()
+        self.recorded: dict[int, int] = {}
+        self.fault: str | None = None
+        send = self.server._send
+
+        def checked(key, pending):
+            self.note("before a send")
+            if key.events == selectors.EVENT_READ:  # from _answer
+                self.begun[key.fileobj.getpeername()[1]] += 1
+            try:
+                keep = send(key, pending)
+            except Exception:
+                self.note("after a failed send")
+                raise
+            if self.server._selector.get_key(key.fileobj).events == selectors.EVENT_READ:
+                self.recorded.update(pending[1])
+            self.note("after a send")
+            return keep
+
+        self.server._send = checked
+        self.server.start()
+        self.senders = itertools.count(10)
+        self.request_ids = itertools.count(1)
+        self.clients: dict[int, RawClient] = {}
+        for _ in range(2):
+            self.connect()
+
+    def note(self, when: str) -> None:
+        if self.fault is None and self.server.sent_versions != self.recorded:
+            self.fault = f"sent_versions {self.server.sent_versions} {when}, expected {self.recorded}"
+
+    def can_send(self, client: RawClient, wait_s: float = 0.0) -> bool:
+        """Open, and the server has begun to answer every request sent, so
+        read it: a request it had not read could reach it together with the
+        next one, and the connection would be dropped."""
+        deadline = time.monotonic() + wait_s
+        while self.begun[client.port] < client.requests:
+            if time.monotonic() >= deadline:
+                return False
+            time.sleep(0)
+        return client.open()
+
+    def idle(self, client: RawClient) -> bool:
+        return self.can_send(client) and not client.waiting
+
+    def client(self, data, wanted) -> RawClient:
+        return data.draw(st.sampled_from([c for c in self.clients.values() if wanted(c)]))
+
+    def send(self, client: RawClient, request: Message, frame: bytes = b"") -> None:
+        """Send request, or frame if given, that the server answers."""
+        client.requests += 1
+        client.waiting.append((request, self.version))
+        client.sock.sendall(frame or encode(request))
+
+    def match_replies(self, client: RawClient) -> None:
+        """Match each whole reply client.received holds to its request."""
+        while len(client.received) >= 4:
+            end = 4 + struct.unpack_from("<I", client.received)[0]
+            assert end <= weights_frame_bytes(SERVED_SPEC.param_count()), "an oversize reply"
+            if len(client.received) < end:
+                return
+            frame = bytes(client.received[:end])
+            del client.received[:end]
+            if not client.waiting:  # the error reply to an undecodable frame
+                assert frame == client.ending, "a reply that no request asked for"
+                client.ending = b""
+                continue
+            request, since = client.waiting.popleft()
+            assert any(frame == encode(reply_to(ClientNode(served_state(v, self.shard)), 1, request))
+                       for v in range(since, self.version + 1)), f"a wrong reply to {request}"
+            if isinstance(request, PingRequest):
+                client.last_ping = decode(frame).own_version
+
+    @precondition(lambda self: len(self.clients) < 3)
+    @rule()
+    def connect(self):
+        client = RawClient(self.server.port, next(self.senders))
+        self.clients[client.sender] = client
+
+    @precondition(lambda self: any(map(self.can_send, self.clients.values())))
+    @rule(data=st.data(), ping=st.booleans(), how=st.sampled_from(["whole", "bytes", "cuts"]))
+    def send_request(self, data, ping, how):
+        client = self.client(data, self.can_send)
+        request = (PingRequest if ping else WeightsRequest)(client.sender, next(self.request_ids))
+        frame = encode(request)
+        cuts = []
+        if how == "bytes":
+            cuts = list(range(1, len(frame)))
+        elif how == "cuts":
+            cuts = sorted(data.draw(st.sets(st.integers(1, len(frame) - 1), max_size=4)))
+        self.send(client, request, frame[:cuts[0]] if cuts else frame)
+        for start, end in zip(cuts, cuts[1:] + [len(frame)]):
+            if how == "cuts":
+                time.sleep(0.001)
+            client.sock.sendall(frame[start:end])
+
+    @precondition(lambda self: any(map(self.can_send, self.clients.values())))
+    @rule(data=st.data(), commits=st.booleans())
+    def ping_until_the_buffers_fill(self, data, commits):
+        """Send pings, each once the server has read the last one, and read
+        no reply, until the server stops reading: its last ping reply then
+        waits to go out, whole or in part. With commits, the node commits
+        before each ping, so that each reply carries a version of its own."""
+        client = self.client(data, self.can_send)
+        for _ in range(2000):
+            if not self.can_send(client, wait_s=0.02):
+                return
+            if commits:
+                self.commit()
+            self.send(client, PingRequest(client.sender, next(self.request_ids)))
+
+    @precondition(lambda self: any(map(self.idle, self.clients.values())))
+    @rule(data=st.data(), kind=st.sampled_from(["frame", "short", "oversize", "two requests"]))
+    def send_garbage(self, data, kind):
+        client = self.client(data, self.idle)
+        if kind == "oversize":
+            frame, client.ending = struct.pack("<I", DEFAULT_MAX_FRAME_BYTES + 1), b""
+        elif kind == "two requests":
+            frame = (encode(PingRequest(client.sender, next(self.request_ids)))
+                     + encode(WeightsRequest(client.sender, next(self.request_ids))))
+            client.ending = b""
+        else:  # a whole frame: any header from this sender and any payload, or too short
+            body = data.draw(st.binary(max_size=HEADER_BYTES - 1))
+            if kind == "frame":
+                body = struct.pack("<BHQB", data.draw(st.integers(0, 2)), client.sender,
+                                   data.draw(st.integers(0, 2**64 - 1)),
+                                   data.draw(st.integers(0, 6))) + data.draw(st.binary(max_size=24))
+            frame = struct.pack("<I", len(body)) + body
+            try:
+                return self.send(client, decode(frame), frame)
+            except ProtocolError as exc:
+                client.ending = encode(reply_to(self.node, 1, exc))
+        client.sock.sendall(frame)
+
+    @precondition(lambda self: any(c.has_more() for c in self.clients.values()))
+    @rule(data=st.data(), limit=st.one_of(st.just(0), st.integers(1, 80_000)))
+    def read_replies(self, data, limit):
+        """Read at most limit bytes, or with limit 0 all the client waits for."""
+        client = self.client(data, RawClient.has_more)
+        while True:
+            chunk = client.sock.recv(limit or 65536)
+            if not chunk:
+                assert not client.waiting and not client.received, "dropped with a reply due"
+                assert client.ending in (None, b""), "dropped before its error reply"
+                assert not client.open(), "dropped unasked"
+                self.clients.pop(client.sender).sock.close()
+                return
+            client.received += chunk
+            self.match_replies(client)
+            if limit or not client.has_more():
+                return
+
+    @precondition(lambda self: any(map(self.can_send, self.clients.values())))
+    @rule(data=st.data())
+    def half_close(self, data):
+        client = self.client(data, self.can_send)
+        client.sock.shutdown(socket.SHUT_WR)
+        client.half_closed = True
+
+    @precondition(lambda self: self.clients)
+    @rule(data=st.data())
+    def close(self, data):
+        client = self.client(data, lambda c: True)
+        self.clients.pop(client.sender).sock.close()
+
+    @rule()
+    def commit(self):
+        self.version += 1
+        self.node.commit(served_state(self.version, self.shard))
+
+    @invariant()
+    def a_fresh_ping_is_answered_at_once(self):
+        request = PingRequest(99, next(self.request_ids))
+        start = time.monotonic()
+        with socket.create_connection(("127.0.0.1", self.server.port), timeout=1.0) as sock:
+            sock.sendall(encode(request))
+            reply = decode(read_frame(sock))
+        assert time.monotonic() - start < 1.0
+        assert reply == PingResponse(1, request.request_id, self.version)
+
+    @invariant()
+    def sent_versions_holds_only_replies_sent_whole(self):
+        assert self.fault is None, self.fault
+        for client in self.clients.values():
+            if client.last_ping is None or any(
+                    isinstance(r, PingRequest) for r, _ in client.waiting):
+                continue
+            deadline = time.monotonic() + 1.0  # recorded once the server's send returns
+            while self.server.sent_versions.get(client.sender) != client.last_ping:
+                assert time.monotonic() < deadline, "a ping reply read whole is not recorded"
+                time.sleep(0.001)
+
+    def teardown(self):
+        for client in self.clients.values():
+            client.sock.close()
+        stopper = threading.Thread(target=self.server.stop, daemon=True)
+        stopper.start()
+        stopper.join(timeout=2.0)
+        assert not stopper.is_alive(), "stop() did not return"
+        assert open_fds() == self.fds
+
+TestPeerServerMachine = PeerServerMachine.TestCase
+TestPeerServerMachine.settings = settings(max_examples=25, stateful_step_count=20,
+                                          deadline=None)
 
 
 class TestPeerTable:
