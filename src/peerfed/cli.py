@@ -15,15 +15,12 @@ from .experiments import (
     SWEEPS,
     ExperimentConfig,
     build_dataset,
-    build_shards,
-    check_tcp_peer_inputs,
     manifest_config,
     read_json,
     run_summary,
     run_sweep,
     run_tcp_peer,
     run_training,
-    sweep_configs,
     write_table,
 )
 from .transport import TransportError, parse_peer_table
@@ -73,8 +70,9 @@ def _cell(value) -> str:
 
 def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None]:
     """The run's config, from --config or a manifest with the overrides
-    applied, and, for one TCP peer, its peer table. Bad input raises
-    ValueError, or OSError for a file that cannot be read.
+    applied, and, for one TCP peer, its peer table. A bad command line or
+    file raises ValueError, or OSError for a file that cannot be read; the
+    runners check the rest before they make --out.
     """
     if args.experiment and (args.peers is not None or args.self_index is not None):
         raise ValueError("--experiment runs in one process; it takes no --peers or --self-index")
@@ -85,22 +83,13 @@ def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None
         raise ValueError("a TCP peer needs both --peers and --self-index")
     cfg = _apply_overrides(_load_config(args.config) if args.from_manifest is None
                            else manifest_config(args.from_manifest), args)
-    if args.experiment:
-        sweep_configs(args.experiment, cfg)  # ValueError if the sweep cannot use cfg
-    elif cfg.split.kind == "cohort":
-        build_shards(cfg, build_dataset(cfg)[0])  # ValueError if a bucket draws no image
-    if args.peers is None:
-        return cfg, None
-    peers = parse_peer_table(read_json(args.peers))
-    check_tcp_peer_inputs(cfg, args.self_index, peers)
+    peers = None if args.peers is None else parse_peer_table(read_json(args.peers))
     return cfg, peers
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     try:
         cfg, peers = _run_inputs(args)
-        if args.out:
-            Path(args.out).mkdir(parents=True, exist_ok=True)
         # The model's own finite checks stop a run that overflows, with a
         # ValueError; numpy's floating-point warnings would only precede it.
         with np.errstate(all="ignore"):

@@ -223,14 +223,10 @@ def split_uniform(train: list[SegImage], n_clients: int, seed: int) -> list[Data
     """Randomly partition images into near-equal shards (sizes differ by at most 1).
 
     A remainder goes to the lowest-index clients, so 20 images over 7
-    clients yields sizes [3, 3, 3, 3, 3, 3, 2].
+    clients yields sizes [3, 3, 3, 3, 3, 3, 2]. n_clients is at least 1, as
+    ExperimentConfig checks; more clients than images leave a shard empty,
+    which DatasetShard refuses.
     """
-    if n_clients < 1:
-        raise ValueError(f"n_clients must be >= 1, got {n_clients}")
-    if n_clients > len(train):
-        raise ValueError(
-            f"cannot split {len(train)} images across {n_clients} clients without empty shards"
-        )
     order = np.random.default_rng(seed).permutation(len(train))
     base, extra = divmod(len(train), n_clients)
     shards = []

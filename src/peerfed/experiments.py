@@ -350,6 +350,8 @@ def run_training(
     started_at = datetime.now(timezone.utc).isoformat()
 
     clients, params, test = _start(cfg)
+    if out_dir is not None:  # a path that cannot be a directory fails before any training
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
     nodes = [ClientNode(c) for c in clients]
     transport = SimTransport(
         nodes,
@@ -519,8 +521,8 @@ def run_summary(result: RunResult) -> list[str]:
 
 
 def write_run_outputs(result: RunResult, out_dir: Path, started_at: str) -> None:
-    """Persist metrics (canonical), a reproduction manifest, and a report."""
-    out_dir.mkdir(parents=True, exist_ok=True)
+    """Persist metrics (canonical), a reproduction manifest, and a report
+    into out_dir, which run_training has made."""
     (out_dir / "metrics.csv").write_text(metrics_to_csv(result.records))
     (out_dir / "metrics.json").write_text(metrics_to_json(result.records))
 
@@ -694,19 +696,6 @@ def _wait_until(ready, what: str) -> None:
         time.sleep(POLL_S)
 
 
-def check_tcp_peer_inputs(cfg: ExperimentConfig, self_index: int,
-                          peers: list[PeerAddress]) -> None:
-    """ValueError unless cfg, self_index and peers make a TCP peer run."""
-    if cfg.mode != "braintorrent":
-        raise ValueError("TCP peers run the peer-to-peer protocol only")
-    indices = sorted(p.client_index for p in peers)
-    if indices != list(range(cfg.n_clients)):
-        raise ValueError(f"peer table client indices {indices} are not "
-                         f"0..{cfg.n_clients - 1}, one entry each")
-    if not 0 <= self_index < cfg.n_clients:
-        raise ValueError(f"self_index {self_index} is not in 0..{cfg.n_clients - 1}")
-
-
 def run_tcp_peer(
     cfg: ExperimentConfig,
     self_index: int,
@@ -715,17 +704,25 @@ def run_tcp_peer(
 ) -> Path:
     """Run one peer process of a serialized-schedule peer-protocol training.
 
-    Binds the peer's endpoint first (ValueError naming it if that fails).
-    Every process derives the same data, shards, initial weights and
-    schedule(cfg) from the config. A round this peer initiates runs, and
-    runs again after a transport fault (rounds are atomic), once pings
-    show every peer at the versions of the steps before it, so the final
-    weights match a simulated run bit for bit. The peer stops once every
-    other peer has reached its final version and been sent this peer's
-    final version in a ping reply. A wait that outlasts ROUND_DEADLINE_S
-    ends the run with a TransportError.
+    ValueError unless cfg, self_index and peers make a TCP peer run. Then
+    it binds the peer's endpoint (ValueError naming it if that fails),
+    draws the data and makes out_dir. Every process derives the same
+    data, shards, initial weights and schedule(cfg) from the config. A
+    round this peer initiates runs, and runs again after a transport fault
+    (rounds are atomic), once pings show every peer at the versions of the
+    steps before it, so the final weights match a simulated run bit for
+    bit. The peer stops once every other peer has reached its final
+    version and been sent this peer's final version in a ping reply. A
+    wait that outlasts ROUND_DEADLINE_S ends the run with a TransportError.
     """
-    check_tcp_peer_inputs(cfg, self_index, peers)
+    if cfg.mode != "braintorrent":
+        raise ValueError("TCP peers run the peer-to-peer protocol only")
+    indices = sorted(p.client_index for p in peers)
+    if indices != list(range(cfg.n_clients)):
+        raise ValueError(f"peer table client indices {indices} are not "
+                         f"0..{cfg.n_clients - 1}, one entry each")
+    if not 0 <= self_index < cfg.n_clients:
+        raise ValueError(f"self_index {self_index} is not in 0..{cfg.n_clients - 1}")
     address = next(p for p in peers if p.client_index == self_index)
     node = ClientNode(None)  # given its state before the server starts answering
     try:
@@ -734,8 +731,8 @@ def run_tcp_peer(
         raise ValueError(f"cannot listen on {address.endpoint}: {exc}") from None
     transport = TcpTransport(self_index, peers)
     try:
-        Path(out_dir).mkdir(parents=True, exist_ok=True)
         clients, params, _ = _start(cfg)
+        Path(out_dir).mkdir(parents=True, exist_ok=True)
         node.commit(clients[self_index])
         params = replace(params, on_unreachable="abort")
         server.start()

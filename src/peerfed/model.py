@@ -342,10 +342,8 @@ def adam_step(
     """Bias-corrected Adam update number `step` (from 1) from the moments m
     and v; returns new weights, m and v and leaves its inputs as they were.
     Each textbook expression keeps its order of operations, worked in place
-    in two scratch vectors besides the m, v and params it returns."""
-    if not np.isfinite(grad).all():
-        raise ValueError("non-finite gradient")
-
+    in two scratch vectors besides the m, v and params it returns. A
+    gradient with an inf or a NaN gives NaN weights, which it refuses."""
     term = np.multiply(grad, 1.0 - ADAM_BETA1)
     m = np.multiply(m, ADAM_BETA1)
     m += term  # m = beta1 * m + (1 - beta1) * grad
@@ -406,10 +404,6 @@ def fine_tune(
 
 def lr_schedule(update_round: int, base_lr: float) -> float:
     """Learning rate for a client's own update round: halved every 4 rounds."""
-    if update_round < 0:
-        raise ValueError(f"update_round must be >= 0, got {update_round}")
-    if base_lr <= 0.0:
-        raise ValueError(f"base_lr must be > 0, got {base_lr}")
     return base_lr * 0.5 ** (update_round // 4)
 
 

@@ -44,6 +44,7 @@ HEADER_BYTES = 12  # version + sender + request_id + tag
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 DEFAULT_TIMEOUT_S = 10.0  # how long a client waits to connect or for a reply
 _RECV_BYTES = 64 * 1024
+_REWATCH_S = 0.1  # how long a server out of file descriptors leaves its listener unwatched
 
 _log = logging.getLogger(__name__)
 
@@ -406,8 +407,8 @@ class TcpPeerServer:
     DEFAULT_MAX_FRAME_BYTES, on bytes after its one request, or after an
     ErrorMessage reply to an undecodable frame. sent_versions maps each
     sender to the version of its last ping reply that went out whole. While
-    the process is out of file descriptors, the listener is not watched
-    until a connection is dropped.
+    the process is out of file descriptors, the listener is not watched:
+    the loop waits at most _REWATCH_S, then watches it again.
 
     The node's snapshot lock makes each read coherent while the owner
     thread trains and commits.
@@ -453,7 +454,11 @@ class TcpPeerServer:
 
     def _serve(self) -> None:
         while True:
-            for key, _ in self._selector.select():
+            watched = self._listener in self._selector.get_map()
+            ready = self._selector.select(None if watched else _REWATCH_S)
+            if not watched:  # a descriptor may have come free since the accept failed
+                self._selector.register(self._listener, selectors.EVENT_READ)
+            for key, _ in ready:
                 conn = key.fileobj
                 if conn is self._wake_r:
                     return
@@ -471,14 +476,12 @@ class TcpPeerServer:
                 if not keep:
                     self._selector.unregister(conn)
                     conn.close()
-                    if self._listener not in self._selector.get_map():  # a descriptor is free
-                        self._selector.register(self._listener, selectors.EVENT_READ)
 
     def _accept(self) -> None:
         try:
             conn, _ = self._listener.accept()
         except OSError as exc:
-            if exc.errno in (errno.EMFILE, errno.ENFILE):  # watched again after a drop
+            if exc.errno in (errno.EMFILE, errno.ENFILE):  # watched again after _REWATCH_S
                 self._selector.unregister(self._listener)
             return  # or the client gave up before it was accepted
         conn.setblocking(False)

@@ -12,6 +12,7 @@ from conftest import free_ports
 
 from peerfed import cli, experiments
 from peerfed.cli import main
+from peerfed.experiments import build_dataset
 
 
 @pytest.fixture
@@ -52,7 +53,7 @@ def test_run_out_under_a_regular_file_fails_before_training(tmp_path, config_pat
     def no_training(*args, **kwargs):
         raise AssertionError("trained although --out cannot be made")
 
-    monkeypatch.setattr(cli, "run_training", no_training)
+    monkeypatch.setattr(experiments, "fls_round", no_training)
     blocker = tmp_path / "file"
     blocker.write_text("")
     assert main(["run", "--config", str(config_path), "--out", str(blocker / "run")]) == 2
@@ -128,6 +129,7 @@ def test_run_requires_config_or_manifest(capsys):
     ("cohort_boundary_past_100_with_counts", "strictly inside (0, 100)"),
     ("cohort_empty_bucket", "counts [3, 3, 0] must each be >= 1"),
     ("cohort_bucket_draws_no_image", "cohort bucket 0 (-inf, 1.0] contains no images"),
+    ("tcp_peer_cohort_bucket_draws_no_image", "cohort bucket 0 (-inf, 1.0] contains no images"),
     ("cohort_draw_misses_a_one_ulp_bucket", "sizes [3, 1, 2] do not match expected [2, 2, 2]"),
     ("config_repeats_a_key", "c.json: repeated key 'mode'"),
     ("manifest_repeats_a_key", "m.json: repeated key 'config'"),
@@ -147,9 +149,9 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
 
     deep = write("deep.json", "[" * 100_000)
 
-    def cohort(n_clients, boundaries, counts=None):
+    def cohort(n_clients, boundaries, counts=None, mode="fls"):
         split = {"kind": "cohort", "boundaries": boundaries, "counts": counts or []}
-        text = json.dumps({**cfg, "n_clients": n_clients, "split": split})
+        text = json.dumps({**cfg, "mode": mode, "n_clients": n_clients, "split": split})
         return ["run", "--config", write("c.json", text)]
 
     argv = {
@@ -200,6 +202,11 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "cohort_boundary_past_100_with_counts": lambda: cohort(3, [50.0, 150.0], [2, 2, 2]),
         "cohort_empty_bucket": lambda: cohort(3, [20.0, 40.0], [3, 3, 0]),
         "cohort_bucket_draws_no_image": lambda: cohort(3, [1.0, 2.0]),
+        "tcp_peer_cohort_bucket_draws_no_image": lambda: [
+            *cohort(3, [1.0, 2.0], mode="braintorrent"), "--self-index", "0",
+            "--peers", write("p.json", json.dumps([
+                {"client_index": i, "endpoint": f"127.0.0.1:{port}"}
+                for i, port in enumerate(free_ports(3))]))],
         "cohort_draw_misses_a_one_ulp_bucket": lambda: cohort(
             3, [1.0, 1.0000000000000002], [2, 2, 2]),
         "config_repeats_a_key": lambda: ["run", "--config", write(
@@ -220,13 +227,36 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
     assert not (tmp_path / "out").exists()
 
 
-def test_tcp_peer_whose_port_is_taken_is_a_one_line_error(tmp_path, config_path, capsys,
-                                                          monkeypatch):
-    def no_data(*args, **kwargs):
-        raise AssertionError("generated data although the endpoint cannot be bound")
+COHORT_SPLIT = {"kind": "cohort", "boundaries": [33.0, 66.0], "counts": [2, 2, 2]}
 
-    monkeypatch.setattr(experiments, "build_dataset", no_data)
-    cfg = {**json.loads(config_path.read_text()), "mode": "braintorrent"}
+
+def count_dataset_draws(monkeypatch) -> list:
+    """Count every build_dataset call, made through cli or experiments."""
+    calls = []
+
+    def counted(cfg):
+        calls.append(cfg)
+        return build_dataset(cfg)
+
+    for module in (cli, experiments):
+        monkeypatch.setattr(module, "build_dataset", counted)
+    return calls
+
+
+def test_cohort_run_draws_its_data_once(tmp_path, config_path, capsys, monkeypatch):
+    cfg = {**json.loads(config_path.read_text()), "split": COHORT_SPLIT}
+    (tmp_path / "c.json").write_text(json.dumps(cfg))
+    calls = count_dataset_draws(monkeypatch)
+    assert main(["run", "--config", str(tmp_path / "c.json"),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("split", [{"kind": "uniform"}, COHORT_SPLIT], ids=["uniform", "cohort"])
+def test_tcp_peer_whose_port_is_taken_is_a_one_line_error(tmp_path, config_path, capsys,
+                                                          monkeypatch, split):
+    calls = count_dataset_draws(monkeypatch)
+    cfg = {**json.loads(config_path.read_text()), "mode": "braintorrent", "split": split}
     (tmp_path / "bt.json").write_text(json.dumps(cfg))
     with socket.create_server(("127.0.0.1", 0)) as taken:
         endpoint = f"127.0.0.1:{taken.getsockname()[1]}"
@@ -241,6 +271,7 @@ def test_tcp_peer_whose_port_is_taken_is_a_one_line_error(tmp_path, config_path,
     assert captured.out == ""
     assert captured.err.startswith(f"error: cannot listen on {endpoint}: ")
     assert captured.err.count("\n") == 1
+    assert calls == [], "drew data although the endpoint cannot be bound"
 
 
 def test_tcp_peer_that_gives_up_is_a_one_line_error(tmp_path, config_path, capsys,

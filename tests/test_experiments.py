@@ -6,12 +6,13 @@ import hashlib
 import json
 import os
 import platform
+import socket
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import record_frames, record_trajectory
+from conftest import free_ports, record_frames, record_trajectory
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -514,11 +515,21 @@ class TestMetricsFiles:
         assert "wall_time" not in metrics_to_csv(self.records())
 
 
+def unloadable_library(path):
+    raise OSError(f"{path}: cannot open shared object file")
+
+
 class TestManifest:
     def test_outputs_written(self, tmp_path):
         run_training(small_cfg(), out_dir=tmp_path / "run")
         for name in ("metrics.csv", "metrics.json", "manifest.json", "report.txt"):
             assert (tmp_path / "run" / name).exists()
+
+    def test_rejected_cohort_split_makes_no_out_dir(self, tmp_path):
+        cfg = small_cfg(n_clients=3, split=SplitSpec("cohort", (1.0, 2.0)))
+        with pytest.raises(ValueError, match="contains no images"):
+            run_training(cfg, out_dir=tmp_path / "run")
+        assert not (tmp_path / "run").exists()
 
     def test_manifest_rerun_reproduces_metrics_bitwise(self, tmp_path):
         run_training(small_cfg(mode="braintorrent"), out_dir=tmp_path / "a")
@@ -556,8 +567,10 @@ class TestManifest:
         assert env["cpu_count"] == os.cpu_count()
         assert env["affinity_cpus"] is None or 1 <= env["affinity_cpus"] <= env["cpu_count"]
 
-    def test_corename_is_null_without_an_openblas_symbol(self, monkeypatch):
-        monkeypatch.setattr(experiments.ctypes, "CDLL", lambda path: object())
+    @pytest.mark.parametrize("cdll", [lambda path: object(), unloadable_library],
+                             ids=["no_symbol", "no_library"])
+    def test_corename_is_null_without_an_openblas_symbol(self, monkeypatch, cdll):
+        monkeypatch.setattr(experiments.ctypes, "CDLL", cdll)
         assert experiments.run_environment()["blas"]["corename"] is None
 
     def test_manifest_config_rejects_a_manifest_without_one(self, tmp_path):
@@ -674,6 +687,30 @@ class TestScheduleHelpers:
         peers = [PeerAddress(i, f"127.0.0.1:{9000 + i}") for i in range(4)]
         with pytest.raises(ValueError, match="peer-to-peer protocol only"):
             run_tcp_peer(small_cfg(mode="fls"), 0, peers, tmp_path)
+
+    def test_tcp_peer_rejecting_a_cohort_split_makes_no_out_dir_and_frees_its_port(
+            self, tmp_path):
+        cfg = small_cfg(mode="braintorrent", n_clients=3,
+                        split=SplitSpec("cohort", (1.0, 2.0)))
+        peers = [PeerAddress(i, f"127.0.0.1:{port}") for i, port in enumerate(free_ports(3))]
+        with pytest.raises(ValueError, match="contains no images"):
+            run_tcp_peer(cfg, 0, peers, tmp_path / "peer")
+        assert not (tmp_path / "peer").exists()
+        socket.create_server(peers[0].host_port()).close()  # the peer closed its listener
+
+    def test_tcp_peer_whose_out_dir_cannot_be_made_fails_before_training(
+            self, tmp_path, monkeypatch):
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained although out_dir cannot be made")
+
+        monkeypatch.setattr(experiments, "local_update", no_training)
+        monkeypatch.setattr(experiments, "run_initiator_round", no_training)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        peers = [PeerAddress(i, f"127.0.0.1:{port}") for i, port in enumerate(free_ports(3))]
+        with pytest.raises(OSError):
+            run_tcp_peer(small_cfg(mode="braintorrent", n_clients=3), 0, peers, blocker / "peer")
+        socket.create_server(peers[0].host_port()).close()  # the peer closed its listener
 
     def test_wait_until_retries_after_protocol_error(self, monkeypatch):
         monkeypatch.setattr(experiments, "POLL_S", 0.0)

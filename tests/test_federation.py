@@ -140,14 +140,6 @@ class TestWeightedAverage:
             out = weighted_average(entries)
             assert out.params.tobytes() == naive.tobytes()
 
-    def test_empty_list_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_average([])
-
-    def test_nonpositive_count_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_average([(scalar_weights(1.0), 0)])
-
 
 class TestFlsRound:
     def test_single_client_server_equals_fine_tuned_client(self):
@@ -222,10 +214,6 @@ class TestPingAndStaleness:
         v_old = VersionVector(np.array([0, 0, 0, 0, 0]))
         v_new = VersionVector(np.array([0, 1, 1, 0, 0]))
         assert select_stale_peers(v_old, v_new) == {1, 2}
-
-    def test_select_length_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            select_stale_peers(VersionVector(np.zeros(2, int)), VersionVector(np.zeros(3, int)))
 
     def test_unreachable_peer_skipped_not_stale(self):
         clients = build_clients(3)
@@ -446,8 +434,3 @@ class TestAggregateAllClients:
         assert aggregate_all_clients(clients, weighted=True).params[0] == 3.0
         assert aggregate_all_clients(clients, weighted=False).params[0] == 2.0
 
-
-class TestVersionVector:
-    def test_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            VersionVector(np.array([0, -1]))

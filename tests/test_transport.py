@@ -346,26 +346,85 @@ def raw_connection(server) -> socket.socket:
 
 
 # A peer server in a process that may hold as many descriptors as argv[1]
-# says. It prints its port, then its CPU time for each line read on stdin;
-# at EOF it stops and prints its listener's descriptor, -1 once closed.
+# says. It prints its port, then one line for each line read on stdin:
+# after "fill", how many /dev/null handles it opened to take every free
+# descriptor; after "free", whether its listener was unwatched (waiting up
+# to 2 s for that) before it closed them; else its CPU time. At EOF it
+# stops and prints its listener's descriptor, -1 once closed.
 OUT_OF_DESCRIPTORS_SERVER = """
-import resource, sys, time
+import os, resource, sys, time
 from peerfed.transport import TcpPeerServer
 
 class Node:
     def version_entry(self):
         return 7
 
+def listener_watched():
+    return server._listener in server._selector.get_map()
+
 _, hard = resource.getrlimit(resource.RLIMIT_NOFILE)
 resource.setrlimit(resource.RLIMIT_NOFILE, (int(sys.argv[1]), hard))
 server = TcpPeerServer(Node(), 1, "127.0.0.1", 0)
 server.start()
 print(server.port, flush=True)
-for _ in sys.stdin:
-    print(time.process_time(), flush=True)
+held = []
+for line in sys.stdin:
+    if line.strip() == "fill":
+        try:
+            while True:
+                held.append(open(os.devnull))
+        except OSError:
+            print(len(held), flush=True)
+    elif line.strip() == "free":
+        deadline = time.monotonic() + 2.0
+        while listener_watched() and time.monotonic() < deadline:
+            time.sleep(0.01)
+        unwatched = not listener_watched()
+        for handle in held:
+            handle.close()
+        held.clear()
+        print(unwatched, flush=True)
+    else:
+        print(time.process_time(), flush=True)
 server.stop()
 print(server._listener.fileno(), flush=True)
 """
+
+
+@contextlib.contextmanager
+def out_of_descriptors_server(limit: int):
+    """Run OUT_OF_DESCRIPTORS_SERVER under an RLIMIT_NOFILE of limit. Yields
+    its port and a function that sends it a command line ("cpu", "fill" or
+    "free"; None closes its stdin, which stops the server) and returns the
+    line it answers, waiting at most 5 s."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-c", OUT_OF_DESCRIPTORS_SERVER, str(limit)],
+                            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
+
+    def reply_line() -> str:
+        ready, _, _ = select.select([proc.stdout], [], [], 5.0)
+        assert ready, "the server process did not answer"
+        return proc.stdout.readline()
+
+    def command(line: str | None) -> str:
+        if line is None:
+            proc.stdin.close()
+        else:
+            proc.stdin.write(line + "\n")
+            proc.stdin.flush()
+        return reply_line()
+
+    try:
+        yield int(reply_line()), command
+    finally:
+        if not proc.stdin.closed:
+            proc.stdin.close()
+        try:
+            assert proc.wait(timeout=5) == 0
+        finally:
+            proc.kill()
+            proc.stdout.close()
 
 
 def has_ipv6_loopback() -> bool:
@@ -887,58 +946,50 @@ class TestTcpTransport:
         # The server's process may hold 32 descriptors, about 24 of them for
         # connections, so its accept fails with EMFILE while the 30 clients
         # connect and the rest of them wait in the listen backlog.
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [str(Path(__file__).parent.parent / "src"), os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.Popen([sys.executable, "-c", OUT_OF_DESCRIPTORS_SERVER, "32"], env=env,
-                                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True)
-
-        def reply_line() -> str:
-            ready, _, _ = select.select([proc.stdout], [], [], 5.0)
-            assert ready, "the server process did not answer"
-            return proc.stdout.readline()
-
-        def cpu_s() -> float:
-            proc.stdin.write("cpu\n")
-            proc.stdin.flush()
-            return float(reply_line())
-
         def connect(n: int) -> list[socket.socket]:
             new = [socket.create_connection(("127.0.0.1", port), timeout=2) for _ in range(n)]
             time.sleep(0.3)  # the server accepts what it can
             return new
 
         clients = []
-        try:
-            port = int(reply_line())
-            clients = connect(30)
-            before = cpu_s()
-            time.sleep(1.0)
-            assert cpu_s() - before < 0.2, "the server spun while out of descriptors"
-
-            for sock in clients[:20]:
-                sock.close()
-            monkeypatch.setattr(transport_module, "DEFAULT_TIMEOUT_S", 2.0)
-            transport = TcpTransport(0, [PeerAddress(1, f"127.0.0.1:{port}")])
-            start = time.monotonic()
+        with out_of_descriptors_server(32) as (port, command):
             try:
-                assert transport.ping(0, 1) == 7
-            finally:
-                transport.close()
-            assert time.monotonic() - start < 2.0
+                clients = connect(30)
+                before = float(command("cpu"))
+                time.sleep(1.0)
+                assert float(command("cpu")) - before < 0.2, \
+                    "the server spun while out of descriptors"
 
-            clients += connect(20)  # out of descriptors again when it stops
-            proc.stdin.close()
-            assert reply_line() == "-1\n", "stop() left the listener open"
-        finally:
-            for sock in clients:
-                sock.close()
-            if not proc.stdin.closed:
-                proc.stdin.close()
-            try:
-                assert proc.wait(timeout=5) == 0
+                for sock in clients[:20]:
+                    sock.close()
+                monkeypatch.setattr(transport_module, "DEFAULT_TIMEOUT_S", 2.0)
+                transport = TcpTransport(0, [PeerAddress(1, f"127.0.0.1:{port}")])
+                start = time.monotonic()
+                try:
+                    assert transport.ping(0, 1) == 7
+                finally:
+                    transport.close()
+                assert time.monotonic() - start < 2.0
+
+                clients += connect(20)  # out of descriptors again when it stops
+                assert command(None) == "-1\n", "stop() left the listener open"
             finally:
-                proc.kill()
-                proc.stdout.close()
+                for sock in clients:
+                    sock.close()
+
+    def test_a_server_out_of_descriptors_with_no_connection_accepts_once_one_is_free(self):
+        """The process's other handles take every descriptor while the server
+        holds no connection, so no drop can free one. The connection it
+        could not accept is served once the process gives them back."""
+        with out_of_descriptors_server(32) as (port, command):
+            assert int(command("fill")) > 0
+            with socket.create_connection(("127.0.0.1", port), timeout=2.0) as client:
+                assert command("free") == "True\n", "the server's accept did not fail"
+                start = time.monotonic()
+                client.sendall(encode(PingRequest(0, 1)))
+                assert decode(read_frame(client)) == PingResponse(1, 1, 7)
+                assert time.monotonic() - start < 2.0
+            assert command(None) == "-1\n", "stop() left the listener open"
 
     def test_stop_with_open_connections_is_prompt(self):
         before = set(threading.enumerate())
