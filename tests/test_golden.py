@@ -152,21 +152,31 @@ def _cpu_flags() -> set[str]:
             for flag in line.split(":", 1)[1].split()}
 
 
+# Each rerun of the bit checks, as (OPENBLAS_CORETYPE, OPENBLAS_NUM_THREADS):
+# another kernel than this CPU's with one thread, or this CPU's own (None)
+# with two.
+RERUNS = {"Haswell": ("Haswell", "1"), "Sandybridge": ("Sandybridge", "1"),
+          "two_threads": (None, "2")}
+
+
 @pytest.mark.slow
-@pytest.mark.parametrize("kernel", sorted(OTHER_KERNELS))
+@pytest.mark.parametrize("kernel", sorted(RERUNS))
 def test_bits_hold_under_another_openblas_kernel(kernel):
     """The reference-equality tests and the digests above, with OpenBLAS
-    forced onto another kernel: the model's bit-exact rewrites must hold
-    for every kernel it may run on, not only this CPU's.
+    forced onto another kernel, or on this CPU's kernel with two threads:
+    the model's bit-exact rewrites must hold for every kernel and thread
+    count it may run on, not only the one-thread tier-1 run on this CPU.
     """
     if platform.machine().lower() not in ("x86_64", "amd64") or blas_corename() is None:
         pytest.skip("numpy's BLAS is not OpenBLAS on x86-64")
-    if OTHER_KERNELS[kernel] not in _cpu_flags():
-        pytest.skip(f"this CPU lacks {OTHER_KERNELS[kernel]}, which {kernel} kernels need")
+    coretype, threads = RERUNS[kernel]
+    if coretype and OTHER_KERNELS[coretype] not in _cpu_flags():
+        pytest.skip(f"this CPU lacks {OTHER_KERNELS[coretype]}, which {coretype} kernels need")
     tests = Path(__file__).resolve().parent
     package_root = Path(peerfed.__file__).resolve().parents[1]
-    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": kernel,
-           "PYTHONPATH": str(package_root)}
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": str(package_root)}
+    if coretype:
+        env["OPENBLAS_CORETYPE"] = coretype
     done = subprocess.run(
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
          f"{tests / 'test_model.py'}::TestScratchBuffers",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 import os
 import subprocess
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 
 import peerfed
 from peerfed.model import _BLOCK_ROWS as BLOCK
-from peerfed.model import _TRANSPOSE_MIN_WORK, _transposes_grad
+from peerfed.model import _BLOCK_MAX_TERMS, _TRANSPOSE_MIN_WORK, _row_blocks, _transposes_grad
 from peerfed.model import (
     ADAM_BETA1,
     ADAM_BETA2,
@@ -303,7 +304,20 @@ REFERENCE_SPECS = [
     # weight gradient (fan_out 4 or 8, a fan_in that is a larger multiple of 8).
     (3, (12,), 4), (4, (12,), 4), (8, (16,), 4), (6, (8,), 2),
     (4, (16, 9), 4), (4, (8,), 3), (2, (24, 10), 8),
+    # Hidden widths that are not a multiple of 8, which `_row_blocks` runs
+    # whole: SkylakeX's small-matrix kernel sums a row block of such a
+    # product in another order (both gave other logits and gradients at
+    # 1,024 and 2,048 rows while they were blocked).
+    (4, (500,), 4), (6, (481,), 6),
 ]
+
+# A hidden width, drawn half from multiples of 8 (which `_row_blocks` may
+# block) and half from the rest (which it runs whole).
+HIDDEN_WIDTHS = st.one_of(st.integers(1, 64).map(lambda k: 8 * k),
+                          st.integers(1, 520).filter(lambda d: d % 8))
+# Row counts: each side of the block edges, and anything up to 2,100.
+ROW_COUNTS = st.one_of(st.sampled_from([BLOCK - 1, BLOCK + 1, 2 * BLOCK + 1]),
+                       st.integers(1, 2100))
 
 
 class TestScratchBuffers:
@@ -336,6 +350,41 @@ class TestScratchBuffers:
         # Later calls must leave every array an earlier call returned as it was.
         for grad, grad_bytes, logits, logits_bytes in earlier:
             assert grad.tobytes() == grad_bytes and logits.tobytes() == logits_bytes
+
+    @settings(max_examples=60, deadline=None)
+    @given(input_dim=st.integers(1, 8),
+           hidden_dims=st.lists(HIDDEN_WIDTHS, min_size=1, max_size=3),
+           num_classes=st.integers(2, 9), row_counts=st.lists(ROW_COUNTS, min_size=1, max_size=3),
+           seed=st.integers(0, 2**16))
+    def test_random_specs_equal_the_reference(
+        self, input_dim, hidden_dims, num_classes, row_counts, seed
+    ):
+        spec = ModelSpec(input_dim, tuple(hidden_dims), num_classes)
+        for n in row_counts:
+            w, pixels, labels = _weights_and_batch(spec, n, seed)
+            loss, grad = loss_and_grad(w, pixels, labels)
+            ref_loss, ref_grad = reference_loss_and_grad(w, pixels, labels)
+            assert np.float64(loss).tobytes() == np.float64(ref_loss).tobytes()
+            assert grad.tobytes() == ref_grad.tobytes()
+            assert forward(w, pixels).tobytes() == reference_forward(w, pixels).tobytes()
+
+    def test_row_blocks_cover_every_row_once(self):
+        for n in range(1, 301):
+            for terms, width in itertools.product((1, 4, _BLOCK_MAX_TERMS, _BLOCK_MAX_TERMS + 1),
+                                                  (1, 8, 500, 512)):
+                blocks = _row_blocks(n, terms, width)
+                rows = [range(n)[block] for block in blocks]
+                assert sorted(r for block in rows for r in block) == list(range(n))
+                assert all(len(block) > 1 for block in rows) or n == 1
+                if terms > _BLOCK_MAX_TERMS or width % 8:
+                    assert blocks == [slice(0, n)], (n, terms, width)
+                else:
+                    # Last to first, in full blocks but for the last rows'
+                    # (a 1-row tail joins the block before it).
+                    assert [block.start for block in rows] == sorted(
+                        (block.start for block in rows), reverse=True)
+                    assert all(len(block) == BLOCK for block in rows[1:])
+                    assert len(rows[0]) <= BLOCK + 1
 
     def test_transposed_gradient_past_the_small_matrix_bound(self):
         # The [512] model's 512 -> 4 gradient turns at 489 rows; a wider
