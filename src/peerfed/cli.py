@@ -5,13 +5,11 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from .experiments import (
-    MODES,
     SWEEPS,
     ExperimentConfig,
     build_dataset,
@@ -28,23 +26,6 @@ from .transport import TransportError, parse_peer_table
 
 def _load_config(path: str) -> ExperimentConfig:
     return ExperimentConfig.from_dict(read_json(path))
-
-
-def _apply_overrides(cfg: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    if args.mode:
-        cfg = replace(cfg, mode=args.mode)
-    if args.clients is not None:
-        cfg = replace(cfg, n_clients=args.clients)
-    if args.rounds is not None:
-        cfg = replace(cfg, rounds_fls=args.rounds)
-    seed_overrides = {
-        name: getattr(args, f"seed_{name}")
-        for name in ("data", "init", "shuffle", "initiator")
-        if getattr(args, f"seed_{name}") is not None
-    }
-    if seed_overrides:
-        cfg = replace(cfg, seeds=replace(cfg.seeds, **seed_overrides))
-    return cfg
 
 
 def _error(exc: Exception) -> int:
@@ -69,20 +50,17 @@ def _cell(value) -> str:
 
 
 def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None]:
-    """The run's config, from --config or a manifest with the overrides
-    applied, and, for one TCP peer, its peer table. A bad command line or
-    file raises ValueError, or OSError for a file that cannot be read; the
-    runners check the rest before they make --out.
+    """The run's config, from --config or a manifest as written, and, for
+    one TCP peer, its peer table. A bad command line or file raises
+    ValueError, or OSError for a file that cannot be read; the runners check
+    the rest before they make --out.
     """
     if args.experiment and (args.peers is not None or args.self_index is not None):
         raise ValueError("--experiment runs in one process; it takes no --peers or --self-index")
-    if args.experiment and (args.mode is not None or args.clients is not None):
-        raise ValueError("--experiment sets the mode and clients of each of its runs; "
-                         "it takes no --mode or --clients")
     if (args.peers is None) != (args.self_index is None):
         raise ValueError("a TCP peer needs both --peers and --self-index")
-    cfg = _apply_overrides(_load_config(args.config) if args.from_manifest is None
-                           else manifest_config(args.from_manifest), args)
+    cfg = (_load_config(args.config) if args.from_manifest is None
+           else manifest_config(args.from_manifest))
     peers = None if args.peers is None else parse_peer_table(read_json(args.peers))
     return cfg, peers
 
@@ -192,16 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run a training or a full experiment sweep")
     run.add_argument("--config", help="JSON experiment config")
     run.add_argument("--from-manifest", help="take the config a run manifest records")
-    run.add_argument("--mode", choices=MODES)
-    run.add_argument("--clients", type=int)
-    run.add_argument("--rounds", type=int)
     run.add_argument("--out", help="output directory for metrics and manifest")
     run.add_argument("--peers", help="JSON peer table; with --self-index, run one TCP peer")
     run.add_argument("--self-index", type=int, help="this TCP peer's client index")
     run.add_argument("--experiment", choices=SWEEPS,
                      help="run a full experiment sweep instead of a single config")
-    for name in ("data", "init", "shuffle", "initiator"):
-        run.add_argument(f"--seed-{name}", type=int, dest=f"seed_{name}")
     run.set_defaults(func=cmd_run)
 
     dataset = sub.add_parser("dataset", help="print the data a config generates")

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import re
 import shutil
 import socket
 import warnings
@@ -63,22 +64,6 @@ def test_run_out_under_a_regular_file_fails_before_training(tmp_path, config_pat
     assert str(blocker) in captured.err
 
 
-def test_run_mode_and_seed_overrides(tmp_path, config_path):
-    plain = tmp_path / "plain"
-    assert main(["run", "--config", str(config_path), "--out", str(plain)]) == 0
-    # A manifest is a config source like --config and takes the same overrides.
-    for source in (["--config", str(config_path)],
-                   ["--from-manifest", str(plain / "manifest.json")]):
-        out = tmp_path / source[0].lstrip("-")
-        assert main([
-            "run", *source, "--mode", "braintorrent",
-            "--seed-initiator", "99", "--out", str(out),
-        ]) == 0
-        manifest = json.loads((out / "manifest.json").read_text())
-        assert manifest["config"]["mode"] == "braintorrent"
-        assert manifest["config"]["seeds"]["initiator"] == 99
-
-
 def test_run_from_manifest(tmp_path, config_path, capsys):
     out = tmp_path / "a"
     main(["run", "--config", str(config_path), "--out", str(out)])
@@ -86,6 +71,14 @@ def test_run_from_manifest(tmp_path, config_path, capsys):
                  "--out", str(tmp_path / "b")]) == 0
     assert (tmp_path / "a" / "metrics.csv").read_bytes() == \
         (tmp_path / "b" / "metrics.csv").read_bytes()
+
+
+def test_run_takes_no_flag_that_changes_a_config_value(capsys):
+    with pytest.raises(SystemExit):
+        main(["run", "--help"])
+    options = re.findall(r"^  (--[\w-]+)", capsys.readouterr().out, re.MULTILINE)
+    assert options == ["--config", "--from-manifest", "--out", "--peers", "--self-index",
+                       "--experiment"]
 
 
 def test_run_requires_config_or_manifest(capsys):
@@ -96,17 +89,12 @@ def test_run_requires_config_or_manifest(capsys):
 @pytest.mark.parametrize("case, message", [
     ("infinite_base_lr", "base_lr"),
     ("negative_init_seed", "seeds.init"),
-    ("negative_init_override", "seeds.init"),
-    ("zero_clients_override", "n_clients must be >= 1"),
-    ("zero_rounds_override", "rounds_fls must be >= 1"),
     ("missing_config", "absent.json"),
     ("peer_table_object", "peer table must be a JSON list"),
     ("self_index_out_of_range", "self_index 3"),
     ("peers_without_self_index", "needs both --peers and --self-index"),
     ("self_index_without_peers", "needs both --peers and --self-index"),
     ("experiment_with_peers", "--experiment runs in one process"),
-    ("experiment_with_mode", "it takes no --mode or --clients"),
-    ("experiment_with_clients", "it takes no --mode or --clients"),
     ("exp1_wrong_num_train", "needs num_train=20, got 6"),
     ("config_names_transport", "unknown config keys: ['transport']"),
     ("config_and_manifest", "exactly one of --config and --from-manifest"),
@@ -119,8 +107,17 @@ def test_run_requires_config_or_manifest(capsys):
     ("dataset_gen", "unrecognized arguments: gen"),
     ("no_subcommand", "required: command"),
     ("unknown_option", "unrecognized arguments: --transport tcp"),
-    ("unknown_mode", "invalid choice: 'gossip'"),
-    ("clients_not_an_int", "invalid int value: 'x'"),
+    ("unknown_mode", "unknown mode 'gossip'"),
+    ("clients_not_an_int", "n_clients must be int, got 'x'"),
+    # The flags that overrode config values before 0.9.0: a run takes its
+    # config as its file or manifest writes it.
+    ("mode_flag", "unrecognized arguments: --mode fls"),
+    ("clients_flag", "unrecognized arguments: --clients 3"),
+    ("rounds_flag", "unrecognized arguments: --rounds 2"),
+    ("seed_data_flag", "unrecognized arguments: --seed-data 5"),
+    ("seed_init_flag", "unrecognized arguments: --seed-init 5"),
+    ("seed_shuffle_flag", "unrecognized arguments: --seed-shuffle 5"),
+    ("seed_initiator_flag", "unrecognized arguments: --seed-initiator 5"),
     ("config_nested_too_deeply", "deep.json: maximum recursion depth"),
     ("manifest_nested_too_deeply", "deep.json: maximum recursion depth"),
     ("peers_nested_too_deeply", "deep.json: maximum recursion depth"),
@@ -158,9 +155,6 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "infinite_base_lr": lambda: ["run", "--config", write("c.json", '{"base_lr": Infinity}')],
         "negative_init_seed": lambda: ["run", "--config", write(
             "c.json", json.dumps({**cfg, "seeds": {"init": -1}}))],
-        "negative_init_override": lambda: [*run, "--seed-init", "-1"],
-        "zero_clients_override": lambda: [*run, "--clients", "0"],
-        "zero_rounds_override": lambda: [*run, "--rounds", "0"],
         "missing_config": lambda: ["run", "--config", str(tmp_path / "absent.json")],
         "peer_table_object": lambda: [*bt_run, "--self-index", "0",
                                       "--peers", write("p.json", '{"0": "127.0.0.1:1"}')],
@@ -171,9 +165,6 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "self_index_without_peers": lambda: [*bt_run, "--self-index", "0"],
         "experiment_with_peers": lambda: [
             *run, "--experiment", "exp2", "--peers", write("p.json", json.dumps(peers))],
-        "experiment_with_mode": lambda: [
-            *sweep_run, "--experiment", "exp1", "--mode", "braintorrent"],
-        "experiment_with_clients": lambda: [*sweep_run, "--experiment", "exp2", "--clients", "7"],
         "exp1_wrong_num_train": lambda: [*run, "--experiment", "exp1"],
         "config_names_transport": lambda: ["run", "--config", write(
             "c.json", json.dumps({**cfg, "transport": "tcp"}))],
@@ -192,8 +183,20 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "dataset_gen": lambda: ["dataset", "gen", "--config", str(config_path)],
         "no_subcommand": lambda: [],
         "unknown_option": lambda: [*run, "--transport", "tcp"],
-        "unknown_mode": lambda: [*run, "--mode", "gossip"],
-        "clients_not_an_int": lambda: [*run, "--clients", "x"],
+        "unknown_mode": lambda: ["run", "--config", write(
+            "c.json", json.dumps({**cfg, "mode": "gossip"}))],
+        "clients_not_an_int": lambda: ["run", "--config", write(
+            "c.json", json.dumps({**cfg, "n_clients": "x"}))],
+        "mode_flag": lambda: [*run, "--mode", "fls"],
+        "clients_flag": lambda: [*run, "--clients", "3"],
+        "rounds_flag": lambda: [*run, "--rounds", "2"],
+        "seed_data_flag": lambda: [
+            "run", "--from-manifest", write("m.json", json.dumps({"config": cfg})),
+            "--seed-data", "5"],
+        "seed_init_flag": lambda: [*run, "--seed-init", "5"],
+        "seed_shuffle_flag": lambda: [*run, "--seed-shuffle", "5"],
+        "seed_initiator_flag": lambda: [*sweep_run, "--experiment", "exp1",
+                                        "--seed-initiator", "5"],
         "config_nested_too_deeply": lambda: ["run", "--config", deep],
         "manifest_nested_too_deeply": lambda: ["run", "--from-manifest", deep],
         "peers_nested_too_deeply": lambda: [*bt_run, "--self-index", "0", "--peers", deep],
@@ -366,9 +369,11 @@ def test_report_rejects_a_bad_manifest(tmp_path, config_path, capsys, manifest, 
 
 
 def test_report_renders_and_writes_csv(tmp_path, config_path, capsys):
-    main(["run", "--config", str(config_path), "--out", str(tmp_path / "runs" / "r1")])
-    main(["run", "--config", str(config_path), "--mode", "pooled",
-          "--out", str(tmp_path / "runs" / "r2")])
+    pooled = tmp_path / "pooled.json"
+    pooled.write_text(json.dumps({**json.loads(config_path.read_text()), "mode": "pooled"}))
+    assert main(["run", "--config", str(config_path),
+                 "--out", str(tmp_path / "runs" / "r1")]) == 0
+    assert main(["run", "--config", str(pooled), "--out", str(tmp_path / "runs" / "r2")]) == 0
     assert main(["report", "--in", str(tmp_path / "runs")]) == 0
     out = capsys.readouterr().out
     assert "r1" in out and "pooled" in out

@@ -1,5 +1,6 @@
-"""The transport, TCP peer and benchmark-guard tests close every socket
-they open; the guard drives the benchmark's in-process TCP swarm."""
+"""The transport, TCP peer, CLI and benchmark-guard tests close every
+socket they open; the CLI tests and TestScheduleHelpers run TCP peers in
+this process, and the guard drives the benchmark's in-process TCP swarm."""
 
 from __future__ import annotations
 
@@ -24,7 +25,8 @@ def test_tcp_tests_leave_no_socket_unclosed():
         [sys.executable, "-X", "dev", "-W", "error::ResourceWarning", "-m", "pytest",
          "-q", "-p", "no:cacheprovider",
          "tests/test_transport.py", "tests/test_tcp_integration.py",
-         "tests/test_federation.py", "tests/test_bench_guard.py"],
+         "tests/test_federation.py", "tests/test_bench_guard.py",
+         "tests/test_cli.py", "tests/test_experiments.py::TestScheduleHelpers"],
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=300,
     )
     output = proc.stdout + proc.stderr

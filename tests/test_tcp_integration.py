@@ -4,15 +4,24 @@ test_acceptance.py runs them as separate processes."""
 
 from __future__ import annotations
 
+import hashlib
 import threading
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
+import test_golden
 from conftest import free_ports
 
 from peerfed import experiments
-from peerfed.experiments import ExperimentConfig, run_tcp_peer, run_training, schedule
+from peerfed.experiments import (
+    ExperimentConfig,
+    blas_corename,
+    run_tcp_peer,
+    run_training,
+    schedule,
+)
 from peerfed.transport import PeerAddress
 
 
@@ -68,6 +77,20 @@ def assert_matches_simulation(cfg: ExperimentConfig, params: list) -> None:
         assert p.tobytes() == sim.final_clients[i].weights.params.tobytes(), (
             f"client {i} weights diverge between TCP and simulated runs"
         )
+
+
+@pytest.mark.parametrize("name", ["braintorrent", "bt_eval_every_2"])
+def test_peers_write_the_golden_weights(name, tmp_path):
+    # Pinned like test_golden's weight digests, so that TCP peers and the
+    # simulation cannot drift together unnoticed.
+    kernel = blas_corename()
+    if kernel not in test_golden.WEIGHTS:
+        pytest.skip(f"no weight digests recorded for BLAS kernel {kernel!r}")
+    params = run_threaded_peers(replace(test_golden.BASE, **test_golden.RUNS[name][0]), tmp_path)
+    digest = hashlib.sha256()
+    for p in params:
+        digest.update(p.tobytes())
+    assert digest.hexdigest() == test_golden.WEIGHTS[kernel][name]
 
 
 @pytest.mark.slow

@@ -1024,7 +1024,14 @@ def served_state(version: int, shard: DatasetShard) -> ClientState:
 
 class RawClient:
     """A connection to the server with small socket buffers, and what it
-    waits to read."""
+    waits to read.
+
+    Only what the machine did decides which rules and clients a step may
+    draw, never how far the server thread got: else a replay could draw
+    from another list, which Hypothesis reports as a flaky strategy.
+    stalled is set once the server may stop reading the connection until
+    its client reads, and cleared once the client has read every reply.
+    """
 
     def __init__(self, port: int, sender: int):
         self.sender = sender
@@ -1038,12 +1045,20 @@ class RawClient:
         self.requests = 0  # requests sent that the server answers
         self.waiting = collections.deque()  # (request, node version when sent), oldest first
         self.received = bytearray()  # the start of the reply being read
+        self.unread = 0  # bytes due from the server that have not been read
+        self.stalled = False
         self.last_ping = None  # the version of the last ping reply read whole
         self.ending = None  # what the server sends before it drops the connection
         self.half_closed = False
 
     def open(self) -> bool:
         return not self.half_closed and self.ending is None
+
+    def can_send(self) -> bool:
+        return self.open() and not self.stalled
+
+    def idle(self) -> bool:
+        return self.can_send() and not self.waiting
 
     def has_more(self) -> bool:
         return bool(self.waiting) or not self.open()
@@ -1102,27 +1117,33 @@ class PeerServerMachine(RuleBasedStateMachine):
         if self.fault is None and self.server.sent_versions != self.recorded:
             self.fault = f"sent_versions {self.server.sent_versions} {when}, expected {self.recorded}"
 
-    def can_send(self, client: RawClient, wait_s: float = 0.0) -> bool:
-        """Open, and the server has begun to answer every request sent, so
-        read it: a request it had not read could reach it together with the
-        next one, and the connection would be dropped."""
+    def has_read_all(self, client: RawClient, wait_s: float) -> bool:
+        """Whether the server begins to answer every request client sent,
+        and so has read it, within wait_s."""
         deadline = time.monotonic() + wait_s
         while self.begun[client.port] < client.requests:
             if time.monotonic() >= deadline:
                 return False
             time.sleep(0)
-        return client.open()
+        return True
 
-    def idle(self, client: RawClient) -> bool:
-        return self.can_send(client) and not client.waiting
+    def settle(self, client: RawClient) -> None:
+        """Wait until the server has read every request of a client that is
+        not stalled: a request it had not read could reach it together with
+        the next one, or with a half-close."""
+        assert self.has_read_all(client, wait_s=2.0), "the server stopped reading a client"
 
     def client(self, data, wanted) -> RawClient:
         return data.draw(st.sampled_from([c for c in self.clients.values() if wanted(c)]))
 
     def send(self, client: RawClient, request: Message, frame: bytes = b"") -> None:
-        """Send request, or frame if given, that the server answers."""
+        """Send request, or frame if given, that the server answers. A weights
+        reply outgrows the socket buffers, so it stalls the client."""
+        self.settle(client)
         client.requests += 1
         client.waiting.append((request, self.version))
+        client.unread += len(encode(reply_to(self.node, 1, request)))
+        client.stalled |= isinstance(request, WeightsRequest)
         client.sock.sendall(frame or encode(request))
 
     def match_replies(self, client: RawClient) -> None:
@@ -1150,10 +1171,10 @@ class PeerServerMachine(RuleBasedStateMachine):
         client = RawClient(self.server.port, next(self.senders))
         self.clients[client.sender] = client
 
-    @precondition(lambda self: any(map(self.can_send, self.clients.values())))
+    @precondition(lambda self: any(c.can_send() for c in self.clients.values()))
     @rule(data=st.data(), ping=st.booleans(), how=st.sampled_from(["whole", "bytes", "cuts"]))
     def send_request(self, data, ping, how):
-        client = self.client(data, self.can_send)
+        client = self.client(data, RawClient.can_send)
         request = (PingRequest if ping else WeightsRequest)(client.sender, next(self.request_ids))
         frame = encode(request)
         cuts = []
@@ -1167,25 +1188,28 @@ class PeerServerMachine(RuleBasedStateMachine):
                 time.sleep(0.001)
             client.sock.sendall(frame[start:end])
 
-    @precondition(lambda self: any(map(self.can_send, self.clients.values())))
+    @precondition(lambda self: any(c.can_send() for c in self.clients.values()))
     @rule(data=st.data(), commits=st.booleans())
     def ping_until_the_buffers_fill(self, data, commits):
         """Send pings, each once the server has read the last one, and read
         no reply, until the server stops reading: its last ping reply then
         waits to go out, whole or in part. With commits, the node commits
-        before each ping, so that each reply carries a version of its own."""
-        client = self.client(data, self.can_send)
+        before each ping, so that each reply carries a version of its own.
+        The client is then stalled whether the server stopped or was only
+        slow, so that no later draw depends on which."""
+        client = self.client(data, RawClient.can_send)
         for _ in range(2000):
-            if not self.can_send(client, wait_s=0.02):
-                return
             if commits:
                 self.commit()
             self.send(client, PingRequest(client.sender, next(self.request_ids)))
+            if not self.has_read_all(client, wait_s=0.02):
+                break
+        client.stalled = True
 
-    @precondition(lambda self: any(map(self.idle, self.clients.values())))
+    @precondition(lambda self: any(c.idle() for c in self.clients.values()))
     @rule(data=st.data(), kind=st.sampled_from(["frame", "short", "oversize", "two requests"]))
     def send_garbage(self, data, kind):
-        client = self.client(data, self.idle)
+        client = self.client(data, RawClient.idle)
         if kind == "oversize":
             frame, client.ending = struct.pack("<I", DEFAULT_MAX_FRAME_BYTES + 1), b""
         elif kind == "two requests":
@@ -1203,30 +1227,38 @@ class PeerServerMachine(RuleBasedStateMachine):
                 return self.send(client, decode(frame), frame)
             except ProtocolError as exc:
                 client.ending = encode(reply_to(self.node, 1, exc))
+        client.unread += len(client.ending)
         client.sock.sendall(frame)
 
     @precondition(lambda self: any(c.has_more() for c in self.clients.values()))
     @rule(data=st.data(), limit=st.one_of(st.just(0), st.integers(1, 80_000)))
     def read_replies(self, data, limit):
-        """Read at most limit bytes, or with limit 0 all the client waits for."""
+        """Read limit bytes of the replies due, or with limit 0 all of them,
+        then, once all are read from a client that is not open, the drop. A
+        read with a limit leaves a stalled client a byte short, since how
+        many pings ping_until_the_buffers_fill sent depends on timing."""
         client = self.client(data, RawClient.has_more)
-        while True:
-            chunk = client.sock.recv(limit or 65536)
-            if not chunk:
-                assert not client.waiting and not client.received, "dropped with a reply due"
-                assert client.ending in (None, b""), "dropped before its error reply"
-                assert not client.open(), "dropped unasked"
-                self.clients.pop(client.sender).sock.close()
-                return
+        due = min(limit, client.unread - client.stalled) if limit else client.unread
+        while due:
+            chunk = client.sock.recv(due)
+            assert chunk or not client.ending, "dropped before its error reply"
+            assert chunk, "dropped with a reply due"
+            due -= len(chunk)
+            client.unread -= len(chunk)
             client.received += chunk
             self.match_replies(client)
-            if limit or not client.has_more():
-                return
+        if client.unread:
+            return
+        client.stalled = False
+        if not client.open():
+            assert client.sock.recv(1) == b"", "a reply that no request asked for"
+            self.clients.pop(client.sender).sock.close()
 
-    @precondition(lambda self: any(map(self.can_send, self.clients.values())))
+    @precondition(lambda self: any(c.can_send() for c in self.clients.values()))
     @rule(data=st.data())
     def half_close(self, data):
-        client = self.client(data, self.can_send)
+        client = self.client(data, RawClient.can_send)
+        self.settle(client)
         client.sock.shutdown(socket.SHUT_WR)
         client.half_closed = True
 
