@@ -24,10 +24,6 @@ from .experiments import (
 from .transport import TransportError, parse_peer_table
 
 
-def _load_config(path: str) -> ExperimentConfig:
-    return ExperimentConfig.from_dict(read_json(path))
-
-
 def _error(exc: Exception) -> int:
     """Report input the command rejects, or a run the model stops, as one
     line; the exit status is 2."""
@@ -59,9 +55,9 @@ def _run_inputs(args: argparse.Namespace) -> tuple[ExperimentConfig, list | None
         raise ValueError("--experiment runs in one process; it takes no --peers or --self-index")
     if (args.peers is None) != (args.self_index is None):
         raise ValueError("a TCP peer needs both --peers and --self-index")
-    cfg = (_load_config(args.config) if args.from_manifest is None
+    cfg = (read_json(args.config, ExperimentConfig.from_dict) if args.from_manifest is None
            else manifest_config(args.from_manifest))
-    peers = None if args.peers is None else parse_peer_table(read_json(args.peers))
+    peers = None if args.peers is None else read_json(args.peers, parse_peer_table)
     return cfg, peers
 
 
@@ -92,7 +88,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_dataset(args: argparse.Namespace) -> int:
     try:
-        cfg = _load_config(args.config)
+        cfg = read_json(args.config, ExperimentConfig.from_dict)
         train, test = build_dataset(cfg)
     except (OSError, ValueError) as exc:
         return _error(exc)

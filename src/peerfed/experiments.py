@@ -550,26 +550,26 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return out
 
 
-def read_json(path: str | Path):
-    """The JSON value a file holds; ValueError naming the file if it is not
-    JSON, repeats a key in an object or nests too deeply to parse, OSError
-    if it cannot be read."""
+def read_json(path: str | Path, parse):
+    """parse of the JSON value a file holds; ValueError naming the file if
+    it is not JSON, repeats a key in an object, nests too deeply to parse or
+    parse rejects it, OSError if it cannot be read."""
     try:
-        return json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        return parse(json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys))
     except (ValueError, RecursionError) as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _recorded_config(manifest) -> ExperimentConfig:
+    if not isinstance(manifest, dict) or "config" not in manifest:
+        raise ValueError("not a run manifest: no config")
+    return ExperimentConfig.from_dict(manifest["config"])
 
 
 def manifest_config(manifest_path: str | Path) -> ExperimentConfig:
     """The config a run manifest records; ValueError naming the file if it
     holds no valid one, OSError if it cannot be read."""
-    manifest = read_json(manifest_path)
-    try:
-        if not isinstance(manifest, dict) or "config" not in manifest:
-            raise ValueError("not a run manifest: no config")
-        return ExperimentConfig.from_dict(manifest["config"])
-    except ValueError as exc:
-        raise ValueError(f"{manifest_path}: {exc}") from None
+    return read_json(manifest_path, _recorded_config)
 
 
 # ---------------------------------------------------------------------------

@@ -14,11 +14,13 @@ TCP transport so peers can run as separate processes. Both share one
 request path: the same ``ping`` and ``fetch_weights``, one responder
 (``reply_to``) that builds every reply a node sends, and one check
 (``_checked_reply``) that every reply passes before it is used. A
-transport only carries the frames, through its own ``_request``. Over TCP
-each client keeps one open connection to each peer it talks to and sends
-every request to that peer over it, one at a time; each peer's server
-answers all of its connections from one thread. Both ends cut frames off
-the stream with one helper, ``take_frame``.
+request fails with one of the two faults a round tells apart:
+PeerUnreachableError or ProtocolError. A transport only carries the
+frames, through its own ``_request``. Over TCP each client keeps one
+open connection to each peer it talks to and sends every request to that
+peer over it, one at a time; each peer's server answers all of its
+connections from one thread. Both ends cut frames off the stream with
+one helper, ``take_frame``.
 
 A frame is copied once per side in user space: ``encode`` joins the
 header and the payload into the frame, which the server sends as it is,
@@ -60,14 +62,6 @@ ERR_BAD_REQUEST = 2
 
 class TransportError(Exception):
     """Base class for wire and delivery failures."""
-
-
-class IncompleteFrameError(TransportError):
-    """Fewer bytes than the frame claims."""
-
-
-class OversizeFrameError(TransportError):
-    """Length prefix exceeds the configured maximum."""
 
 
 class ProtocolError(TransportError):
@@ -131,15 +125,6 @@ class WeightsResponse:
     sample_count: int
     params: np.ndarray
 
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, WeightsResponse)
-            and self.sender == other.sender
-            and self.request_id == other.request_id
-            and self.sample_count == other.sample_count
-            and self.params.tobytes() == other.params.tobytes()
-        )
-
 
 @dataclass(frozen=True)
 class ErrorMessage:
@@ -182,15 +167,13 @@ def encode(msg: Message) -> bytes:
 
 
 def decode(data: bytes) -> Message:
-    """Parse exactly one frame; total over arbitrary bytes (raises, never crashes)."""
+    """Parse exactly one frame; ProtocolError for any other bytes, and no
+    other exception for any bytes."""
     if len(data) < 4:
-        raise IncompleteFrameError(f"need 4 length bytes, have {len(data)}")
+        raise ProtocolError(f"need 4 length bytes, have {len(data)}")
     (length,) = struct.unpack_from("<I", data, 0)
-    if length > DEFAULT_MAX_FRAME_BYTES:
-        raise OversizeFrameError(
-            f"frame of {length} bytes exceeds cap {DEFAULT_MAX_FRAME_BYTES}")
     if len(data) - 4 < length:
-        raise IncompleteFrameError(f"frame claims {length} bytes, have {len(data) - 4}")
+        raise ProtocolError(f"frame claims {length} bytes, have {len(data) - 4}")
     if len(data) - 4 > length:
         raise ProtocolError(f"{len(data) - 4 - length} trailing bytes after frame")
     if length < HEADER_BYTES:
@@ -357,11 +340,11 @@ class SimTransport:
 def take_frame(buffer: bytearray, chunk: bytes) -> bytes | None:
     """The frame that buffer's bytes followed by chunk make up, or None
     while it is incomplete, with chunk then added to buffer. A frame that
-    arrives in one chunk is that chunk, not a copy. OversizeFrameError as
-    soon as the length prefix exceeds DEFAULT_MAX_FRAME_BYTES, and
-    ProtocolError for bytes after the frame: each end sends one frame and
-    waits for the other's. Both ends of a TCP connection read their frames
-    through it."""
+    arrives in one chunk is that chunk, not a copy. ProtocolError as soon
+    as the length prefix exceeds DEFAULT_MAX_FRAME_BYTES, the one bound on a
+    frame's size, and for bytes after the frame: each end sends one frame
+    and waits for the other's. Both ends of a TCP connection read their
+    frames through it."""
     data = chunk
     if buffer:  # the frame began in an earlier chunk
         buffer += chunk
@@ -369,7 +352,7 @@ def take_frame(buffer: bytearray, chunk: bytes) -> bytes | None:
     if len(data) >= 4:
         (length,) = struct.unpack_from("<I", data)
         if length > DEFAULT_MAX_FRAME_BYTES:
-            raise OversizeFrameError(
+            raise ProtocolError(
                 f"frame of {length} bytes exceeds cap {DEFAULT_MAX_FRAME_BYTES}")
         if len(data) > 4 + length:
             raise ProtocolError(f"{len(data) - 4 - length} bytes after the frame")
@@ -383,12 +366,13 @@ def take_frame(buffer: bytearray, chunk: bytes) -> bytes | None:
 
 
 def read_frame(sock: socket.socket) -> bytes:
-    """Read the one frame a peer sends in reply off sock."""
+    """Read the one frame a peer sends in reply off sock; ConnectionResetError,
+    an OSError, if the peer hangs up first."""
     buffer = bytearray()
     while True:
         chunk = sock.recv(_RECV_BYTES)
         if not chunk:
-            raise IncompleteFrameError(f"connection closed after {len(buffer)} bytes")
+            raise ConnectionResetError(f"connection closed after {len(buffer)} bytes")
         if (frame := take_frame(buffer, chunk)) is not None:
             return frame
 
@@ -554,7 +538,7 @@ class TcpTransport:
             sock.sendall(frame)
             reply_frame = read_frame(sock)
             return _checked_reply(request, reply_frame, peer), len(reply_frame)
-        except (OSError, IncompleteFrameError) as exc:
+        except OSError as exc:
             self._forget(peer)
             raise PeerUnreachableError(f"client {peer} unreachable: {exc}") from exc
         except BaseException:  # a bad reply or an interrupt leaves the stream out of step

@@ -332,7 +332,8 @@ def test_criterion_8_codec_fuzz_and_round_trip():
         else:
             msg = WeightsResponse(sender, rid, int(rng.integers(1, 2**31)),
                                   rng.normal(size=int(rng.integers(0, 32))))
-        if decode(encode(msg)) != msg:
+        frame = encode(msg)
+        if encode(decode(frame)) != frame:
             mismatches += 1
     elapsed = time.perf_counter() - started
     passed = crashes == 0 and mismatches == 0

@@ -90,7 +90,8 @@ def test_run_requires_config_or_manifest(capsys):
     ("infinite_base_lr", "base_lr"),
     ("negative_init_seed", "seeds.init"),
     ("missing_config", "absent.json"),
-    ("peer_table_object", "peer table must be a JSON list"),
+    ("peer_table_object", "p.json: peer table must be a JSON list"),
+    ("peer_bad_endpoint", "p.json: endpoint must be host:port"),
     ("self_index_out_of_range", "self_index 3"),
     ("peers_without_self_index", "needs both --peers and --self-index"),
     ("self_index_without_peers", "needs both --peers and --self-index"),
@@ -102,12 +103,12 @@ def test_run_requires_config_or_manifest(capsys):
     ("manifest_without_config", "not a run manifest"),
     ("manifest_with_removed_keys", "unknown config keys: ['on_unreachable', 'transport']"),
     ("dataset_missing_config", "absent.json"),
-    ("dataset_rejected_config", "base_lr"),
+    ("dataset_rejected_config", "c.json: base_lr"),
     ("dataset_without_config", "required: --config"),
     ("dataset_gen", "unrecognized arguments: gen"),
     ("no_subcommand", "required: command"),
     ("unknown_option", "unrecognized arguments: --transport tcp"),
-    ("unknown_mode", "unknown mode 'gossip'"),
+    ("unknown_mode", "c.json: unknown mode 'gossip'"),
     ("clients_not_an_int", "n_clients must be int, got 'x'"),
     # The flags that overrode config values before 0.9.0: a run takes its
     # config as its file or manifest writes it.
@@ -158,6 +159,8 @@ def test_rejected_input_is_a_one_line_error(tmp_path, config_path, capsys, case,
         "missing_config": lambda: ["run", "--config", str(tmp_path / "absent.json")],
         "peer_table_object": lambda: [*bt_run, "--self-index", "0",
                                       "--peers", write("p.json", '{"0": "127.0.0.1:1"}')],
+        "peer_bad_endpoint": lambda: [*bt_run, "--self-index", "0", "--peers", write(
+            "p.json", json.dumps([*peers[:2], {"client_index": 2, "endpoint": "nohost"}]))],
         "self_index_out_of_range": lambda: [
             *bt_run, "--self-index", "3", "--peers", write("p.json", json.dumps(peers))],
         "peers_without_self_index": lambda: [

@@ -5,14 +5,18 @@ test_acceptance.py runs them as separate processes."""
 from __future__ import annotations
 
 import hashlib
+import tempfile
 import threading
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 import test_golden
 from conftest import free_ports
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from peerfed import experiments
 from peerfed.experiments import (
@@ -91,6 +95,27 @@ def test_peers_write_the_golden_weights(name, tmp_path):
     for p in params:
         digest.update(p.tobytes())
     assert digest.hexdigest() == test_golden.WEIGHTS[kernel][name]
+
+
+@settings(max_examples=15, deadline=None)
+@given(n_clients=st.integers(2, 5), hidden=st.sampled_from([4, 8, 16]),
+       rounds=st.integers(1, 3), warmup=st.booleans(), eval_every=st.integers(1, 2),
+       seeds=st.fixed_dictionaries({k: st.integers(0, 2**32 - 1)
+                                    for k in ("data", "init", "shuffle", "initiator")}))
+def test_peers_match_the_simulation_on_small_configs(n_clients, hidden, rounds, warmup,
+                                                     eval_every, seeds):
+    # Criterion 9 and the golden cases above pin single configs; this draws
+    # client counts, schedules, warm-up and seeds. Drops stay off: the
+    # simulation injects them, TCP does not.
+    d = tcp_config_dict()
+    cfg = ExperimentConfig.from_dict({
+        **d, "n_clients": n_clients, "rounds_fls": rounds, "bt_warmup": warmup,
+        "eval_every": eval_every, "model": {**d["model"], "hidden_dims": [hidden]},
+        "data": {**d["data"], "num_train": 2 * n_clients}, "seeds": seeds,
+    })
+    with tempfile.TemporaryDirectory() as out:  # one per example, unlike tmp_path
+        params = run_threaded_peers(cfg, Path(out))
+    assert_matches_simulation(cfg, params)
 
 
 @pytest.mark.slow

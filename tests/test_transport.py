@@ -41,9 +41,7 @@ from peerfed.transport import (
     TAG_PING_RESPONSE,
     TAG_WEIGHTS_RESPONSE,
     ErrorMessage,
-    IncompleteFrameError,
     Message,
-    OversizeFrameError,
     PeerAddress,
     PeerUnreachableError,
     PingRequest,
@@ -86,7 +84,8 @@ def raw_frame(tag: int, payload: bytes) -> bytes:
 class TestCodec:
     @pytest.mark.parametrize("msg", all_message_examples(), ids=lambda m: type(m).__name__)
     def test_round_trip(self, msg):
-        assert decode(encode(msg)) == msg
+        frame = encode(msg)
+        assert encode(decode(frame)) == frame
 
     def test_ping_request_frame_is_16_bytes(self):
         # 4-byte length prefix + 12-byte header, no payload.
@@ -130,12 +129,12 @@ class TestCodec:
         assert hashlib.sha256(frame).hexdigest() == self.PINNED_FRAMES["weights"][1]
 
     def test_empty_input_incomplete(self):
-        with pytest.raises(IncompleteFrameError):
+        with pytest.raises(ProtocolError, match="need 4 length bytes, have 0"):
             decode(b"")
 
     def test_truncated_frame_incomplete(self):
         frame = encode(PingResponse(0, 1, 2))
-        with pytest.raises(IncompleteFrameError):
+        with pytest.raises(ProtocolError, match=f"frame claims {len(frame) - 4} bytes"):
             decode(frame[:-1])
 
     def test_trailing_bytes_rejected(self):
@@ -156,8 +155,9 @@ class TestCodec:
             decode(bytes(frame))
 
     def test_oversize_frame_rejected(self):
+        # take_frame bounds a frame off the wire; decode sees a prefix it cannot fill.
         data = struct.pack("<I", DEFAULT_MAX_FRAME_BYTES + 1)
-        with pytest.raises(OversizeFrameError):
+        with pytest.raises(ProtocolError, match=f"claims {DEFAULT_MAX_FRAME_BYTES + 1} bytes"):
             decode(data)
 
     def test_weights_count_field_must_match_payload(self):
@@ -185,7 +185,7 @@ class TestCodec:
         sender, receiver = socket.socketpair()
         with sender, receiver:
             sender.sendall(struct.pack("<I", DEFAULT_MAX_FRAME_BYTES + 1))
-            with pytest.raises(OversizeFrameError):
+            with pytest.raises(ProtocolError, match="exceeds cap"):
                 read_frame(receiver)
 
     def test_read_frame_rejects_bytes_after_the_reply(self):
@@ -204,7 +204,7 @@ class TestCodec:
             blob = rng.bytes(int(rng.integers(0, 60)))
             try:
                 decode(blob)
-            except TransportError:
+            except ProtocolError:
                 pass
 
     @settings(max_examples=200, deadline=None)
@@ -212,8 +212,33 @@ class TestCodec:
     def test_decode_total_over_arbitrary_bytes(self, blob):
         try:
             decode(blob)
-        except TransportError:
+        except ProtocolError:
             pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.one_of(
+        st.binary(max_size=80),
+        st.sampled_from([encode(m) for m in all_message_examples()]),
+        st.builds(lambda length, rest: struct.pack("<I", length) + rest,
+                  st.integers(0, 2**32 - 1) | st.integers(DEFAULT_MAX_FRAME_BYTES - 1,
+                                                          DEFAULT_MAX_FRAME_BYTES + 1),
+                  st.binary(max_size=40)),
+    ))
+    def test_read_frame_gives_a_frame_a_protocol_error_or_an_os_error(self, blob):
+        """A peer that writes any bytes and hangs up gives the reader a whole
+        frame, or one of the two faults a caller tells apart: ProtocolError
+        for bytes that are not one frame, OSError for a peer gone too soon."""
+        sender, receiver = socket.socketpair()
+        with sender, receiver:
+            receiver.settimeout(1.0)
+            sender.sendall(blob)
+            sender.close()
+            try:
+                frame = read_frame(receiver)
+            except (ProtocolError, OSError):
+                return
+        (length,) = struct.unpack_from("<I", blob)
+        assert frame == blob[:4 + length]
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -223,8 +248,8 @@ class TestCodec:
         st.lists(st.floats(allow_nan=False, width=64), max_size=16),
     )
     def test_weights_round_trip_property(self, sender, rid, count, values):
-        msg = WeightsResponse(sender, rid, count, np.array(values, dtype=float))
-        assert decode(encode(msg)) == msg
+        frame = encode(WeightsResponse(sender, rid, count, np.array(values, dtype=float)))
+        assert encode(decode(frame)) == frame
 
 
 class TestSimTransport:
