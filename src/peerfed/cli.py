@@ -10,6 +10,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import (
+    METRIC_COLUMNS,
     SWEEPS,
     ExperimentConfig,
     build_dataset,
@@ -103,13 +104,12 @@ def cmd_dataset(args: argparse.Namespace) -> int:
 
 
 def _metrics_rows(path: Path) -> list[list]:
-    """(round_index, avg dice, aggregated dice, bytes) of each row of a run's
-    metrics.csv; ValueError naming the file for a missing column or a bad number.
+    """The METRIC_COLUMNS values of each row of a run's metrics.csv;
+    ValueError naming the file for a missing column or a bad number.
     """
     with open(path) as fh:
         try:
-            return [[int(rec["round_index"]), float(rec["avg_client_dice"]),
-                     float(rec["aggregated_model_dice"]), int(rec["bytes_transferred"])]
+            return [[parse(rec[column]) for column, parse in METRIC_COLUMNS.items()]
                     for rec in csv.DictReader(fh)]
         except KeyError as exc:
             raise ValueError(f"{path}: no {exc} column") from None
@@ -138,8 +138,7 @@ def cmd_report(args: argparse.Namespace) -> int:
             rows.append([name, cfg.mode, cfg.n_clients, avg, agg, nbytes])
             plot_rows += [[name, cfg.mode, cfg.n_clients, *rec] for rec in records]
         out_csv = Path(args.out) if args.out else root / "report.csv"
-        write_table(out_csv, ["run", "mode", "n_clients", "round_index", "avg_client_dice",
-                              "aggregated_model_dice", "bytes_transferred"], plot_rows)
+        write_table(out_csv, ["run", "mode", "n_clients", *METRIC_COLUMNS], plot_rows)
     except (OSError, ValueError) as exc:
         return _error(exc)
     _print_table(["run", "mode", "clients", "avg dice", "agg dice", "bytes"],

@@ -26,7 +26,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -59,6 +59,7 @@ from .model import ModelSpec, ModelWeights, dice_score, init_model, predict
 from .seeding import derive_seed
 from .transport import (
     DEFAULT_MAX_FRAME_BYTES,
+    MAX_CLIENTS,
     PeerAddress,
     PeerUnreachableError,
     SimTransport,
@@ -78,11 +79,6 @@ EXP2_COUNTS = (5, 9, 2, 1, 3)
 _JSON_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,)}
 
 
-def _config_fields(section) -> list:
-    """A config section's keys, in field order: its init fields."""
-    return [f for f in fields(section) if f.init]
-
-
 def _is(kind: str, value) -> bool:
     """Whether a JSON value has the annotated type: JSON's "false" is not a
     bool, true, 2.5 and "10" are not ints, and NaN, Infinity and ints past
@@ -100,7 +96,7 @@ def _from_json(default, d, section: str):
     """
     if not isinstance(d, dict):
         raise ValueError(f"{section} must be a JSON object, got {d!r}")
-    kinds = {f.name: f.type for f in _config_fields(default)}
+    kinds = {f.name: f.type for f in fields(default)}
     unknown = set(d) - set(kinds)
     if unknown:
         raise ValueError(f"unknown {section} keys: {sorted(unknown)}")
@@ -120,22 +116,6 @@ def _from_json(default, d, section: str):
             raise ValueError(f"{key} must be {kind}, got {value!r}")
         values[key] = value
     return replace(default, **values)
-
-
-def _to_json(section) -> dict:
-    """The JSON object of a config section: keys in field order, tuples as
-    lists, None values left out.
-    """
-    out = {}
-    for f in _config_fields(section):
-        value = getattr(section, f.name)
-        if is_dataclass(value):
-            value = _to_json(value)
-        elif isinstance(value, tuple):
-            value = list(value)
-        if value is not None:
-            out[f.name] = value
-    return out
 
 
 @dataclass(frozen=True)
@@ -177,8 +157,9 @@ class ExperimentConfig:
             raise ValueError(f"unknown mode {self.mode!r}; expected one of {MODES}")
         if self.n_clients < 1:
             raise ValueError(f"n_clients must be >= 1, got {self.n_clients}")
-        if self.mode == "braintorrent" and self.n_clients > 1 << 16:
-            raise ValueError(f"n_clients {self.n_clients} > 65536 overflows the 16-bit sender field")
+        if self.mode == "braintorrent" and self.n_clients > MAX_CLIENTS:
+            raise ValueError(f"n_clients {self.n_clients} > {MAX_CLIENTS} "
+                             "overflows the 16-bit sender field")
         params = self.model.param_count()
         frame = weights_frame_bytes(params) - 4  # what the length prefix counts
         if self.mode == "braintorrent" and frame > DEFAULT_MAX_FRAME_BYTES:
@@ -225,7 +206,11 @@ class ExperimentConfig:
         return _from_json(ExperimentConfig(), d, "config")
 
     def to_dict(self) -> dict:
-        return _to_json(self)
+        """The config's JSON object: keys in field order, tuples as lists,
+        None values left out, in every section."""
+        return asdict(self, dict_factory=lambda items: {
+            key: list(value) if isinstance(value, tuple) else value
+            for key, value in items if value is not None})
 
 
 @dataclass
@@ -441,29 +426,24 @@ def table_csv(headers: list[str], rows: list[list]) -> str:
     return buffer.getvalue()
 
 
+# The columns metrics.csv and metrics.json share, in order, each with the
+# type `peerfed report` parses it as; both then add per-client dice.
+METRIC_COLUMNS = {"round_index": int, "avg_client_dice": float,
+                  "aggregated_model_dice": float, "bytes_transferred": int}
+
+
 def metrics_to_csv(records: list[MetricsRecord]) -> str:
-    """Render records as CSV with a stable column order and no wall-clock timing."""
+    """Render records as CSV with a stable column order and no wall-clock timing:
+    METRIC_COLUMNS, then one client_NN_dice per client."""
     n_clients = len(records[0].per_client_dice) if records else 0
-    columns = ["round_index", "avg_client_dice", "aggregated_model_dice", "bytes_transferred"]
-    columns += [f"client_{i:02d}_dice" for i in range(n_clients)]
-    return table_csv(columns, [
-        [rec.round_index, rec.avg_client_dice, rec.aggregated_model_dice,
-         rec.bytes_transferred, *rec.per_client_dice]
-        for rec in records
-    ])
+    columns = [*METRIC_COLUMNS, *(f"client_{i:02d}_dice" for i in range(n_clients))]
+    return table_csv(columns, [[*(getattr(rec, c) for c in METRIC_COLUMNS), *rec.per_client_dice]
+                               for rec in records])
 
 
 def metrics_to_json(records: list[MetricsRecord]) -> str:
-    out = [
-        {
-            "round_index": rec.round_index,
-            "avg_client_dice": rec.avg_client_dice,
-            "aggregated_model_dice": rec.aggregated_model_dice,
-            "bytes_transferred": rec.bytes_transferred,
-            "per_client_dice": list(rec.per_client_dice),
-        }
-        for rec in records
-    ]
+    out = [{**{c: getattr(rec, c) for c in METRIC_COLUMNS},
+            "per_client_dice": list(rec.per_client_dice)} for rec in records]
     return json.dumps({"records": out}, indent=2) + "\n"
 
 

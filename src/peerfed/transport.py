@@ -43,6 +43,7 @@ import numpy as np
 
 PROTOCOL_VERSION = 1
 HEADER_BYTES = 12  # version + sender + request_id + tag
+MAX_CLIENTS = 1 << 16  # client indices 0..MAX_CLIENTS - 1 fit the u16 sender field
 DEFAULT_MAX_FRAME_BYTES = 64 * 1024 * 1024
 DEFAULT_TIMEOUT_S = 10.0  # how long a client waits to connect or for a reply
 _RECV_BYTES = 64 * 1024

@@ -385,6 +385,18 @@ def test_report_renders_and_writes_csv(tmp_path, config_path, capsys):
     assert len(report) > 2
 
 
+def test_report_reads_the_columns_run_writes(tmp_path, config_path, capsys):
+    run_dir = tmp_path / "runs" / "r1"
+    assert main(["run", "--config", str(config_path), "--out", str(run_dir)]) == 0
+    assert main(["report", "--in", str(tmp_path / "runs")]) == 0
+    metrics = [line.split(",") for line in (run_dir / "metrics.csv").read_text().splitlines()]
+    report = [line.split(",") for line in
+              (tmp_path / "runs" / "report.csv").read_text().splitlines()]
+    assert report[0] == ["run", "mode", "n_clients", *metrics[0][:4]]
+    assert len(report) == len(metrics) > 1
+    assert [row[3:] for row in report[1:]] == [row[:4] for row in metrics[1:]]
+
+
 def test_report_on_one_run_directory_names_it(tmp_path, config_path, capsys):
     run_dir = tmp_path / "runs" / "r1"
     main(["run", "--config", str(config_path), "--out", str(run_dir)])

@@ -132,6 +132,14 @@ class TestConfig:
         assert again == cfg
         assert json.dumps(cfg.to_dict()) == manifest_text
 
+    @pytest.mark.parametrize("cfg", [
+        ExperimentConfig(),
+        small_cfg(n_clients=3, split=SplitSpec("cohort", (20.0, 40.0), (3, 3, 2))),
+    ], ids=["default", "cohort_with_counts"])
+    def test_to_dict_is_json_ready(self, cfg):
+        # Lists where the config holds tuples, and no None values.
+        assert cfg.to_dict() == json.loads(json.dumps(cfg.to_dict()))
+
     def test_only_split_boundaries_become_floats(self):
         d = small_cfg(split=SplitSpec("cohort", (20.0, 30.0, 40.0))).to_dict()
         d["split"]["boundaries"] = [20, 30, 40]
@@ -199,6 +207,9 @@ class TestConfig:
         with pytest.raises(ValueError, match="16-bit sender field"):
             ExperimentConfig(mode="braintorrent", n_clients=65537,
                              data=GenConfig(num_train=65537, height=4, width=4))
+        edge = ExperimentConfig(mode="braintorrent", n_clients=65536,
+                                data=GenConfig(num_train=65536, height=4, width=4))
+        assert edge.n_clients == 65536
 
     def test_a_model_too_large_for_one_weights_frame_rejected(self):
         # Its weights frame would be 72,240,052 bytes, over the 64 MiB cap a
